@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .field import (
     mass,
 )
 from .noise import (
+    _DENSE_LIMIT,
     Control,
     ConvolutionSampler,
     CorrelationSpec,
@@ -57,7 +57,7 @@ from .noise import (
     verify_factorization,
 )
 from .solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
-from .ldp import EventSpec, LdpLab, holder_exponent, ldp_slope, support_distance
+from .ldp import EventSpec, LdpLab, holder_exponent, support_distance
 from .fbm import replicate_stream
 
 EXPERIMENT_KINDS = (
@@ -192,7 +192,7 @@ def parse_config(text: str) -> dict:
 
 
 def _common_keys():
-    return {"kind", "seed", "out", "threads"}
+    return {"kind", "seed", "out"}
 
 
 def _validate_fbm(raw: dict) -> dict:
@@ -285,7 +285,7 @@ def _validate_skeleton(raw: dict) -> dict:
         "scale": _require_number(ctl.get("scale", 1.0), "$.control.scale"),
         "seed": _require_number(ctl.get("seed", 0), "$.control.seed", lo=0, integer=True),
     }
-    if out["n"] > 64:
+    if out["n"] > _DENSE_LIMIT:
         raise ConfigError("$.n: skeleton runs use the dense response operator; need n <= 64")
     return out
 
@@ -318,7 +318,7 @@ def _validate_ldp(raw: dict) -> dict:
         "n_splines": _require_number(opt.get("n_splines", 8), "$.optimizer.n_splines", lo=4, integer=True),
         "budget": _require_number(opt.get("budget", 4000), "$.optimizer.budget", lo=100, integer=True),
     }
-    if out["n"] > 64:
+    if out["n"] > _DENSE_LIMIT:
         raise ConfigError("$.n: rate computations use the dense response operator; need n <= 64")
     return out
 
@@ -355,7 +355,7 @@ def _validate_support(raw: dict) -> dict:
         _require_number(s, f"$.family_sizes[{i}]", lo=1, integer=True) for i, s in enumerate(sizes)
     ]
     out["control_scale"] = _require_number(raw.get("control_scale", 1.0), "$.control_scale")
-    if out["n"] > 64:
+    if out["n"] > _DENSE_LIMIT:
         raise ConfigError("$.n: support runs use the dense response operator; need n <= 64")
     return out
 
@@ -530,7 +530,7 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _run_ldp(cfg: dict, out_dir: str, threads: int = 1) -> int:
+def _run_ldp(cfg: dict, out_dir: str) -> int:
     scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
     kern = HurstKernel(cfg["H"])
     lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], kern, scfg)
@@ -539,56 +539,18 @@ def _run_ldp(cfg: dict, out_dir: str, threads: int = 1) -> int:
         threshold=cfg["event"]["threshold"],
         sobolev_index=cfg["event"]["sobolev_index"],
     )
-
-    def one_rung(idx_eps):
-        idx, eps = idx_eps
-        seed = cfg["seed"] + idx
-        reps = cfg["replicates"]
-        hits = 0
-        for i in range(reps):
-            if lab.event_occurred(lab.sample_trajectory(eps, seed, i), ev):
-                hits += 1
-        return hits
-
-    pairs = list(enumerate(cfg["eps_ladder"]))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hit_counts = list(ex.map(one_rung, pairs))
-    else:
-        hit_counts = [one_rung(p) for p in pairs]
-
-    from .ldp import wilson_interval
-
-    p_hats, ci_lo, ci_hi = [], [], []
-    for hits in hit_counts:
-        p_hats.append(hits / cfg["replicates"])
-        lo, hi = wilson_interval(hits, cfg["replicates"])
-        ci_lo.append(lo)
-        ci_hi.append(hi)
-    fit = ldp_slope(cfg["eps_ladder"], p_hats)
-    report = {
-        "eps_ladder": cfg["eps_ladder"],
-        "p_hats": p_hats,
-        "ci_lo": ci_lo,
-        "ci_hi": ci_hi,
-        "replicates": cfg["replicates"],
-        "slope_value": fit.value if fit.ok else None,
-        "slope_drift": fit.drift if fit.ok else None,
-        "pinv_rate": None,
-        "variational_bound": None,
-    }
+    report = lab.rate_ladder(ev, cfg["eps_ladder"], cfg["replicates"], cfg["seed"])
     if ev.kind == "terminal-ball-exit" and cfg["_nl"] is None:
-        report["pinv_rate"] = lab.pinv_terminal_rate(ev.threshold)[0]
+        report.pinv_rate = lab.pinv_terminal_rate(ev.threshold)[0]
     if cfg["optimizer"]["enabled"]:
         res = lab.minimize_rate(
             ev, n_splines=cfg["optimizer"]["n_splines"], budget=cfg["optimizer"]["budget"]
         )
-        report["variational_bound"] = res.rate if res.feasible else None
-    write_json(os.path.join(out_dir, "rate_report.json"), report)
+        report.variational_bound = res.rate if res.feasible else None
+    write_json(os.path.join(out_dir, "rate_report.json"), report.to_dict())
     rows = [
-        [cfg["eps_ladder"][i], p_hats[i], ci_lo[i], ci_hi[i],
-         -cfg["eps_ladder"][i] * math.log(p_hats[i]) if p_hats[i] > 0 else math.inf]
-        for i in range(len(p_hats))
+        [eps, p, lo, hi, -eps * math.log(p) if p > 0 else math.inf]
+        for eps, p, lo, hi in zip(report.eps_ladder, report.p_hats, report.ci_lo, report.ci_hi)
     ]
     write_csv(os.path.join(out_dir, "ladder.csv"),
               ["eps", "p_hat", "ci_lo", "ci_hi", "minus_eps_log_p"], rows)
@@ -798,18 +760,17 @@ _RUNNERS = {
     "convolve": _run_convolve,
     "solve": _run_solve,
     "skeleton": _run_skeleton,
+    "ldp": _run_ldp,
     "holder": _run_holder,
     "support": _run_support,
     "oracle-suite": _run_oracle_suite,
 }
 
 
-def run(cfg: dict, out_dir: str, threads: int = 1) -> int:
+def run(cfg: dict, out_dir: str) -> int:
     """Execute a validated config; artifacts land in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     _manifest(cfg, out_dir)
-    if cfg["kind"] == "ldp":
-        return _run_ldp(cfg, out_dir, threads=threads)
     return _RUNNERS[cfg["kind"]](cfg, out_dir)
 
 
@@ -824,7 +785,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -843,8 +803,6 @@ def main(argv=None) -> int:
         if out_dir is None:
             raise ConfigError("$.out: output directory required (config key or --out)")
         raw.pop("out", None)
-        threads = max(1, args.threads)
-        raw.pop("threads", None)
         cfg = parse_config(json.dumps({k: v for k, v in raw.items() if not k.startswith("_")}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -854,7 +812,7 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        run(cfg, out_dir, threads=threads)
+        run(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ __all__ = [
     "ComplexField",
     "SobolevIndex",
     "sobolev_norm",
+    "sobolev_norms",
     "l2_norm",
     "l2_inner",
     "apply_group",
@@ -150,9 +151,6 @@ class ComplexField:
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values.view(float))))
-
 
 def l2_norm(u: ComplexField) -> float:
     return float(np.sqrt(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume))
@@ -161,10 +159,15 @@ def l2_norm(u: ComplexField) -> float:
 def sobolev_norm(u: ComplexField, s: SobolevIndex | float) -> float:
     """H^s norm via the weighted spectral sum; s = 0 is the L2 integral norm."""
     sv = s.s if isinstance(s, SobolevIndex) else float(s)
-    g = u.grid
-    weight = (1.0 + g.xi_squared) ** sv
-    total = np.sum(weight * np.abs(u.spectrum) ** 2) / g.volume
-    return float(np.sqrt(total))
+    return float(sobolev_norms(u.grid, u.values, sv))
+
+
+def sobolev_norms(grid: GridSpec, values: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of the fields stacked along the leading axes of ``values``."""
+    axes = tuple(range(-grid.d, 0))
+    spectrum = np.fft.fftn(values, axes=axes) * grid.cell_volume
+    weight = (1.0 + grid.xi_squared) ** s
+    return np.sqrt(np.sum(weight * np.abs(spectrum) ** 2, axis=axes) / grid.volume)
 
 
 def l2_inner(u: ComplexField, v: ComplexField) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from .field import ComplexField, sobolev_norm
+from .field import ComplexField, sobolev_norm, sobolev_norms
 from .noise import (
     Control,
     ConvolutionSampler,
@@ -37,7 +37,8 @@ from .noise import (
     terminal_covariance_blocks,
 )
 from .fbm import HurstKernel, TimeGrid, replicate_stream
-from .solver import NonlinearitySpec, SolverConfig, Trajectory, solve_mild, solve_skeleton
+from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
+from .solver import solve_mild, solve_mild_batch, solve_skeleton
 
 __all__ = [
     "EventSpec",
@@ -55,6 +56,10 @@ __all__ = [
 ]
 
 EVENT_KINDS = ("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T")
+
+# Byte budget for the stepped states of one Monte Carlo chunk: a whole rung in
+# one batch raises peak memory for no further speed.
+_BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -309,6 +314,18 @@ class LdpLab:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
         return any(sobolev_norm(f, s) > ev.threshold for f in traj.fields)
 
+    def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec) -> np.ndarray:
+        """Event functional of each live replicate: the terminal distance to
+        the deterministic flow, or the sup over time of the H^s norm (H^1
+        for the blow-up event)."""
+        s = ev.sobolev_index
+        if ev.kind == "terminal-ball-exit":
+            ref = self.deterministic.terminal_field().values
+            return sobolev_norms(self.spec.grid, batch.states[live, -1] - ref, s)
+        if s == 1.0 or ev.kind == "blow-up-before-T":
+            return batch.h1_norms[live].max(axis=1)
+        return sobolev_norms(self.spec.grid, batch.states[live], s).max(axis=1)
+
     def sample_trajectory(self, eps: float, seed: int, replicate: int) -> Trajectory:
         paths = self.sampler.sample_mode_paths(seed, replicate)
         return solve_mild(self.u0, self.nl, paths, eps, self.cfg)
@@ -318,8 +335,9 @@ class LdpLab:
     ) -> tuple[float, tuple[float, float]]:
         """Fraction of trajectories realizing the event, with Wilson CI.
 
-        Replicate i is keyed (seed, i); a zero estimate signals that eps is
-        too small for direct Monte Carlo at this replicate budget.
+        Replicate i is keyed (seed, i) whatever the chunk it is stepped in;
+        a zero estimate signals that eps is too small for direct Monte Carlo
+        at this replicate budget.
         """
         if replicates < 100:
             raise ValueError("need at least 100 replicates")
@@ -327,10 +345,16 @@ class LdpLab:
             occurred = self.event_occurred(self.deterministic, ev)
             p = 1.0 if occurred else 0.0
             return p, (p, p)
+        state_bytes = (self.cfg.n_steps + 1) * self.spec.grid.mode_count * np.dtype(complex).itemsize
+        chunk = max(1, _BATCH_BYTES // state_bytes)
         hits = 0
-        for i in range(replicates):
-            if self.event_occurred(self.sample_trajectory(eps, seed, i), ev):
-                hits += 1
+        for start in range(0, replicates, chunk):
+            paths = self.sampler.sample_mode_path_batch(seed, range(start, min(start + chunk, replicates)))
+            batch = solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
+            hits += int(np.count_nonzero(batch.blown_up))  # the cemetery realizes every event
+            if ev.kind != "blow-up-before-T":
+                reach = self._reach(batch, ~batch.blown_up, ev)
+                hits += int(np.count_nonzero(reach > ev.threshold))
         return hits / replicates, wilson_interval(hits, replicates)
 
     def rate_ladder(self, ev: EventSpec, eps_ladder, replicates: int, seed: int) -> RateReport:
@@ -357,24 +381,25 @@ class LdpLab:
         """Pseudo-inverse rate of the cheapest terminal target on the sphere."""
         return cheapest_terminal_rate(self.L, delta)
 
-    def _event_shortfall(self, traj: Trajectory, ev: EventSpec, margin: float) -> float:
-        """Nonnegative distance-to-event; zero once the event is realized."""
-        target = ev.threshold * (1.0 + margin)
-        if ev.kind == "terminal-ball-exit":
-            if traj.blown_up:
-                return 0.0
-            ref = self.deterministic.terminal_field()
-            reach = sobolev_norm(traj.terminal_field() - ref, ev.sobolev_index)
-            return max(0.0, target - reach)
-        if ev.kind == "sup-norm-exceed":
-            if traj.blown_up:
-                return 0.0
-            reach = max(sobolev_norm(f, ev.sobolev_index) for f in traj.fields)
-            return max(0.0, target - reach)
-        # blow-up-before-T: use the sup of H^1 against the threshold as proxy
-        if traj.blown_up:
-            return 0.0
-        return max(0.0, 1.0 - np.nanmax(traj.h1_norms) / (1.0 + np.nanmax(traj.h1_norms)))
+    def _penalized_energies(
+        self, cs: np.ndarray, design: np.ndarray, ev: EventSpec, pen: float, margin: float
+    ) -> np.ndarray:
+        """Objective of :meth:`minimize_rate` for the spline coefficients in
+        the rows of ``cs``, from one batched skeleton solve: half the control
+        energy plus ``pen`` times the squared distance-to-event, which is
+        zero once the event is realized."""
+        values = cs.reshape(len(cs), self.spec.grid.mode_count, -1) @ design.T
+        energy = 0.5 * (np.sum(values**2, axis=(1, 2)) * self.tg.dt)
+        batch = solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
+        live = ~batch.blown_up
+        reach = self._reach(batch, live, ev)
+        short = np.zeros(len(cs))
+        if ev.kind == "blow-up-before-T":
+            # the sup of H^1 against the threshold as proxy
+            short[live] = np.maximum(0.0, 1.0 - reach / (1.0 + reach))
+        else:
+            short[live] = np.maximum(0.0, ev.threshold * (1.0 + margin) - reach)
+        return energy + pen * short * short
 
     def minimize_rate(
         self,
@@ -397,20 +422,20 @@ class LdpLab:
         dim = n_modes * n_splines
         if dim > 64 * 8:
             raise ValueError("control basis too large for the optimizer budget")
-        dt = self.tg.dt
         nfev = 0
 
         def control_of(c: np.ndarray) -> Control:
             coeff = c.reshape(n_modes, n_splines)
             return Control(values=coeff @ design.T, tg=self.tg)
 
-        def objective(c: np.ndarray, pen: float) -> float:
+        def realizes(c: np.ndarray) -> bool:
+            traj = solve_skeleton(self.u0, control_of(c), self.nl, self.cfg, self.L)
+            return self.event_occurred(traj, ev)
+
+        def objectives(cs: np.ndarray, pen: float) -> np.ndarray:
             nonlocal nfev
-            nfev += 1
-            h = control_of(c)
-            traj = solve_skeleton(self.u0, h, self.nl, self.cfg, self.L)
-            short = self._event_shortfall(traj, ev, margin)
-            return h.half_energy + pen * short * short
+            nfev += len(cs)
+            return self._penalized_energies(cs, design, ev, pen, margin)
 
         if penalty0 is None:
             penalty0 = 10.0 / max(ev.threshold, 1.0) ** 2
@@ -418,17 +443,22 @@ class LdpLab:
         c = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).copy()
         feasible = False
         for _ in range(8):
+            # the finite-difference points of a gradient go to ``objectives``
+            # in one batch; scipy still picks the steps and counts them
             res = minimize(
-                objective,
+                lambda x, pen: float(objectives(x[None], pen)[0]),
                 c,
                 args=(pen,),
                 method="L-BFGS-B",
-                options={"maxfun": budget, "ftol": 1e-12, "gtol": 1e-10},
+                options={
+                    "maxfun": budget,
+                    "ftol": 1e-12,
+                    "gtol": 1e-10,
+                    "workers": lambda _fun, points: objectives(np.array(list(points)), pen),
+                },
             )
             c = res.x
-            h = control_of(c)
-            traj = solve_skeleton(self.u0, h, self.nl, self.cfg, self.L)
-            if self.event_occurred(traj, ev):
+            if realizes(c):
                 feasible = True
                 break
             pen *= 10.0
@@ -439,9 +469,7 @@ class LdpLab:
         lo_a, hi_a = 0.0, 1.0
         for _ in range(25):
             mid = 0.5 * (lo_a + hi_a)
-            hm = control_of(mid * c)
-            traj = solve_skeleton(self.u0, hm, self.nl, self.cfg, self.L)
-            if self.event_occurred(traj, ev):
+            if realizes(mid * c):
                 hi_a = mid
             else:
                 lo_a = mid

@@ -210,11 +210,10 @@ class ConvolutionPath:
 
 
 def mode_paths_to_fields(grid: GridSpec, mode_paths: np.ndarray) -> np.ndarray:
-    """Batch-assemble physical fields from rows of mode coefficients."""
-    steps = mode_paths.shape[0]
-    coeffs = mode_paths.reshape((steps,) + grid.shape)
+    """Batch-assemble physical fields from mode coefficients in the last axis."""
+    coeffs = mode_paths.reshape(mode_paths.shape[:-1] + grid.shape)
     phased = coeffs * grid.mode_parity_phase
-    axes = tuple(range(1, grid.d + 1))
+    axes = tuple(range(-grid.d, 0))
     return np.fft.ifftn(phased, axes=axes) * grid.mode_count / math.sqrt(grid.volume)
 
 
@@ -234,14 +233,17 @@ class ConvolutionSampler:
         self.phi = spec.eigenvalues
 
     def sample_mode_paths(self, seed: int, replicate: int = 0) -> np.ndarray:
-        zeta = replicate_stream(seed, replicate).standard_normal((self.tg.n, self.n_modes))
-        return self.mode_paths_from_innovations(zeta)
+        return self.sample_mode_path_batch(seed, range(replicate, replicate + 1))[0]
 
-    def mode_paths_from_innovations(self, zeta: np.ndarray) -> np.ndarray:
+    def sample_mode_path_batch(self, seed: int, replicates: range) -> np.ndarray:
+        """Mode paths (R, n + 1, n_modes); row r draws from the stream keyed
+        (seed, replicates[r]), so it does not depend on the batch."""
+        shape = (self.tg.n, self.n_modes)
+        zeta = np.stack([replicate_stream(seed, i).standard_normal(shape) for i in replicates])
         dbh = self.chol @ zeta  # fractional increments, exact joint law
-        csum = np.cumsum(self.phase_mid * dbh, axis=0)
-        out = np.zeros((self.tg.n + 1, self.n_modes), dtype=complex)
-        out[1:] = self.phi * self.phase_t * csum
+        csum = np.cumsum(self.phase_mid * dbh, axis=1)
+        out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
+        out[:, 1:] = self.phi * self.phase_t * csum
         return out
 
     def sample(self, seed: int, replicate: int = 0) -> ConvolutionPath:
@@ -305,9 +307,13 @@ class DiscreteLOperator:
 
     def apply(self, h: Control) -> np.ndarray:
         """Mode paths (n+1, n_modes) of the response to control h."""
-        zeta = math.sqrt(self.tg.dt) * h.values  # (modes, n)
-        out = np.zeros((self.tg.n + 1, self.n_modes), dtype=complex)
-        out[1:] = np.einsum("jkm,jm->kj", self.mats, zeta)
+        return self.apply_batch(h.values[None])[0]
+
+    def apply_batch(self, values: np.ndarray) -> np.ndarray:
+        """Mode paths (R, n+1, n_modes) of the responses to control values (R, n_modes, n)."""
+        zeta = math.sqrt(self.tg.dt) * values
+        out = np.zeros((values.shape[0], self.tg.n + 1, self.n_modes), dtype=complex)
+        out[:, 1:] = np.einsum("jkm,rjm->rkj", self.mats, zeta)
         return out
 
     def real_factor(self, j: int) -> np.ndarray:

@@ -25,17 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, GridSpec, group_multiplier, sobolev_norm
+from .field import ComplexField, GridSpec, group_multiplier, sobolev_norm, sobolev_norms
 from .noise import Control, ConvolutionPath, DiscreteLOperator, mode_paths_to_fields
 
 __all__ = [
     "NonlinearitySpec",
     "SolverConfig",
     "Trajectory",
+    "TrajectoryBatch",
     "evaluate_nonlinearity",
     "solve_mild",
+    "solve_mild_batch",
     "solve_skeleton",
-    "detect_blowup",
 ]
 
 
@@ -68,17 +69,17 @@ class NonlinearitySpec:
 
     def amplitude_rate(self, abs_u_sq: np.ndarray) -> np.ndarray:
         """Real factor rho(|u|) with f(u) = rho(|u|) u."""
-        with np.errstate(over="raise", invalid="raise"):
-            p = abs_u_sq**self.sigma
-            if self.kind == "kerr":
-                return self.lam * p
-            return self.lam * p / (1.0 + self.kappa * p)
+        p = abs_u_sq**self.sigma
+        if self.kind == "kerr":
+            return self.lam * p
+        return self.lam * p / (1.0 + self.kappa * p)
 
 
 def evaluate_nonlinearity(nl: NonlinearitySpec, u: ComplexField) -> ComplexField:
     """Pointwise f(u) in physical space; overflow signals imminent blow-up."""
     try:
-        rate = nl.amplitude_rate(np.abs(u.values) ** 2)
+        with np.errstate(over="raise", invalid="raise"):
+            rate = nl.amplitude_rate(np.abs(u.values) ** 2)
     except FloatingPointError as exc:
         raise OverflowError("nonlinearity overflow: field is blowing up") from exc
     return ComplexField(u.grid, rate * u.values)
@@ -89,15 +90,12 @@ class SolverConfig:
     """Time step, blow-up threshold, and grid bookkeeping for one run.
 
     ``blowup_threshold`` caps the energy-space (H^1) norm; ``None`` resolves
-    to 1e3 times the initial norm at solve time.  ``substep_tol`` is retained
-    as a knob for approximate nonlinear substeps; the phase-rotation substep
-    used here is exact, so it is not consulted.
+    to 1e3 times the initial norm at solve time.
     """
 
     T: float
     n_steps: int
     blowup_threshold: float | None = None
-    substep_tol: float = 0.0
 
     def __post_init__(self):
         if self.T <= 0 or self.n_steps < 1:
@@ -140,30 +138,19 @@ class Trajectory:
         return self.fields[-1]
 
 
-def detect_blowup(h1_norms, threshold: float) -> int | None:
-    """First index whose energy norm exceeds the threshold (or is not finite)."""
-    for k, v in enumerate(h1_norms):
-        if not math.isfinite(v) or v > threshold:
-            return k
-    return None
+@dataclass
+class TrajectoryBatch:
+    """Replicates stepped together: ``states[r, k]`` (replicate r at t_k) is
+    a field only for k < ``cemetery_index[r]``, which is n_steps + 1 when r
+    is never absorbed; ``h1_norms`` is NaN from the cemetery index on."""
 
+    states: np.ndarray  # (R, n_steps + 1, *grid.shape) complex
+    h1_norms: np.ndarray  # (R, n_steps + 1)
+    cemetery_index: np.ndarray  # (R,) int
 
-def _forcing_fields(forcing, grid: GridSpec, cfg: SolverConfig) -> np.ndarray | None:
-    """Forcing increments D_k = Z(t_{k+1}) - U(dt) Z(t_k) as physical fields."""
-    if forcing is None:
-        return None
-    if isinstance(forcing, ConvolutionPath):
-        mode_paths = forcing.mode_paths
-        if forcing.tg.n != cfg.n_steps or abs(forcing.tg.T - cfg.T) > 1e-12 * cfg.T:
-            raise ValueError("forcing path and solver config use different time grids")
-    else:
-        mode_paths = np.asarray(forcing, dtype=complex)
-        if mode_paths.shape[0] != cfg.n_steps + 1:
-            raise ValueError("forcing mode paths must cover every grid point")
-    xi2 = grid.xi_squared.reshape(-1)
-    mult = np.exp(1j * xi2 * cfg.dt)
-    incr = mode_paths[1:] - mult[None, :] * mode_paths[:-1]
-    return mode_paths_to_fields(grid, incr)
+    @property
+    def blown_up(self) -> np.ndarray:
+        return self.cemetery_index < self.states.shape[1]
 
 
 def solve_mild(
@@ -179,8 +166,34 @@ def solve_mild(
     grid, or None; ``eps`` scales the noise amplitude by sqrt(eps).  With
     eps = 0 and no nonlinearity each step is a single exact group
     application.  Returns the trajectory, absorbed at the cemetery from the
-    first index whose H^1 norm exceeds the threshold.
+    first index whose H^1 norm exceeds the threshold or is not finite.
     """
+    if isinstance(forcing, ConvolutionPath):
+        if forcing.tg.n != cfg.n_steps or abs(forcing.tg.T - cfg.T) > 1e-12 * cfg.T:
+            raise ValueError("forcing path and solver config use different time grids")
+        forcing = forcing.mode_paths
+    paths = None if forcing is None else np.asarray(forcing, dtype=complex)[None]
+    batch = solve_mild_batch(u0, nl, paths, eps, cfg)
+    k_star, h1 = int(batch.cemetery_index[0]), batch.h1_norms[0]
+    fields = [ComplexField(u0.grid, v) for v in batch.states[0, :k_star]]
+    fields += [None] * (cfg.n_steps + 1 - k_star)
+    if not batch.blown_up[0]:
+        return Trajectory(cfg.times, u0.grid, eps, fields, h1_norms=h1)
+    return Trajectory(cfg.times, u0.grid, eps, fields, cemetery_index=k_star,
+                      blowup_time=float(cfg.times[k_star]), h1_norms=h1)
+
+
+def solve_mild_batch(
+    u0: ComplexField,
+    nl: NonlinearitySpec | None,
+    mode_paths: np.ndarray | None,
+    eps: float,
+    cfg: SolverConfig,
+) -> TrajectoryBatch:
+    """March one replicate per forcing path in ``mode_paths`` (R, n+1, n_modes)
+    at once, or one unforced replicate when it is None.  Row r equals
+    :func:`solve_mild` driven by ``mode_paths[r]`` bit for bit; a replicate is
+    stepped no further once absorbed."""
     if eps < 0:
         raise ValueError("noise intensity eps must be nonnegative")
     grid = u0.grid
@@ -193,57 +206,48 @@ def solve_mild(
         raise ValueError(
             f"blow-up threshold {threshold} must exceed the initial H^1 norm {u0_h1}"
         )
-    D = _forcing_fields(forcing, grid, cfg)
+    replicates, D = 1, None
+    if mode_paths is not None:
+        replicates = mode_paths.shape[0]
+        if mode_paths.shape[1] != cfg.n_steps + 1:
+            raise ValueError("forcing mode paths must cover every grid point")
+        if eps != 0.0:
+            # increments D_k = Z(t_{k+1}) - U(dt) Z(t_k) as physical fields
+            phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
+            D = mode_paths_to_fields(grid, mode_paths[:, 1:] - phase * mode_paths[:, :-1])
     scale = math.sqrt(eps)
     mult = group_multiplier(grid, dt)
+    axes = tuple(range(-grid.d, 0))
 
-    times = cfg.times
-    fields: list = [ComplexField(grid, u0.values.copy())]
-    h1 = np.empty(cfg.n_steps + 1)
-    h1[0] = u0_h1
-    values = u0.values.copy()
-    cemetery = None
-    for k in range(cfg.n_steps):
-        try:
+    n = cfg.n_steps
+    states = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
+    h1 = np.full((replicates, n + 1), math.nan)
+    cemetery = np.full(replicates, n + 1)
+    states[:, 0] = u0.values
+    h1[:, 0] = u0_h1
+    live = np.arange(replicates)
+    values = states[:, 0].copy()
+    # overflow and NaN mark the absorbed replicates instead of raising
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
             if nl is not None:
                 values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
-                values = np.fft.ifftn(mult * np.fft.fftn(values))
+                values = np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
                 values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
             else:
-                values = np.fft.ifftn(mult * np.fft.fftn(values))
-            if D is not None and scale != 0.0:
-                values = values - 1j * scale * D[k]
-        except FloatingPointError:
-            cemetery = k + 1
-        u_next = ComplexField(grid, values)
-        if cemetery is None:
-            norm = sobolev_norm(u_next, 1.0) if u_next.is_finite() else math.inf
-            if not math.isfinite(norm) or norm > threshold:
-                cemetery = k + 1
-            else:
-                fields.append(u_next)
-                h1[k + 1] = norm
-        if cemetery is not None:
-            fields.extend([None] * (cfg.n_steps + 1 - len(fields)))
-            h1[cemetery:] = math.nan
-            return Trajectory(
-                times=times,
-                grid=grid,
-                epsilon=eps,
-                fields=fields,
-                cemetery_index=cemetery,
-                blowup_time=float(times[cemetery]),
-                h1_norms=h1,
-            )
-    return Trajectory(
-        times=times,
-        grid=grid,
-        epsilon=eps,
-        fields=fields,
-        cemetery_index=None,
-        blowup_time=math.inf,
-        h1_norms=h1,
-    )
+                values = np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+            if D is not None:
+                values = values - 1j * scale * D[live, k]
+            norms = sobolev_norms(grid, values, 1.0)
+            keep = np.isfinite(norms) & (norms <= threshold)
+            if not keep.all():
+                cemetery[live[~keep]] = k + 1
+                live, values, norms = live[keep], values[keep], norms[keep]
+                if live.size == 0:
+                    break
+            states[live, k + 1] = values
+            h1[live, k + 1] = norms
+    return TrajectoryBatch(states, h1, cemetery)
 
 
 def solve_skeleton(

@@ -1,12 +1,16 @@
 """Configuration validation, artifact determinism, and exit-code tests."""
 
 import json
+import math
 import os
 
 import pytest
 
-from fracnls.cli import main, parse_config, run
+from fracnls.cli import main, parse_config, run, write_csv
 from fracnls.errors import ConfigError
+from fracnls.fbm import HurstKernel
+from fracnls.ldp import EventSpec, LdpLab, wilson_interval
+from fracnls.solver import SolverConfig
 
 
 class TestParseConfig:
@@ -72,19 +76,34 @@ class TestRunDeterminism:
             tmp_path / "b" / "paths.csv"
         ).read_bytes()
 
-    def test_ldp_thread_count_invariance(self, tmp_path):
+    def test_ldp_ladder_matches_loop_reference(self, tmp_path):
         raw = {
             "kind": "ldp", "H": 0.7, "n": 16, "grid": {"N": 8}, "nl": None,
             "u0": {"type": "zero"},
             "noise": {"eigenvalues": [0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]},
             "event": {"kind": "terminal-ball-exit", "threshold": 0.64},
-            "eps_ladder": [0.25, 0.16], "replicates": 200, "seed": 9,
+            "eps_ladder": [0.25, 0.16], "replicates": 500, "seed": 9,
         }
         cfg = parse_config(json.dumps(raw))
-        run(cfg, str(tmp_path / "t1"), threads=1)
-        run(cfg, str(tmp_path / "t4"), threads=4)
-        assert (tmp_path / "t1" / "ladder.csv").read_bytes() == (
-            tmp_path / "t4" / "ladder.csv"
+        run(cfg, str(tmp_path / "ldp"))
+        # reference: rung idx keyed seed + idx, one trajectory per replicate
+        scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
+        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], HurstKernel(cfg["H"]), scfg)
+        ev = EventSpec(**cfg["event"])
+        reps = cfg["replicates"]
+        rows = []
+        for idx, eps in enumerate(cfg["eps_ladder"]):
+            hits = sum(
+                lab.event_occurred(lab.sample_trajectory(eps, cfg["seed"] + idx, i), ev)
+                for i in range(reps)
+            )
+            p = hits / reps
+            lo, hi = wilson_interval(hits, reps)
+            rows.append([eps, p, lo, hi, -eps * math.log(p) if p > 0 else math.inf])
+        write_csv(str(tmp_path / "reference.csv"),
+                  ["eps", "p_hat", "ci_lo", "ci_hi", "minus_eps_log_p"], rows)
+        assert (tmp_path / "ldp" / "ladder.csv").read_bytes() == (
+            tmp_path / "reference.csv"
         ).read_bytes()
 
 

@@ -21,6 +21,7 @@ from fracnls.field import (
     mass,
     modes_from_field,
     sobolev_norm,
+    sobolev_norms,
 )
 
 
@@ -85,6 +86,18 @@ class TestNorms:
         u = ComplexField(grid, np.exp(1j * 2 * x))
         v = ComplexField(grid, np.exp(1j * 5 * x))
         assert abs(l2_inner(u, v)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_stacked_norms_equal_single_norms(self, d):
+        g = GridSpec(d, 16, math.pi)
+        rng = np.random.default_rng(3)
+        shape = (3, 5) + g.shape
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for s in (0.0, 0.5, 1.0):
+            norms = sobolev_norms(g, values, s)
+            assert norms.shape == (3, 5)
+            for idx in np.ndindex(3, 5):
+                assert norms[idx] == sobolev_norm(ComplexField(g, values[idx]), s)
 
     def test_grid_mismatch(self, random_field):
         other = ComplexField.zero(GridSpec(1, 32, math.pi))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fracnls import ldp
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
-from fracnls.field import ComplexField, GridSpec
+from fracnls.field import ComplexField, GridSpec, sobolev_norm
 from fracnls.ldp import (
     EventSpec,
     LdpLab,
@@ -29,6 +30,46 @@ def linear_lab():
     spec = CorrelationSpec(grid=g, eigenvalues=phis, r=0.0, alpha=0.2)
     cfg = SolverConfig(T=1.0, n_steps=16)
     return LdpLab(ComplexField.zero(g), None, spec, kern, cfg)
+
+
+@pytest.fixture
+def focusing_lab():
+    # quintic focusing Kerr with a low threshold: at eps = 2 about a sixth of
+    # the replicates are absorbed, at steps spread over the last 60% of [0, T]
+    g = GridSpec(1, 16, math.pi)
+    spec = build_correlation(g, 4.0, 0.7, 0.2)
+    x = g.coordinates[0]
+    u0 = ComplexField(g, (np.exp(-(x**2)) * (1 + 0.3 * np.cos(x))).astype(complex))
+    cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
+    return LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, HurstKernel(0.7), cfg)
+
+
+@pytest.fixture
+def saturated_lab():
+    g = GridSpec(1, 8, math.pi)
+    spec = build_correlation(g, 4.0, 0.7, 0.2)
+    x = g.coordinates[0]
+    u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
+    nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
+    return LdpLab(u0, nl, spec, HurstKernel(0.7), SolverConfig(T=1.0, n_steps=16))
+
+
+def loop_hits(lab, ev, eps, replicates, seed):
+    """Reference Monte Carlo: one trajectory and one event test per replicate."""
+    return sum(lab.event_occurred(lab.sample_trajectory(eps, seed, i), ev) for i in range(replicates))
+
+
+def loop_shortfall(lab, traj, ev, margin):
+    """Reference distance-to-event of one trajectory."""
+    if traj.blown_up:
+        return 0.0
+    if ev.kind == "terminal-ball-exit":
+        reach = sobolev_norm(traj.terminal_field() - lab.deterministic.terminal_field(), ev.sobolev_index)
+        return max(0.0, ev.threshold * (1.0 + margin) - reach)
+    if ev.kind == "sup-norm-exceed":
+        reach = max(sobolev_norm(f, ev.sobolev_index) for f in traj.fields)
+        return max(0.0, ev.threshold * (1.0 + margin) - reach)
+    return max(0.0, 1.0 - np.nanmax(traj.h1_norms) / (1.0 + np.nanmax(traj.h1_norms)))
 
 
 class TestWilson:
@@ -105,7 +146,51 @@ class TestEvents:
         assert linear_lab.event_occurred(traj, ev)
 
 
+class TestBatchedMonteCarlo:
+    @pytest.mark.parametrize(
+        "lab_name, ev, eps",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0), 0.25),
+            ("linear_lab", EventSpec("sup-norm-exceed", threshold=0.9, sobolev_index=1.0), 0.25),
+            ("linear_lab", EventSpec("sup-norm-exceed", threshold=0.75, sobolev_index=0.5), 0.25),
+            ("focusing_lab", EventSpec("blow-up-before-T"), 2.0),
+        ],
+    )
+    def test_hits_equal_loop_reference(self, request, lab_name, ev, eps):
+        lab = request.getfixturevalue(lab_name)
+        state_bytes = (lab.cfg.n_steps + 1) * lab.spec.grid.mode_count * 16
+        chunk = ldp._BATCH_BYTES // state_bytes
+        reps = 2 * chunk + 7  # two full chunks and a short one
+        p, _ = lab.estimate_event_probability(ev, eps, reps, seed=3)
+        hits = loop_hits(lab, ev, eps, reps, seed=3)
+        assert 0 < hits < reps
+        assert p == hits / reps
+
+
 class TestMinimizeRate:
+    @pytest.mark.parametrize(
+        "lab_name, ev, scale",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0), 1.0),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5), 1.0),
+            ("focusing_lab", EventSpec("blow-up-before-T"), 3.0),
+        ],
+    )
+    def test_batched_objective_equals_single_controls(self, request, lab_name, ev, scale):
+        lab = request.getfixturevalue(lab_name)
+        n_modes, n_splines, pen, margin = lab.spec.grid.mode_count, 4, 7.0, 1e-3
+        design = ldp._spline_design(lab.tg.n, lab.tg.T, n_splines)
+        cs = scale * np.random.default_rng(4).normal(size=(n_modes * n_splines + 1, n_modes * n_splines))
+        got = lab._penalized_energies(cs, design, ev, pen, margin)
+        shorts = []
+        for r, c in enumerate(cs):
+            h = Control(values=c.reshape(n_modes, n_splines) @ design.T, tg=lab.tg)
+            traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
+            short = loop_shortfall(lab, traj, ev, margin)
+            shorts.append(short)
+            assert got[r] == h.half_energy + pen * short * short
+        assert 0.0 in shorts and max(shorts) > 0.0
+
     def test_event_containing_flow_costs_nothing(self):
         # nonzero initial datum: its free flow already exceeds half its own
         # sup norm, so the zero control realizes the event at zero cost

@@ -10,6 +10,7 @@ from fracnls.field import (
     ComplexField,
     GridSpec,
     apply_group,
+    group_multiplier,
     hamiltonian,
     l2_norm,
     mass,
@@ -24,9 +25,9 @@ from fracnls.noise import (
 from fracnls.solver import (
     NonlinearitySpec,
     SolverConfig,
-    detect_blowup,
     evaluate_nonlinearity,
     solve_mild,
+    solve_mild_batch,
     solve_skeleton,
 )
 
@@ -134,10 +135,25 @@ class TestDeterministicSolver:
 
 
 class TestBlowup:
-    def test_detect_blowup_indexing(self):
-        assert detect_blowup([1.0, 2.0, 50.0, 3.0], 10.0) == 2
-        assert detect_blowup([1.0, 2.0], 10.0) is None
-        assert detect_blowup([1.0, math.inf], 10.0) == 1
+    def test_cemetery_index_cases(self):
+        # linear flow from zero driven by mode 0 only: the state at t_k is
+        # -i k e_0, whose H^1 norm is k
+        g = GridSpec(1, 8, math.pi)
+        cfg = SolverConfig(T=1.0, n_steps=6, blowup_threshold=2.5)
+        paths = np.zeros((7, 8), dtype=complex)
+        paths[:, 0] = np.arange(7)
+        over = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
+        assert over.cemetery_index == 3
+        assert over.blowup_time == over.times[3]
+        assert np.all(np.isnan(over.h1_norms[3:]))
+        # never over the threshold
+        never = solve_mild(ComplexField.zero(g), None, 0.3 * paths, 1.0, cfg)
+        assert never.cemetery_index is None and not never.blown_up
+        # not finite: |u|^4 overflows in the first nonlinear substep
+        u0 = ComplexField(g, np.full(8, 1e100 + 0j))
+        blown = solve_mild(u0, NonlinearitySpec("kerr", 1.0, 2.0), None, 0.0, SolverConfig(T=1.0, n_steps=4))
+        assert blown.cemetery_index == 1
+        assert blown.fields[0] is not None and blown.fields[1] is None
 
     def test_threshold_below_initial_rejected(self, grid):
         u0 = gaussian_cos_field(grid)
@@ -207,6 +223,46 @@ class TestNoisySolver:
             solve_mild(ComplexField.zero(g), None, path, 1.0, cfg)
 
 
+class TestBatchedSolver:
+    def test_rows_equal_single_solves(self):
+        # focusing Kerr driven by noise: replicates are absorbed at different
+        # steps inside one batch, and every row still matches its own solve
+        g = GridSpec(1, 16, math.pi)
+        kern = HurstKernel(0.7)
+        spec = build_correlation(g, 4.0, 0.7, 0.2)
+        sampler = ConvolutionSampler(spec, kern, TimeGrid(1.0, 32))
+        u0 = gaussian_cos_field(g, amp=1.0)
+        nl = NonlinearitySpec("kerr", 1.0, 2.0)
+        cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
+        paths = sampler.sample_mode_path_batch(5, range(40))
+        batch = solve_mild_batch(u0, nl, paths, 2.0, cfg)
+        absorbed = batch.cemetery_index[batch.blown_up]
+        assert 0 < absorbed.size < 40 and len(set(absorbed.tolist())) > 1
+        for r in range(40):
+            ref = solve_mild(u0, nl, paths[r], 2.0, cfg)
+            k_star = 33 if ref.cemetery_index is None else ref.cemetery_index
+            assert batch.cemetery_index[r] == k_star
+            assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
+            for k in range(k_star):
+                assert np.array_equal(batch.states[r, k], ref.fields[k].values)
+
+    def test_single_replicate_kerr_matches_unbatched_step(self):
+        # the R = 1 batch reproduces the plain (N,)-array Strang step
+        g = GridSpec(1, 4096, 2.0)
+        x = g.coordinates[0]
+        u0 = ComplexField(g, (8.0 * np.exp(-(x**2) / (2 * 0.25**2))).astype(complex))
+        nl = NonlinearitySpec("kerr", -1.0, 2.0)
+        cfg = SolverConfig(T=100 * 1.25e-4, n_steps=100, blowup_threshold=1e3)
+        traj = solve_mild(u0, nl, None, 0.0, cfg)
+        mult = group_multiplier(g, cfg.dt)
+        v = u0.values.copy()
+        for _ in range(100):
+            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = np.fft.ifftn(mult * np.fft.fftn(v))
+            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+        assert np.array_equal(traj.terminal_field().values, v)
+
+
 class TestSkeleton:
     @pytest.fixture
     def model(self):
@@ -268,8 +324,6 @@ class TestSkeleton:
             assert np.array_equal(via_skeleton.fields[k].values, via_mild.fields[k].values)
 
         # inline duplicate of the stepping (independent arithmetic path)
-        from fracnls.field import group_multiplier
-
         D = mode_paths_to_fields(
             g, mode_paths[1:] - np.exp(1j * g.xi_squared.reshape(-1) * cfg.dt) * mode_paths[:-1]
         )
