@@ -136,29 +136,36 @@ def _nl_config(cfg: dict, path: str) -> NonlinearitySpec | None:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _u0_config(cfg: dict, path: str, grid: GridSpec) -> ComplexField:
+def _u0_config(cfg: dict, path: str, grid: GridSpec) -> tuple[ComplexField, dict]:
+    """Initial datum and the resolved config it was built from."""
     cfg = dict(cfg or {"type": "zero"})
     _reject_unknown(cfg, {"type", "amplitude", "width", "mode"}, path)
-    kind = _require_choice(cfg.get("type", "zero"), f"{path}.type", {"zero", "gaussian", "plane"})
+    kind = _require_choice(cfg.setdefault("type", "zero"), f"{path}.type", {"zero", "gaussian", "plane"})
+    if kind != "zero":
+        cfg.setdefault("amplitude", 1.0)
     amp = _require_number(cfg.get("amplitude", 1.0), f"{path}.amplitude")
     if kind == "zero":
-        return ComplexField.zero(grid)
-    if kind == "gaussian":
-        width = _require_number(cfg.get("width", 1.0), f"{path}.width", lo=1e-12)
-        mesh = np.meshgrid(*grid.coordinates, indexing="ij")
-        r2 = sum(x * x for x in mesh)
-        return ComplexField(grid, amp * np.exp(-r2 / (2.0 * width**2)).astype(complex))
-    mode = _require_number(cfg.get("mode", 1), f"{path}.mode", integer=True)
+        return ComplexField.zero(grid), cfg
     mesh = np.meshgrid(*grid.coordinates, indexing="ij")
+    if kind == "gaussian":
+        width = _require_number(cfg.setdefault("width", 1.0), f"{path}.width", lo=1e-12)
+        r2 = sum(x * x for x in mesh)
+        return ComplexField(grid, amp * np.exp(-r2 / (2.0 * width**2)).astype(complex)), cfg
+    mode = _require_number(cfg.setdefault("mode", 1), f"{path}.mode", integer=True)
     phase = sum((math.pi * mode / grid.L) * x for x in mesh)
-    return ComplexField(grid, amp * np.exp(1j * phase))
+    return ComplexField(grid, amp * np.exp(1j * phase)), cfg
 
 
 def _correlation_config(cfg: dict, path: str, grid: GridSpec, H: float) -> CorrelationSpec:
     cfg = dict(cfg or {})
     _reject_unknown(cfg, {"alpha", "r", "eigenvalues"}, path)
     if "eigenvalues" in cfg:
-        ev = np.asarray(cfg["eigenvalues"], dtype=float)
+        try:
+            ev = np.asarray(cfg["eigenvalues"])
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"{path}.eigenvalues: {exc}") from exc
+        if ev.dtype.kind not in "iuf":
+            raise ConfigError(f"{path}.eigenvalues: expected numbers, got {cfg['eigenvalues']!r}")
         alpha = _require_number(cfg.get("alpha", 0.2), f"{path}.alpha")
         r = _require_number(cfg.get("r", 0.0), f"{path}.r")
         try:
@@ -170,18 +177,23 @@ def _correlation_config(cfg: dict, path: str, grid: GridSpec, H: float) -> Corre
     return build_correlation(grid, r, H, alpha)  # raises ConfigError on bad windows
 
 
-def parse_config(text: str) -> dict:
-    """Validate a JSON config document and fill defaults.
-
-    Returns the resolved configuration dictionary; raises
-    :class:`ConfigError` with the offending JSON path on violations.
-    """
+def _load_object(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$: config must be a JSON object")
+    return raw
+
+
+def parse_config(text: str) -> dict:
+    """Validate a JSON config document and fill defaults.
+
+    Returns the resolved configuration dictionary; raises
+    :class:`ConfigError` with the offending JSON path on violations.
+    """
+    raw = _load_object(text)
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"$.kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
@@ -250,16 +262,7 @@ def _validate_solve(raw: dict, extra_keys=frozenset(), skeleton: bool = False) -
             "kind": out["_nl"].kind, "lam": out["_nl"].lam,
             "sigma": out["_nl"].sigma, "kappa": out["_nl"].kappa,
         }
-    out["_u0"] = _u0_config(raw.get("u0"), "$.u0", grid)
-    u0_raw = dict(raw.get("u0") or {"type": "zero"})
-    u0_raw.setdefault("type", "zero")
-    if u0_raw["type"] != "zero":
-        u0_raw.setdefault("amplitude", 1.0)
-    if u0_raw["type"] == "gaussian":
-        u0_raw.setdefault("width", 1.0)
-    if u0_raw["type"] == "plane":
-        u0_raw.setdefault("mode", 1)
-    out["u0"] = u0_raw
+    out["_u0"], out["u0"] = _u0_config(raw.get("u0"), "$.u0", grid)
     if raw.get("threshold") is not None:
         out["threshold"] = _require_number(raw["threshold"], "$.threshold", lo=1e-12)
     else:
@@ -313,8 +316,11 @@ def _validate_ldp(raw: dict) -> dict:
     out["replicates"] = _require_number(raw.get("replicates", 2000), "$.replicates", lo=100, integer=True)
     opt = dict(raw.get("optimizer") or {})
     _reject_unknown(opt, {"enabled", "n_splines", "budget"}, "$.optimizer")
+    enabled = opt.get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise ConfigError(f"$.optimizer.enabled: expected true or false, got {enabled!r}")
     out["optimizer"] = {
-        "enabled": bool(opt.get("enabled", False)),
+        "enabled": enabled,
         "n_splines": _require_number(opt.get("n_splines", 8), "$.optimizer.n_splines", lo=4, integer=True),
         "budget": _require_number(opt.get("budget", 4000), "$.optimizer.budget", lo=100, integer=True),
     }
@@ -349,11 +355,13 @@ def _validate_support(raw: dict) -> dict:
     out = _validate_solve(raw, extra_keys={"samples", "family_sizes", "control_scale"}, skeleton=True)
     out["samples"] = _require_number(raw.get("samples", 50), "$.samples", lo=2, integer=True)
     sizes = raw.get("family_sizes", [8, 64])
-    if not isinstance(sizes, list) or len(sizes) < 2 or sorted(sizes) != sizes:
-        raise ConfigError("$.family_sizes: expected an increasing list of at least two sizes")
-    out["family_sizes"] = [
-        _require_number(s, f"$.family_sizes[{i}]", lo=1, integer=True) for i, s in enumerate(sizes)
-    ]
+    message = "$.family_sizes: expected an increasing list of at least two sizes"
+    if not isinstance(sizes, list) or len(sizes) < 2:
+        raise ConfigError(message)
+    sizes = [_require_number(s, f"$.family_sizes[{i}]", lo=1, integer=True) for i, s in enumerate(sizes)]
+    if sorted(sizes) != sizes:
+        raise ConfigError(message)
+    out["family_sizes"] = sizes
     out["control_scale"] = _require_number(raw.get("control_scale", 1.0), "$.control_scale")
     if out["n"] > _DENSE_LIMIT:
         raise ConfigError("$.n: support runs use the dense response operator; need n <= 64")
@@ -410,23 +418,23 @@ def write_pathset_csv(path: str, ps) -> None:
     write_csv(path, header, ps.values.tolist())
 
 
+_INDEX_COLUMNS = {1: ["index"], 2: ["ix", "iy"]}
+
+
 def write_field_csv(path: str, field: ComplexField) -> None:
+    """One row per grid point in C order: grid indices, coordinates, Re, Im."""
     g = field.grid
-    rows = []
-    if g.d == 1:
-        x = g.coordinates[0]
-        for i in range(g.N):
-            rows.append([i, float(x[i]), float(field.values[i].real), float(field.values[i].imag)])
-        write_csv(path, ["index", "x", "re", "im"], rows)
-    else:
-        x, y = g.coordinates
-        for i in range(g.N):
-            for j in range(g.N):
-                rows.append(
-                    [i, j, float(x[i]), float(y[j]),
-                     float(field.values[i, j].real), float(field.values[i, j].imag)]
-                )
-        write_csv(path, ["ix", "iy", "x", "y", "re", "im"], rows)
+    columns = [
+        *np.indices(g.shape).reshape(g.d, -1),
+        *np.meshgrid(*g.coordinates, indexing="ij"),
+        field.values.real,
+        field.values.imag,
+    ]
+    table = np.column_stack([c.reshape(-1) for c in columns])
+    row = ",".join(["%d"] * g.d + [_FLOAT_FMT] * (g.d + 2))
+    header = _INDEX_COLUMNS[g.d] + ["x", "y"][: g.d] + ["re", "im"]
+    body = "\n".join([row] * g.mode_count) % tuple(table.reshape(-1).tolist())
+    atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
 
 
 def _manifest(cfg: dict, out_dir: str) -> None:
@@ -436,24 +444,19 @@ def _manifest(cfg: dict, out_dir: str) -> None:
 
 
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
-    rows = []
-    for k, t in enumerate(traj.times):
-        f = traj.fields[k]
-        if f is None:
-            rows.append([float(t), math.nan, math.nan, math.nan, 1])
-            continue
-        lam = nl.lam if nl is not None else -1.0
-        sig = nl.sigma if nl is not None else 1.0
-        rows.append(
-            [float(t), mass(f), float(traj.h1_norms[k]), hamiltonian(f, lam, sig), 0]
-        )
+    lam = nl.lam if nl is not None else -1.0
+    sig = nl.sigma if nl is not None else 1.0
+    fields = [ComplexField(traj.grid, v) for v in traj.states]
+    rows = [
+        [float(t), mass(f), float(h1), hamiltonian(f, lam, sig), 0]
+        for t, f, h1 in zip(traj.times, fields, traj.h1_norms)
+    ]
+    rows += [[float(t), math.nan, math.nan, math.nan, 1] for t in traj.times[len(fields):]]
     write_csv(os.path.join(out_dir, "diagnostics.csv"),
               ["t", "mass", "h1_norm", "hamiltonian", "cemetery"], rows)
     if snapshot_every > 0:
-        for k in range(0, len(traj.fields), snapshot_every):
-            if traj.fields[k] is None:
-                break  # no fields exist past the cemetery
-            write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), traj.fields[k])
+        for k in range(0, len(fields), snapshot_every):
+            write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), fields[k])
     write_json(
         os.path.join(out_dir, "trajectory.json"),
         {
@@ -788,14 +791,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        raw = {}
         if args.config is not None:
             with open(args.config) as fh:
-                text = fh.read()
-            raw = json.loads(text)
-        else:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError("$: config must be a JSON object")
+                raw = _load_object(fh.read())
         raw["kind"] = args.command
         if args.seed is not None:
             raw["seed"] = args.seed

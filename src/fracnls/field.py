@@ -27,6 +27,7 @@ __all__ = [
     "mass",
     "hamiltonian",
     "field_from_modes",
+    "values_from_modes",
     "modes_from_field",
     "coeff_sobolev_norm",
 ]
@@ -227,10 +228,16 @@ def hamiltonian(u: ComplexField, lam: float, sigma: float) -> float:
 
 def field_from_modes(grid: GridSpec, coeffs: np.ndarray) -> ComplexField:
     """Assemble sum_j c_j e_j from mode coefficients (FFT layout)."""
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(grid.shape)
-    phased = coeffs * grid.mode_parity_phase
-    values = np.fft.ifftn(phased) * grid.mode_count / np.sqrt(grid.volume)
-    return ComplexField(grid, values)
+    return ComplexField(grid, values_from_modes(grid, np.reshape(coeffs, grid.mode_count)))
+
+
+def values_from_modes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Physical values of sum_j c_j e_j for the coefficient vectors (FFT
+    layout, flattened) stacked along the leading axes of ``coeffs``."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    phased = coeffs.reshape(coeffs.shape[:-1] + grid.shape) * grid.mode_parity_phase
+    axes = tuple(range(-grid.d, 0))
+    return np.fft.ifftn(phased, axes=axes) * grid.mode_count / np.sqrt(grid.volume)
 
 
 def modes_from_field(u: ComplexField) -> np.ndarray:

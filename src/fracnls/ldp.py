@@ -216,12 +216,7 @@ def trajectory_distance(a: Trajectory, b: Trajectory, sobolev_index: float = 1.0
     """Sup-in-time Sobolev distance; infinite on mismatched cemetery states."""
     if a.cemetery_index != b.cemetery_index:
         return math.inf
-    last = len(a.fields) if a.cemetery_index is None else a.cemetery_index
-    worst = 0.0
-    for k in range(last):
-        fa, fb = a.fields[k], b.fields[k]
-        worst = max(worst, sobolev_norm(fa - fb, sobolev_index))
-    return worst
+    return float(sobolev_norms(a.grid, a.states - b.states, sobolev_index).max())
 
 
 def support_distance(samples, family, sobolev_index: float = 1.0):
@@ -310,9 +305,9 @@ class LdpLab:
             ref = self.deterministic.terminal_field()
             return sobolev_norm(traj.terminal_field() - ref, s) > ev.threshold
         # sup-norm-exceed
-        if s == 1.0 and traj.h1_norms is not None:
+        if s == 1.0:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
-        return any(sobolev_norm(f, s) > ev.threshold for f in traj.fields)
+        return any(sobolev_norm(ComplexField(traj.grid, v), s) > ev.threshold for v in traj.states)
 
     def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec) -> np.ndarray:
         """Event functional of each live replicate: the terminal distance to

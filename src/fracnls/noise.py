@@ -54,14 +54,12 @@ __all__ = [
     "build_correlation",
     "hs_norm_sq",
     "hs_tail_ratio",
-    "sample_convolution",
     "build_L",
     "build_Q",
     "verify_factorization",
     "gaussian_rate",
     "cheapest_terminal_rate",
     "terminal_covariance_blocks",
-    "mode_paths_to_fields",
 ]
 
 
@@ -203,18 +201,7 @@ class ConvolutionPath:
     mode_paths: np.ndarray  # (n + 1, n_modes) complex
 
     def field(self, k: int) -> ComplexField:
-        return field_from_modes(self.grid, self.mode_paths[k].reshape(self.grid.shape))
-
-    def fields(self) -> np.ndarray:
-        return mode_paths_to_fields(self.grid, self.mode_paths)
-
-
-def mode_paths_to_fields(grid: GridSpec, mode_paths: np.ndarray) -> np.ndarray:
-    """Batch-assemble physical fields from mode coefficients in the last axis."""
-    coeffs = mode_paths.reshape(mode_paths.shape[:-1] + grid.shape)
-    phased = coeffs * grid.mode_parity_phase
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.ifftn(phased, axes=axes) * grid.mode_count / math.sqrt(grid.volume)
+        return field_from_modes(self.grid, self.mode_paths[k])
 
 
 class ConvolutionSampler:
@@ -255,13 +242,6 @@ class ConvolutionSampler:
             replicate=replicate,
             mode_paths=self.sample_mode_paths(seed, replicate),
         )
-
-
-def sample_convolution(
-    spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid, seed: int, replicate: int = 0
-) -> ConvolutionPath:
-    """Draw one stochastic convolution path (counter-based per replicate)."""
-    return ConvolutionSampler(spec, kern, tg).sample(seed, replicate)
 
 
 # ---------------------------------------------------------------------------

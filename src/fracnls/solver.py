@@ -25,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, GridSpec, group_multiplier, sobolev_norm, sobolev_norms
-from .noise import Control, ConvolutionPath, DiscreteLOperator, mode_paths_to_fields
+from .field import ComplexField, GridSpec, group_multiplier, sobolev_norm, sobolev_norms, values_from_modes
+from .noise import Control, ConvolutionPath, DiscreteLOperator
 
 __all__ = [
     "NonlinearitySpec",
     "SolverConfig",
     "Trajectory",
     "TrajectoryBatch",
-    "evaluate_nonlinearity",
     "solve_mild",
     "solve_mild_batch",
     "solve_skeleton",
@@ -75,16 +74,6 @@ class NonlinearitySpec:
         return self.lam * p / (1.0 + self.kappa * p)
 
 
-def evaluate_nonlinearity(nl: NonlinearitySpec, u: ComplexField) -> ComplexField:
-    """Pointwise f(u) in physical space; overflow signals imminent blow-up."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rate = nl.amplitude_rate(np.abs(u.values) ** 2)
-    except FloatingPointError as exc:
-        raise OverflowError("nonlinearity overflow: field is blowing up") from exc
-    return ComplexField(u.grid, rate * u.values)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Time step, blow-up threshold, and grid bookkeeping for one run.
@@ -112,30 +101,28 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Time-indexed fields with optional cemetery absorption.
+    """Exploding path: ``states[k]`` is the field at t_k for k below the
+    cemetery index, or at every grid time when the path never blows up.
 
-    ``fields[k]`` is the state at t_k, or None from the blow-up index onward;
-    ``blowup_time`` is +inf for global trajectories.  Once absorbed, always
-    absorbed: no field values exist after the cemetery index.
+    Once absorbed, always absorbed: no field values exist from the cemetery
+    index on, and ``h1_norms`` is NaN there; ``blowup_time`` is +inf for
+    global trajectories.
     """
 
     times: np.ndarray
     grid: GridSpec
     epsilon: float
-    fields: list  # ComplexField | None per step
+    states: np.ndarray  # (k*, *grid.shape) complex
+    h1_norms: np.ndarray  # (n_steps + 1,)
     cemetery_index: int | None = None
     blowup_time: float = math.inf
-    h1_norms: np.ndarray | None = None
 
     @property
     def blown_up(self) -> bool:
         return self.cemetery_index is not None
 
-    def field(self, k: int) -> ComplexField | None:
-        return self.fields[k]
-
     def terminal_field(self) -> ComplexField | None:
-        return self.fields[-1]
+        return None if self.blown_up else ComplexField(self.grid, self.states[-1])
 
 
 @dataclass
@@ -174,13 +161,11 @@ def solve_mild(
         forcing = forcing.mode_paths
     paths = None if forcing is None else np.asarray(forcing, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
-    k_star, h1 = int(batch.cemetery_index[0]), batch.h1_norms[0]
-    fields = [ComplexField(u0.grid, v) for v in batch.states[0, :k_star]]
-    fields += [None] * (cfg.n_steps + 1 - k_star)
-    if not batch.blown_up[0]:
-        return Trajectory(cfg.times, u0.grid, eps, fields, h1_norms=h1)
-    return Trajectory(cfg.times, u0.grid, eps, fields, cemetery_index=k_star,
-                      blowup_time=float(cfg.times[k_star]), h1_norms=h1)
+    k_star = int(batch.cemetery_index[0])
+    traj = Trajectory(cfg.times, u0.grid, eps, batch.states[0, :k_star], batch.h1_norms[0])
+    if batch.blown_up[0]:
+        traj.cemetery_index, traj.blowup_time = k_star, float(cfg.times[k_star])
+    return traj
 
 
 def solve_mild_batch(
@@ -214,7 +199,7 @@ def solve_mild_batch(
         if eps != 0.0:
             # increments D_k = Z(t_{k+1}) - U(dt) Z(t_k) as physical fields
             phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
-            D = mode_paths_to_fields(grid, mode_paths[:, 1:] - phase * mode_paths[:, :-1])
+            D = values_from_modes(grid, mode_paths[:, 1:] - phase * mode_paths[:, :-1])
     scale = math.sqrt(eps)
     mult = group_multiplier(grid, dt)
     axes = tuple(range(-grid.d, 0))

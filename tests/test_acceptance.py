@@ -161,8 +161,9 @@ def test_criterion_06_deterministic_solver():
     for lam_c in (1.0, -1.0):
         nlc = NonlinearitySpec("kerr", lam_c, 1.0)
         tr = solve_mild(ComplexField(g, prof), nlc, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-        m0, mT = mass(tr.fields[0]), mass(tr.terminal_field())
-        h0 = hamiltonian(tr.fields[0], lam_c, 1.0)
+        first = ComplexField(g, tr.states[0])
+        m0, mT = mass(first), mass(tr.terminal_field())
+        h0 = hamiltonian(first, lam_c, 1.0)
         hT = hamiltonian(tr.terminal_field(), lam_c, 1.0)
         mass_drift = max(mass_drift, abs(mT - m0) / m0)
         ham_drift = max(ham_drift, abs(hT - h0) / abs(h0))

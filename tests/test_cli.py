@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 
-from fracnls.cli import main, parse_config, run, write_csv
+from fracnls.cli import main, parse_config, run, write_csv, write_field_csv
 from fracnls.errors import ConfigError
 from fracnls.fbm import HurstKernel
+from fracnls.field import ComplexField, GridSpec
 from fracnls.ldp import EventSpec, LdpLab, wilson_interval
 from fracnls.solver import SolverConfig
 
@@ -145,6 +148,26 @@ class TestArtifacts:
             flag = int(row.split(",")[-1])
             assert flag == (1 if k >= k_star else 0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_field_csv_matches_row_loop(self, tmp_path, d):
+        g = GridSpec(d, 8, 2.0)
+        rng = np.random.default_rng(d)
+        f = ComplexField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+        write_field_csv(str(tmp_path / "field.csv"), f)
+        # reference: one row per grid point, every value through write_csv
+        x = g.coordinates[0]
+        if d == 1:
+            header = ["index", "x", "re", "im"]
+            rows = [[i, float(x[i]), float(f.values[i].real), float(f.values[i].imag)] for i in range(8)]
+        else:
+            header = ["ix", "iy", "x", "y", "re", "im"]
+            rows = [
+                [i, j, float(x[i]), float(x[j]), float(f.values[i, j].real), float(f.values[i, j].imag)]
+                for i in range(8) for j in range(8)
+            ]
+        write_csv(str(tmp_path / "reference.csv"), header, rows)
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_skeleton_writes_control(self, tmp_path):
         raw = {
             "kind": "skeleton", "H": 0.7, "T": 1.0, "n": 16, "grid": {"N": 8},
@@ -188,6 +211,29 @@ class TestMainExitCodes:
         assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o1"), "--seed", "5"]) == 0
         manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("fbm", '{"H": 0.5,', "malformed JSON"),
+            ("convolve", json.dumps({"H": 0.7, "grid": {"N": 8}, "noise": {"eigenvalues": ["a"] * 8}}),
+             r"\$\.noise\.eigenvalues"),
+            ("support", json.dumps({"H": 0.7, "n": 16, "grid": {"N": 8}, "family_sizes": [8, "x"]}),
+             r"\$\.family_sizes\[1\]"),
+            ("ldp", json.dumps({"H": 0.7, "n": 4, "grid": {"N": 8}, "nl": None, "eps_ladder": [0.25],
+                                "replicates": 100, "optimizer": {"enabled": "false", "budget": 100}}),
+             r"\$\.optimizer\.enabled"),
+        ],
+        ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
+             "optimizer-enabled-not-boolean"],
+    )
+    def test_malformed_input_is_a_config_error(self, tmp_path, capsys, kind, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert re.search(message, err)
 
     def test_oracle_suite_runs_clean(self, tmp_path):
         assert main(["oracle-suite", "--out", str(tmp_path / "oracle")]) == 0

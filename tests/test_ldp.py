@@ -67,7 +67,7 @@ def loop_shortfall(lab, traj, ev, margin):
         reach = sobolev_norm(traj.terminal_field() - lab.deterministic.terminal_field(), ev.sobolev_index)
         return max(0.0, ev.threshold * (1.0 + margin) - reach)
     if ev.kind == "sup-norm-exceed":
-        reach = max(sobolev_norm(f, ev.sobolev_index) for f in traj.fields)
+        reach = max(sobolev_norm(ComplexField(traj.grid, v), ev.sobolev_index) for v in traj.states)
         return max(0.0, ev.threshold * (1.0 + margin) - reach)
     return max(0.0, 1.0 - np.nanmax(traj.h1_norms) / (1.0 + np.nanmax(traj.h1_norms)))
 
@@ -244,6 +244,17 @@ class TestSupport:
         h = Control(values=np.ones((8, 16)), tg=lab.tg)
         traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
         assert trajectory_distance(traj, traj) == 0.0
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_distance_equals_per_step_loop(self, nonlinear_lab, s):
+        lab = nonlinear_lab
+        a = lab.sample_trajectory(1.0, seed=4, replicate=0)
+        b = lab.deterministic
+        g = lab.spec.grid
+        loop = max(
+            sobolev_norm(ComplexField(g, va) - ComplexField(g, vb), s) for va, vb in zip(a.states, b.states)
+        )
+        assert trajectory_distance(a, b, s) == loop
 
     def test_single_member_family_is_plain_distance(self, nonlinear_lab):
         lab = nonlinear_lab

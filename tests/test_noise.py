@@ -22,7 +22,6 @@ from fracnls.noise import (
     hs_norm_sq,
     hs_tail_ratio,
     n1_window,
-    sample_convolution,
     terminal_covariance_blocks,
     verify_factorization,
 )
@@ -71,13 +70,13 @@ class TestCorrelationSpec:
 class TestConvolutionSampler:
     def test_zero_spec_gives_zero_path(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8), r=0.0, alpha=0.2)
-        path = sample_convolution(spec, HurstKernel(0.7), TimeGrid(1.0, 8), seed=1)
+        path = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=1)
         assert np.all(path.mode_paths == 0)
 
     def test_starts_at_zero_and_deterministic(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        a = sample_convolution(spec, HurstKernel(0.7), TimeGrid(1.0, 8), seed=5, replicate=2)
-        b = sample_convolution(spec, HurstKernel(0.7), TimeGrid(1.0, 8), seed=5, replicate=2)
+        a = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=5, replicate=2)
+        b = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=5, replicate=2)
         assert np.all(a.mode_paths[0] == 0)
         assert np.array_equal(a.mode_paths, b.mode_paths)
 

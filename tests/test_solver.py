@@ -14,18 +14,17 @@ from fracnls.field import (
     hamiltonian,
     l2_norm,
     mass,
+    values_from_modes,
 )
 from fracnls.noise import (
     Control,
     ConvolutionSampler,
     build_correlation,
     build_L,
-    mode_paths_to_fields,
 )
 from fracnls.solver import (
     NonlinearitySpec,
     SolverConfig,
-    evaluate_nonlinearity,
     solve_mild,
     solve_mild_batch,
     solve_skeleton,
@@ -42,17 +41,22 @@ def gaussian_cos_field(grid, amp=0.7):
     return ComplexField(grid, (amp * np.exp(-(x**2)) * (1 + 0.3 * np.cos(x))).astype(complex))
 
 
+def nonlinearity(nl, u):
+    """f(u) = rho(|u|^2) u, the pointwise nonlinearity the stepper rotates by."""
+    return nl.amplitude_rate(np.abs(u.values) ** 2) * u.values
+
+
 class TestNonlinearity:
     def test_zero_maps_to_zero(self, grid):
         nl = NonlinearitySpec("kerr", 1.0, 1.0)
-        out = evaluate_nonlinearity(nl, ComplexField.zero(grid))
-        assert np.all(out.values == 0)
+        out = nonlinearity(nl, ComplexField.zero(grid))
+        assert np.all(out == 0)
 
     def test_kerr_unit_field(self, grid):
         nl = NonlinearitySpec("kerr", 1.0, 1.0)
         u = ComplexField(grid, np.ones(64, dtype=complex))
-        out = evaluate_nonlinearity(nl, u)
-        assert np.allclose(out.values, 1.0)
+        out = nonlinearity(nl, u)
+        assert np.allclose(out, 1.0)
 
     def test_saturated_approaches_kerr(self, grid):
         # kappa -> 0 limit on fields with sup norm <= 2
@@ -62,14 +66,14 @@ class TestNonlinearity:
         x = grid.coordinates[0]
         u = ComplexField(grid, (2.0 * np.exp(-(x**2) / 8) * np.exp(0.3j * x)).astype(complex))
         assert np.abs(u.values).max() <= 2.0
-        diff = np.abs(evaluate_nonlinearity(kerr, u).values - evaluate_nonlinearity(sat, u).values)
+        diff = np.abs(nonlinearity(kerr, u) - nonlinearity(sat, u))
         assert diff.max() < 1e-5
 
     def test_saturated_bounded(self, grid):
         nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
         u = ComplexField(grid, np.full(64, 100.0 + 0j))
-        out = evaluate_nonlinearity(nl, u)
-        assert np.abs(out.values).max() <= 100.0 / 0.5  # |f| <= |u| / kappa
+        out = nonlinearity(nl, u)
+        assert np.abs(out).max() <= 100.0 / 0.5  # |f| <= |u| / kappa
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,8 +107,9 @@ class TestDeterministicSolver:
         u0 = gaussian_cos_field(grid)
         nl = NonlinearitySpec("kerr", lam, 1.0)
         traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-        m0, mT = mass(traj.fields[0]), mass(traj.terminal_field())
-        h0 = hamiltonian(traj.fields[0], lam, 1.0)
+        first = ComplexField(grid, traj.states[0])
+        m0, mT = mass(first), mass(traj.terminal_field())
+        h0 = hamiltonian(first, lam, 1.0)
         hT = hamiltonian(traj.terminal_field(), lam, 1.0)
         assert abs(mT - m0) / m0 < 1e-8
         assert abs(hT - h0) / abs(h0) < 1e-6
@@ -153,7 +158,7 @@ class TestBlowup:
         u0 = ComplexField(g, np.full(8, 1e100 + 0j))
         blown = solve_mild(u0, NonlinearitySpec("kerr", 1.0, 2.0), None, 0.0, SolverConfig(T=1.0, n_steps=4))
         assert blown.cemetery_index == 1
-        assert blown.fields[0] is not None and blown.fields[1] is None
+        assert len(blown.states) == blown.cemetery_index
 
     def test_threshold_below_initial_rejected(self, grid):
         u0 = gaussian_cos_field(grid)
@@ -174,8 +179,7 @@ class TestBlowup:
         assert traj.blown_up
         assert traj.blowup_time < 0.25
         # absorption: no field values from the cemetery index onward
-        assert all(f is None for f in traj.fields[traj.cemetery_index :])
-        assert all(f is not None for f in traj.fields[: traj.cemetery_index])
+        assert len(traj.states) == traj.cemetery_index
 
     def test_defocusing_twin_is_global(self):
         g = GridSpec(1, 4096, 2.0)
@@ -203,9 +207,9 @@ class TestNoisySolver:
         path = sampler.sample(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=16)
         traj = solve_mild(ComplexField.zero(g), None, path, 1.0, cfg)
-        fields = mode_paths_to_fields(g, path.mode_paths)
+        fields = values_from_modes(g, path.mode_paths)
         for k in range(17):
-            assert np.abs(traj.fields[k].values + 1j * fields[k]).max() < 1e-10
+            assert np.abs(traj.states[k] + 1j * fields[k]).max() < 1e-10
 
     def test_eps_scaling(self, model):
         g, kern, spec, tg = model
@@ -244,7 +248,7 @@ class TestBatchedSolver:
             assert batch.cemetery_index[r] == k_star
             assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
             for k in range(k_star):
-                assert np.array_equal(batch.states[r, k], ref.fields[k].values)
+                assert np.array_equal(batch.states[r, k], ref.states[k])
 
     def test_single_replicate_kerr_matches_unbatched_step(self):
         # the R = 1 batch reproduces the plain (N,)-array Strang step
@@ -281,7 +285,7 @@ class TestSkeleton:
         skel = solve_skeleton(u0, Control.zero(8, tg), nl, cfg, L)
         det = solve_mild(u0, nl, None, 0.0, cfg)
         for k in range(17):
-            assert np.abs(skel.fields[k].values - det.fields[k].values).max() < 1e-14
+            assert np.abs(skel.states[k] - det.states[k]).max() < 1e-14
 
     def test_linear_skeleton_is_response_path(self, model):
         g, spec, L, tg = model
@@ -289,9 +293,9 @@ class TestSkeleton:
         h = Control(values=rng.normal(size=(8, 16)), tg=tg)
         cfg = SolverConfig(T=1.0, n_steps=16)
         traj = solve_skeleton(ComplexField.zero(g), h, None, cfg, L)
-        fields = mode_paths_to_fields(g, L.apply(h))
+        fields = values_from_modes(g, L.apply(h))
         for k in range(17):
-            assert np.abs(traj.fields[k].values + 1j * fields[k]).max() < 1e-10
+            assert np.abs(traj.states[k] + 1j * fields[k]).max() < 1e-10
 
     def test_linearity_in_control(self, model):
         g, spec, L, tg = model
@@ -302,7 +306,7 @@ class TestSkeleton:
         a = solve_skeleton(ComplexField.zero(g), h, None, cfg, L)
         b = solve_skeleton(ComplexField.zero(g), h2, None, cfg, L)
         for k in range(17):
-            assert np.abs(b.fields[k].values - 2 * a.fields[k].values).max() < 1e-12
+            assert np.abs(b.states[k] - 2 * a.states[k]).max() < 1e-12
 
     def test_skeleton_equals_mild_on_response_path(self, model):
         # same trajectory whether stepped through solve_skeleton or through
@@ -321,10 +325,10 @@ class TestSkeleton:
             ComplexField(g, 0.3 * np.ones(8, complex)), nl, mode_paths, 1.0, cfg
         )
         for k in range(17):
-            assert np.array_equal(via_skeleton.fields[k].values, via_mild.fields[k].values)
+            assert np.array_equal(via_skeleton.states[k], via_mild.states[k])
 
         # inline duplicate of the stepping (independent arithmetic path)
-        D = mode_paths_to_fields(
+        D = values_from_modes(
             g, mode_paths[1:] - np.exp(1j * g.xi_squared.reshape(-1) * cfg.dt) * mode_paths[:-1]
         )
         mult = group_multiplier(g, cfg.dt)
