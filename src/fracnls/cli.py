@@ -58,7 +58,7 @@ from .noise import (
 )
 from .solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from .ldp import EventSpec, LdpLab, holder_exponent, support_distance
-from .fbm import replicate_stream
+from .fbm import replicate_normals, replicate_stream
 
 EXPERIMENT_KINDS = (
     "fbm",
@@ -109,8 +109,17 @@ def _reject_unknown(cfg: dict, known, path):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _section(value, path: str) -> dict:
+    """A config section: a JSON object, or null for all its defaults."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    return dict(value)
+
+
 def _grid_config(cfg: dict, path: str, defaults=(1, 8, math.pi)) -> GridSpec:
-    cfg = dict(cfg or {})
+    cfg = _section(cfg, path)
     _reject_unknown(cfg, {"d", "N", "L"}, path)
     d = _require_number(cfg.get("d", defaults[0]), f"{path}.d", lo=1, hi=2, integer=True)
     N = _require_number(cfg.get("N", defaults[1]), f"{path}.N", lo=8, integer=True)
@@ -124,7 +133,7 @@ def _grid_config(cfg: dict, path: str, defaults=(1, 8, math.pi)) -> GridSpec:
 def _nl_config(cfg: dict, path: str) -> NonlinearitySpec | None:
     if cfg is None:
         return None
-    cfg = dict(cfg)
+    cfg = _section(cfg, path)
     _reject_unknown(cfg, {"kind", "lam", "sigma", "kappa"}, path)
     kind = _require_choice(cfg.get("kind", "kerr"), f"{path}.kind", {"kerr", "saturated"})
     lam = _require_number(cfg.get("lam", -1.0), f"{path}.lam")
@@ -138,7 +147,7 @@ def _nl_config(cfg: dict, path: str) -> NonlinearitySpec | None:
 
 def _u0_config(cfg: dict, path: str, grid: GridSpec) -> tuple[ComplexField, dict]:
     """Initial datum and the resolved config it was built from."""
-    cfg = dict(cfg or {"type": "zero"})
+    cfg = _section(cfg, path)
     _reject_unknown(cfg, {"type", "amplitude", "width", "mode"}, path)
     kind = _require_choice(cfg.setdefault("type", "zero"), f"{path}.type", {"zero", "gaussian", "plane"})
     if kind != "zero":
@@ -157,7 +166,7 @@ def _u0_config(cfg: dict, path: str, grid: GridSpec) -> tuple[ComplexField, dict
 
 
 def _correlation_config(cfg: dict, path: str, grid: GridSpec, H: float) -> CorrelationSpec:
-    cfg = dict(cfg or {})
+    cfg = _section(cfg, path)
     _reject_unknown(cfg, {"alpha", "r", "eigenvalues"}, path)
     if "eigenvalues" in cfg:
         try:
@@ -197,6 +206,9 @@ def parse_config(text: str) -> dict:
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"$.kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
+    version = raw.get("version", __version__)
+    if version != __version__:
+        raise ConfigError(f"$.version: expected {__version__!r}, got {version!r}")
     resolved = _VALIDATORS[kind](raw)
     resolved["kind"] = kind
     resolved["seed"] = _require_number(raw.get("seed", 0), "$.seed", lo=0, integer=True)
@@ -204,7 +216,7 @@ def parse_config(text: str) -> dict:
 
 
 def _common_keys():
-    return {"kind", "seed", "out"}
+    return {"kind", "seed", "out", "version"}
 
 
 def _validate_fbm(raw: dict) -> dict:
@@ -281,7 +293,7 @@ def _validate_solve(raw: dict, extra_keys=frozenset(), skeleton: bool = False) -
 
 def _validate_skeleton(raw: dict) -> dict:
     out = _validate_solve(raw, extra_keys={"control"}, skeleton=True)
-    ctl = dict(raw.get("control") or {})
+    ctl = _section(raw.get("control"), "$.control")
     _reject_unknown(ctl, {"type", "scale", "seed"}, "$.control")
     out["control"] = {
         "type": _require_choice(ctl.get("type", "random"), "$.control.type", {"zero", "random"}),
@@ -295,7 +307,7 @@ def _validate_skeleton(raw: dict) -> dict:
 
 def _validate_ldp(raw: dict) -> dict:
     out = _validate_solve(raw, extra_keys={"event", "eps_ladder", "replicates", "optimizer"}, skeleton=True)
-    ev = dict(raw.get("event") or {})
+    ev = _section(raw.get("event"), "$.event")
     _reject_unknown(ev, {"kind", "threshold", "sobolev_index"}, "$.event")
     kind = _require_choice(
         ev.get("kind", "terminal-ball-exit"),
@@ -314,7 +326,7 @@ def _validate_ldp(raw: dict) -> dict:
         _require_number(e, f"$.eps_ladder[{i}]", lo=1e-12) for i, e in enumerate(ladder)
     ]
     out["replicates"] = _require_number(raw.get("replicates", 2000), "$.replicates", lo=100, integer=True)
-    opt = dict(raw.get("optimizer") or {})
+    opt = _section(raw.get("optimizer"), "$.optimizer")
     _reject_unknown(opt, {"enabled", "n_splines", "budget"}, "$.optimizer")
     enabled = opt.get("enabled", False)
     if not isinstance(enabled, bool):
@@ -587,8 +599,7 @@ def _run_support(cfg: dict, out_dir: str) -> int:
     n_modes = cfg["_grid"].mode_count
     biggest = cfg["family_sizes"][-1]
     family = []
-    for i in range(biggest):
-        z = replicate_stream(cfg["seed"] + 7_777, i).standard_normal((n_modes, cfg["n"]))
+    for z in replicate_normals(cfg["seed"] + 7_777, range(biggest), (n_modes, cfg["n"])):
         h = Control(values=cfg["control_scale"] * z, tg=lab.tg)
         family.append(solve_skeleton(cfg["_u0"], h, cfg["_nl"], scfg, lab.L))
     medians = []

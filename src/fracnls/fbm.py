@@ -44,6 +44,7 @@ __all__ = [
     "duality_pairing",
     "rkhs_inner_product",
     "replicate_stream",
+    "replicate_normals",
 ]
 
 
@@ -53,8 +54,40 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     Keyed directly by (seed, index), so a replicate's draws do not depend on
     how work is sharded across processes or on execution order.
     """
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+
+
+def replicate_normals(seed: int, replicates, shape) -> np.ndarray:
+    """Standard normals of shape (len(replicates), *shape): row r equals
+    ``replicate_stream(seed, replicates[r]).standard_normal(shape)`` bit for
+    bit.  One generator is reset to the fresh state under each replicate's
+    key instead of being constructed once per replicate."""
+    bitgen = np.random.Philox(key=_stream_key(seed, 0))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    out = np.empty((len(replicates), *np.atleast_1d(shape)))
+    for row, index in zip(out, replicates):
+        fresh["state"]["key"] = _stream_key(seed, index)
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    return out
+
+
+def _stream_key(seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
+
+
+# Byte budget for one draw of the path samplers' normals: the generator cost
+# is amortized, and the normals of a large path set never sit in memory at once.
+_NORMALS_BYTES = 1 << 17
+
+
+def _normal_rows(seed: int, replicates: int, size: int):
+    """The rows of ``replicate_normals(seed, range(replicates), size)``,
+    drawn a block of replicates at a time."""
+    block = max(1, _NORMALS_BYTES // (8 * size))
+    for start in range(0, replicates, block):
+        yield from replicate_normals(seed, range(start, min(start + block, replicates)), size)
 
 
 def _check_hurst(H: float) -> None:
@@ -352,8 +385,7 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sc
             f"covariance Cholesky failed for H={H}, n={grid.n}: {exc}"
         ) from exc
     values = np.zeros((replicates, grid.n + 1))
-    for i in range(replicates):
-        z = replicate_stream(seed, i).standard_normal(grid.n)
+    for i, z in enumerate(_normal_rows(seed, replicates, grid.n)):
         values[i, 1:] = C @ z
     return ScalarPathSet(grid=grid, values=values, seed=seed, H=H)
 
@@ -383,8 +415,7 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sca
     scale = grid.dt**H  # unit-spacing increments rescaled by self-similarity
     coeff = np.sqrt(eigs)
     values = np.zeros((replicates, n + 1))
-    for i in range(replicates):
-        z = replicate_stream(seed, i).standard_normal(2 * n)
+    for i, z in enumerate(_normal_rows(seed, replicates, 2 * n)):
         xi = np.empty(2 * n, dtype=complex)
         xi[0] = z[0]
         xi[n] = z[1]

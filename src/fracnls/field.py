@@ -19,6 +19,8 @@ __all__ = [
     "SobolevIndex",
     "sobolev_norm",
     "sobolev_norms",
+    "grid_fft",
+    "grid_ifft",
     "l2_norm",
     "l2_inner",
     "apply_group",
@@ -77,6 +79,11 @@ class GridSpec:
         return (self.N,) * self.d
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing axes that hold a field in a stack of fields."""
+        return tuple(range(-self.d, 0))
+
+    @property
     def cell_volume(self) -> float:
         return (2.0 * self.L / self.N) ** self.d
 
@@ -132,7 +139,7 @@ class ComplexField:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = np.fft.fftn(self.values) * self.grid.cell_volume
+            self._spectrum = grid_fft(self.grid, self.values) * self.grid.cell_volume
         return self._spectrum
 
     def __add__(self, other: "ComplexField") -> "ComplexField":
@@ -165,10 +172,25 @@ def sobolev_norm(u: ComplexField, s: SobolevIndex | float) -> float:
 
 def sobolev_norms(grid: GridSpec, values: np.ndarray, s: float) -> np.ndarray:
     """H^s norms of the fields stacked along the leading axes of ``values``."""
-    axes = tuple(range(-grid.d, 0))
-    spectrum = np.fft.fftn(values, axes=axes) * grid.cell_volume
+    spectrum = grid_fft(grid, values) * grid.cell_volume
     weight = (1.0 + grid.xi_squared) ** s
-    return np.sqrt(np.sum(weight * np.abs(spectrum) ** 2, axis=axes) / grid.volume)
+    return np.sqrt(np.sum(weight * np.abs(spectrum) ** 2, axis=grid.axes) / grid.volume)
+
+
+def grid_fft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Unnormalized DFT of the fields stacked along the leading axes of
+    ``values``.  On a 1-D grid this is ``fft`` on the last axis: the same
+    arithmetic as ``fftn`` over one axis without its n-D dispatch."""
+    if grid.d == 1:
+        return np.fft.fft(values, axis=-1)
+    return np.fft.fftn(values, axes=grid.axes)
+
+
+def grid_ifft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`grid_fft`."""
+    if grid.d == 1:
+        return np.fft.ifft(values, axis=-1)
+    return np.fft.ifftn(values, axes=grid.axes)
 
 
 def l2_inner(u: ComplexField, v: ComplexField) -> float:
@@ -186,8 +208,8 @@ def apply_group(u: ComplexField, t: float) -> ComplexField:
     """Free Schrodinger flow U(t): an exact isometry of every H^s norm."""
     if t == 0.0:
         return ComplexField(u.grid, u.values.copy())
-    spec_phys = np.fft.fftn(u.values)
-    return ComplexField(u.grid, np.fft.ifftn(group_multiplier(u.grid, t) * spec_phys))
+    spec_phys = grid_fft(u.grid, u.values)
+    return ComplexField(u.grid, grid_ifft(u.grid, group_multiplier(u.grid, t) * spec_phys))
 
 
 def group_deviation_norm(grid: GridSpec, gamma: float, t: float) -> float:
@@ -236,14 +258,13 @@ def values_from_modes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     layout, flattened) stacked along the leading axes of ``coeffs``."""
     coeffs = np.asarray(coeffs, dtype=complex)
     phased = coeffs.reshape(coeffs.shape[:-1] + grid.shape) * grid.mode_parity_phase
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.ifftn(phased, axes=axes) * grid.mode_count / np.sqrt(grid.volume)
+    return grid_ifft(grid, phased) * grid.mode_count / np.sqrt(grid.volume)
 
 
 def modes_from_field(u: ComplexField) -> np.ndarray:
     """Coefficients of u in the orthonormal Fourier basis (FFT layout)."""
     g = u.grid
-    coeffs = np.fft.fftn(u.values) / g.mode_count * np.sqrt(g.volume)
+    coeffs = grid_fft(g, u.values) / g.mode_count * np.sqrt(g.volume)
     return coeffs * g.mode_parity_phase
 
 

@@ -38,7 +38,7 @@ from .noise import (
 )
 from .fbm import HurstKernel, TimeGrid, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
-from .solver import solve_mild, solve_mild_batch, solve_skeleton
+from .solver import solve_mild, solve_mild_batch
 
 __all__ = [
     "EventSpec",
@@ -60,6 +60,16 @@ EVENT_KINDS = ("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T")
 # Byte budget for the stepped states of one Monte Carlo chunk: a whole rung in
 # one batch raises peak memory for no further speed.
 _BATCH_BYTES = 1 << 19
+
+# L-BFGS-B's default forward-difference step, and the fallback scipy's 2-point
+# rule takes where it vanishes against the coordinate.
+_FD_STEP = 1e-8
+_FD_FALLBACK = np.finfo(float).eps ** 0.5
+
+# The ray shrink halves the scaling interval 25 times (resolution 2^-25),
+# walking five levels of the bisection tree per batched solve.
+_RAY_HALVINGS = 25
+_RAY_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -254,6 +264,20 @@ def gaussian_terminal_tail(
     return p, se
 
 
+def _forward_difference(f, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(x) and its forward-difference gradient from one call of the batched
+    objective ``f`` on x and the dim shifted points.  The steps, the points
+    and the quotients are scipy's 2-point rule at L-BFGS-B's default absolute
+    step, float for float: 1e-8, or sqrt(machine eps) * sign(x) * max(1, |x|)
+    where 1e-8 vanishes against x, with sign(0) = +1."""
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + _FD_STEP) - x == 0, _FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
+    points = np.tile(x, (x.size + 1, 1))
+    points[np.arange(1, x.size + 1), np.arange(x.size)] = x + h
+    values = f(points)
+    return float(values[0]), (values[1:] - values[0]) / ((x + h) - x)
+
+
 def _spline_design(n_cells: int, T: float, n_splines: int, degree: int = 3) -> np.ndarray:
     """Clamped B-spline design matrix on cell midpoints, (n_cells, n_splines)."""
     if n_splines < degree + 1:
@@ -321,6 +345,16 @@ class LdpLab:
             return batch.h1_norms[live].max(axis=1)
         return sobolev_norms(self.spec.grid, batch.states[live], s).max(axis=1)
 
+    def _hits(self, batch: TrajectoryBatch, ev: EventSpec) -> np.ndarray:
+        """Whether each replicate of ``batch`` realizes the event, as
+        :meth:`event_occurred` decides it for one trajectory: the cemetery
+        realizes every event, and the blow-up event nothing else."""
+        hits = batch.blown_up
+        if ev.kind != "blow-up-before-T":
+            live = ~hits
+            hits[live] = self._reach(batch, live, ev) > ev.threshold
+        return hits
+
     def sample_trajectory(self, eps: float, seed: int, replicate: int) -> Trajectory:
         paths = self.sampler.sample_mode_paths(seed, replicate)
         return solve_mild(self.u0, self.nl, paths, eps, self.cfg)
@@ -346,10 +380,7 @@ class LdpLab:
         for start in range(0, replicates, chunk):
             paths = self.sampler.sample_mode_path_batch(seed, range(start, min(start + chunk, replicates)))
             batch = solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
-            hits += int(np.count_nonzero(batch.blown_up))  # the cemetery realizes every event
-            if ev.kind != "blow-up-before-T":
-                reach = self._reach(batch, ~batch.blown_up, ev)
-                hits += int(np.count_nonzero(reach > ev.threshold))
+            hits += int(np.count_nonzero(self._hits(batch, ev)))
         return hits / replicates, wilson_interval(hits, replicates)
 
     def rate_ladder(self, ev: EventSpec, eps_ladder, replicates: int, seed: int) -> RateReport:
@@ -376,6 +407,39 @@ class LdpLab:
         """Pseudo-inverse rate of the cheapest terminal target on the sphere."""
         return cheapest_terminal_rate(self.L, delta)
 
+    def _skeletons(self, cs: np.ndarray, design: np.ndarray) -> tuple[np.ndarray, TrajectoryBatch]:
+        """Control values (R, n_modes, n) of the spline coefficients in the
+        rows of ``cs``, and their skeletons from one batched solve."""
+        values = cs.reshape(len(cs), self.spec.grid.mode_count, -1) @ design.T
+        return values, solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
+
+    def _realizes(self, cs: np.ndarray, design: np.ndarray, ev: EventSpec) -> np.ndarray:
+        """Whether the skeleton of each row of ``cs`` realizes the event."""
+        return self._hits(self._skeletons(cs, design)[1], ev)
+
+    def _shrink_along_ray(self, c: np.ndarray, design: np.ndarray, ev: EventSpec) -> float:
+        """Cheapest feasible scaling of the feasible coefficients ``c`` by
+        bisection of [0, 1].  Each batched solve holds the heap-ordered
+        midpoints of the next levels of the bisection tree, and the hit flags
+        pick the path down it: the midpoints and the result are the floats of
+        the sequential bisection."""
+        lo, hi = 0.0, 1.0
+        for _ in range(_RAY_HALVINGS // _RAY_LEVELS):
+            mids = np.empty(2**_RAY_LEVELS - 1)
+            spans = [(lo, hi)]
+            for node in range(mids.size):
+                a, b = spans[node]
+                mids[node] = mid = 0.5 * (a + b)
+                spans += [(a, mid), (mid, b)]
+            hits = self._realizes(mids[:, None] * c, design, ev)
+            node = 0
+            for _ in range(_RAY_LEVELS):
+                if hits[node]:
+                    hi, node = float(mids[node]), 2 * node + 1
+                else:
+                    lo, node = float(mids[node]), 2 * node + 2
+        return hi
+
     def _penalized_energies(
         self, cs: np.ndarray, design: np.ndarray, ev: EventSpec, pen: float, margin: float
     ) -> np.ndarray:
@@ -383,9 +447,8 @@ class LdpLab:
         the rows of ``cs``, from one batched skeleton solve: half the control
         energy plus ``pen`` times the squared distance-to-event, which is
         zero once the event is realized."""
-        values = cs.reshape(len(cs), self.spec.grid.mode_count, -1) @ design.T
+        values, batch = self._skeletons(cs, design)
         energy = 0.5 * (np.sum(values**2, axis=(1, 2)) * self.tg.dt)
-        batch = solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
         live = ~batch.blown_up
         reach = self._reach(batch, live, ev)
         short = np.zeros(len(cs))
@@ -423,14 +486,10 @@ class LdpLab:
             coeff = c.reshape(n_modes, n_splines)
             return Control(values=coeff @ design.T, tg=self.tg)
 
-        def realizes(c: np.ndarray) -> bool:
-            traj = solve_skeleton(self.u0, control_of(c), self.nl, self.cfg, self.L)
-            return self.event_occurred(traj, ev)
-
-        def objectives(cs: np.ndarray, pen: float) -> np.ndarray:
+        def value_and_grad(x: np.ndarray, pen: float) -> tuple[float, np.ndarray]:
             nonlocal nfev
-            nfev += len(cs)
-            return self._penalized_energies(cs, design, ev, pen, margin)
+            nfev += dim + 1  # objective rows: x and its dim shifted points
+            return _forward_difference(lambda cs: self._penalized_energies(cs, design, ev, pen, margin), x)
 
         if penalty0 is None:
             penalty0 = 10.0 / max(ev.threshold, 1.0) ** 2
@@ -438,35 +497,23 @@ class LdpLab:
         c = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).copy()
         feasible = False
         for _ in range(8):
-            # the finite-difference points of a gradient go to ``objectives``
-            # in one batch; scipy still picks the steps and counts them
+            # ``budget`` counts objective rows and scipy counts calls of dim + 1
+            # rows; it stops once its count exceeds maxfun, and k calls exceed
+            # budget // (dim + 1) exactly when k (dim + 1) rows exceed budget
             res = minimize(
-                lambda x, pen: float(objectives(x[None], pen)[0]),
+                value_and_grad,
                 c,
                 args=(pen,),
+                jac=True,
                 method="L-BFGS-B",
-                options={
-                    "maxfun": budget,
-                    "ftol": 1e-12,
-                    "gtol": 1e-10,
-                    "workers": lambda _fun, points: objectives(np.array(list(points)), pen),
-                },
+                options={"maxfun": budget // (dim + 1), "ftol": 1e-12, "gtol": 1e-10},
             )
             c = res.x
-            if realizes(c):
+            if self._realizes(c[None], design, ev)[0]:
                 feasible = True
                 break
             pen *= 10.0
         if not feasible:
             return MinimizeResult(control_of(c), math.inf, False, nfev, pen)
-
-        # shrink along the ray to the cheapest feasible scaling
-        lo_a, hi_a = 0.0, 1.0
-        for _ in range(25):
-            mid = 0.5 * (lo_a + hi_a)
-            if realizes(mid * c):
-                hi_a = mid
-            else:
-                lo_a = mid
-        best = control_of(hi_a * c)
+        best = control_of(self._shrink_along_ray(c, design, ev) * c)
         return MinimizeResult(best, best.half_energy, True, nfev, pen)

@@ -39,7 +39,7 @@ from .fbm import (
     TimeGrid,
     increment_covariance,
     increment_covariance_beta,
-    replicate_stream,
+    replicate_normals,
 )
 from .field import ComplexField, GridSpec, field_from_modes
 
@@ -226,7 +226,7 @@ class ConvolutionSampler:
         """Mode paths (R, n + 1, n_modes); row r draws from the stream keyed
         (seed, replicates[r]), so it does not depend on the batch."""
         shape = (self.tg.n, self.n_modes)
-        zeta = np.stack([replicate_stream(seed, i).standard_normal(shape) for i in replicates])
+        zeta = replicate_normals(seed, replicates, shape)
         dbh = self.chol @ zeta  # fractional increments, exact joint law
         csum = np.cumsum(self.phase_mid * dbh, axis=1)
         out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)

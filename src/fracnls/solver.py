@@ -25,7 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, GridSpec, group_multiplier, sobolev_norm, sobolev_norms, values_from_modes
+from .field import (
+    ComplexField,
+    GridSpec,
+    grid_fft,
+    grid_ifft,
+    group_multiplier,
+    sobolev_norm,
+    sobolev_norms,
+    values_from_modes,
+)
 from .noise import Control, ConvolutionPath, DiscreteLOperator
 
 __all__ = [
@@ -202,7 +211,6 @@ def solve_mild_batch(
             D = values_from_modes(grid, mode_paths[:, 1:] - phase * mode_paths[:, :-1])
     scale = math.sqrt(eps)
     mult = group_multiplier(grid, dt)
-    axes = tuple(range(-grid.d, 0))
 
     n = cfg.n_steps
     states = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
@@ -217,10 +225,10 @@ def solve_mild_batch(
         for k in range(n):
             if nl is not None:
                 values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
-                values = np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+                values = grid_ifft(grid, mult * grid_fft(grid, values))
                 values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
             else:
-                values = np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+                values = grid_ifft(grid, mult * grid_fft(grid, values))
             if D is not None:
                 values = values - 1j * scale * D[live, k]
             norms = sobolev_norms(grid, values, 1.0)

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from fracnls import __version__
 from fracnls.cli import main, parse_config, run, write_csv, write_field_csv
 from fracnls.errors import ConfigError
 from fracnls.fbm import HurstKernel
@@ -234,6 +235,44 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert re.search(message, err)
+
+    @pytest.mark.parametrize(
+        "kind, raw, key",
+        [
+            ("solve", {"grid": 5}, "grid"),
+            ("solve", {"u0": "zero"}, "u0"),
+            ("solve", {"nl": 7}, "nl"),
+            ("convolve", {"H": 0.7, "noise": 2}, "noise"),
+            ("ldp", {"H": 0.7, "n": 16, "grid": {"N": 8}, "event": 3}, "event"),
+            ("ldp", {"H": 0.7, "n": 16, "grid": {"N": 8}, "optimizer": [1]}, "optimizer"),
+            ("skeleton", {"H": 0.7, "n": 16, "grid": {"N": 8}, "control": "x"}, "control"),
+        ],
+        ids=["grid", "u0", "nl", "noise", "event", "optimizer", "control"],
+    )
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, kind, raw, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: $.{key}: expected an object")
+
+    def test_readme_fbm_example_reruns_from_its_manifest(self, tmp_path):
+        cfg = tmp_path / "fbm.json"
+        cfg.write_text('{"H": 0.7, "T": 1.0, "n": 256, "replicates": 1000, "sampler": "fast", "seed": 42}')
+        assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest.json"
+        assert json.loads(manifest.read_text())["version"] == __version__
+        assert main(["fbm", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b")) == ["manifest.json", "paths.csv"]
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_other_version_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"H": 0.7, "n": 8, "replicates": 2, "version": "0.0.1"}')
+        assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: $.version: ")
 
     def test_oracle_suite_runs_clean(self, tmp_path):
         assert main(["oracle-suite", "--out", str(tmp_path / "oracle")]) == 0

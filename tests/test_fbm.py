@@ -28,6 +28,8 @@ from fracnls.fbm import (
     kernel_eval_grid,
     kernel_time_derivative,
     normalization_constant,
+    replicate_normals,
+    replicate_stream,
     rkhs_inner_product,
     sample_fbm_exact,
     sample_fbm_fast,
@@ -169,6 +171,32 @@ class TestIncrementCovariance:
         pts = np.linspace(0.0, 2.0, 9)
         S = increment_covariance(0.3, pts)
         assert np.allclose(np.diag(S), 0.25**0.6)
+
+
+class TestReplicateNormals:
+    @pytest.mark.parametrize(
+        "seed, replicates, shape",
+        [
+            (5, range(7, 40, 3), (4, 3)),
+            (-7, range(3), 5),
+            (2**63 + 12345, range(2**40, 2**40 + 4), (2, 8)),
+        ],
+        ids=["strided-range", "negative-seed", "seed-above-2^63"],
+    )
+    def test_rows_equal_per_replicate_streams(self, seed, replicates, shape):
+        got = replicate_normals(seed, replicates, shape)
+        want = np.stack([replicate_stream(seed, i).standard_normal(shape) for i in replicates])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sampler", [sample_fbm_exact, sample_fbm_fast])
+    def test_samplers_do_not_depend_on_the_draw_blocks(self, sampler):
+        # at n = 1024 a draw holds 8 (fast) or 16 (exact) replicates, so the
+        # two path sets split their replicates into different blocks
+        g = TimeGrid(1.0, 1024)
+        full = sampler(0.7, g, 37, seed=11)
+        part = sampler(0.7, g, 5, seed=11)
+        assert np.array_equal(full.values[:5], part.values)
 
 
 class TestExactSampler:

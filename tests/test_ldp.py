@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
 from fracnls import ldp
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
@@ -225,6 +227,132 @@ class TestMinimizeRate:
         r2 = linear_lab.minimize_rate(ev2, n_splines=6, budget=2000)
         assert r1.feasible and r2.feasible
         assert r2.rate > r1.rate
+
+
+def skeleton_realizes(lab, ev, c, design):
+    """Reference event test: one single-control skeleton solve."""
+    h = Control(values=c.reshape(lab.spec.grid.mode_count, -1) @ design.T, tg=lab.tg)
+    return lab.event_occurred(solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L), ev)
+
+
+def sequential_shrink(lab, ev, c, design):
+    """Reference ray shrink: 25 sequential bisection steps, one solve each."""
+    lo, hi = 0.0, 1.0
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        if skeleton_realizes(lab, ev, mid * c, design):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def workers_minimize_rate(lab, ev, n_splines, budget, margin=1e-3):
+    """Reference optimizer: scipy's own forward differences, whose points go
+    to one batch through ``workers``, f(x) as a single-row solve, and the
+    sequential ray shrink.  Returns the control, the objective rows, the
+    final penalty and whether some round stopped on the budget."""
+    design = ldp._spline_design(lab.tg.n, lab.tg.T, n_splines)
+    dim = lab.spec.grid.mode_count * n_splines
+    nfev, stopped_on_budget = 0, False
+
+    def objectives(cs, pen):
+        nonlocal nfev
+        nfev += len(cs)
+        return lab._penalized_energies(cs, design, ev, pen, margin)
+
+    pen = 10.0 / max(ev.threshold, 1.0) ** 2
+    c = np.zeros(dim)
+    for _ in range(8):
+        res = minimize(
+            lambda x, pen: float(objectives(x[None], pen)[0]),
+            c,
+            args=(pen,),
+            method="L-BFGS-B",
+            options={
+                "maxfun": budget,
+                "ftol": 1e-12,
+                "gtol": 1e-10,
+                "workers": lambda _fun, points: objectives(np.array(list(points)), pen),
+            },
+        )
+        stopped_on_budget |= res.nfev > budget
+        c = res.x
+        if skeleton_realizes(lab, ev, c, design):
+            break
+        pen *= 10.0
+    else:
+        raise AssertionError("reference optimizer found no feasible control")
+    scale = sequential_shrink(lab, ev, c, design)
+    values = (scale * c).reshape(lab.spec.grid.mode_count, n_splines) @ design.T
+    return values, nfev, pen, stopped_on_budget
+
+
+class TestBatchedOptimizer:
+    """The optimizer's own differences and its batched ray shrink reproduce
+    scipy's 2-point differences and the sequential bisection bit for bit."""
+
+    @pytest.mark.parametrize(
+        "lab_name, ev",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0)),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5)),
+        ],
+    )
+    def test_forward_difference_equals_scipy(self, request, lab_name, ev):
+        lab = request.getfixturevalue(lab_name)
+        design = ldp._spline_design(lab.tg.n, lab.tg.T, 4)
+        x = 0.3 * np.random.default_rng(2).normal(size=lab.spec.grid.mode_count * 4)
+        x[[0, 9]] = 0.0
+        x[3], x[4] = 1e9, -1e9  # 1e-8 vanishes against these: fallback steps of both signs
+
+        def batched(cs):
+            return lab._penalized_energies(cs, design, ev, 7.0, 1e-3)
+
+        def f(v):
+            return batched(v[None])[0]
+
+        value, grad = ldp._forward_difference(batched, x)
+        want = approx_derivative(f, x, method="2-point", abs_step=1e-8, f0=f(x))
+        assert value == f(x)
+        assert np.array_equal(grad, want)
+        assert (x[3] + 1e-8) - x[3] == 0.0 and grad[3] != 0.0
+
+    @pytest.mark.parametrize(
+        "lab_name, ev",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0)),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5)),
+        ],
+    )
+    def test_binding_budget_equals_workers_path(self, request, lab_name, ev):
+        lab = request.getfixturevalue(lab_name)
+        # dim = 32: 230 rows buy 6 evaluations of 33 rows, where 230 // 32 is 7
+        values, nfev, pen, stopped_on_budget = workers_minimize_rate(lab, ev, n_splines=4, budget=230)
+        res = lab.minimize_rate(ev, n_splines=4, budget=230)
+        assert stopped_on_budget
+        assert res.feasible
+        assert np.array_equal(res.control.values, values)
+        assert res.nfev == nfev
+        assert res.penalty == pen
+
+    @pytest.mark.parametrize(
+        "lab_name, ev, scale",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0), 1.0),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5), 3.0),
+            ("focusing_lab", EventSpec("blow-up-before-T"), 8.0),
+        ],
+    )
+    def test_ray_shrink_equals_sequential_bisection(self, request, lab_name, ev, scale):
+        lab = request.getfixturevalue(lab_name)
+        design = ldp._spline_design(lab.tg.n, lab.tg.T, 4)
+        rng = np.random.default_rng(6)
+        c = scale * rng.normal(size=lab.spec.grid.mode_count * 4)
+        assert skeleton_realizes(lab, ev, c, design)
+        got = lab._shrink_along_ray(c, design, ev)
+        assert got == sequential_shrink(lab, ev, c, design)
+        assert 0.0 < got < 1.0
 
 
 class TestSupport:
