@@ -19,32 +19,17 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
 from .fbm import (
     HurstKernel,
     TimeGrid,
-    build_covariance_matrix,
-    covariance_from_kernel,
-    duality_pairing,
-    kernel_eval,
-    kernel_eval_grid,
-    kernel_time_derivative,
-    normalization_constant,
-    rkhs_inner_product,
+    replicate_normals,
+    replicate_stream,
     sample_fbm_exact,
     sample_fbm_fast,
-    apply_kt_star,
-    fbm_covariance,
 )
-from .field import (
-    ComplexField,
-    GridSpec,
-    group_deviation_norm,
-    hamiltonian,
-    l2_norm,
-    mass,
-)
+from .field import ComplexField, GridSpec, hamiltonian, mass
 from .noise import (
     _DENSE_LIMIT,
     Control,
@@ -52,13 +37,9 @@ from .noise import (
     CorrelationSpec,
     build_correlation,
     build_L,
-    build_Q,
-    gaussian_rate,
-    verify_factorization,
 )
 from .solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from .ldp import EventSpec, LdpLab, holder_exponent, support_distance
-from .fbm import replicate_normals, replicate_stream
 
 EXPERIMENT_KINDS = (
     "fbm",
@@ -622,140 +603,8 @@ def _run_support(cfg: dict, out_dir: str) -> int:
 # Oracle suite: every derived expected value recomputed from scratch
 # ---------------------------------------------------------------------------
 
-def _oracle_records(seed: int = 0) -> list[dict]:
-    records = []
-
-    def add(name, measured, tolerance, passed):
-        records.append(
-            {"oracle": name, "measured": float(measured), "tolerance": float(tolerance),
-             "passed": bool(passed)}
-        )
-
-    # gamma-expression oracle for the normalization constant
-    gamma = math.gamma
-    for H in (0.25, 0.5, 0.75):
-        oracle = math.sqrt(2 * H * gamma(1.5 - H) / (gamma(H + 0.5) * gamma(2 - 2 * H)))
-        err = abs(normalization_constant(H) - oracle)
-        add(f"normalization-constant-H{H}", err, 1e-12, err <= 1e-12)
-
-    # kernel: two quadrature rules at doubled resolution
-    kern = HurstKernel(0.7)
-    a = kernel_eval_grid(kern, 1.0, 0.5, order=64)
-    b = kernel_eval_grid(kern, 1.0, 0.5, order=128)
-    c = kernel_eval(kern, 1.0, 0.5)
-    err = max(abs(float(a) - float(b)), abs(float(b) - c))
-    add("kernel-two-rule-agreement", err, 1e-8, err <= 1e-8)
-
-    # derivative against central finite differences
-    for H in (0.25, 0.75):
-        k = HurstKernel(H)
-        d = kernel_time_derivative(k, 1.0, 0.5)
-        h = 1e-6
-        fd = (kernel_eval(k, 1.0 + h, 0.5) - kernel_eval(k, 1.0 - h, 0.5)) / (2 * h)
-        rel = abs(d - fd) / abs(fd)
-        add(f"kernel-derivative-fd-H{H}", rel, 1e-4, rel <= 1e-4)
-
-    # covariance reconstruction from kernel quadrature
-    kern7 = HurstKernel(0.7)
-    tg64 = TimeGrid(1.0, 64)
-    err = float(np.abs(covariance_from_kernel(kern7, tg64) - build_covariance_matrix(0.7, tg64)).max())
-    add("covariance-kernel-quadrature", err, 1e-3, err <= 1e-3)
-
-    # exact sampler variance against the analytic law (4 standard errors)
-    reps = 3000
-    ps = sample_fbm_exact(0.7, tg64, reps, seed)
-    t = tg64.points[32]
-    sample_var = float(ps.values[:, 32].var(ddof=1))
-    target = t**1.4
-    se = target * math.sqrt(2.0 / (reps - 1))
-    add("exact-sampler-variance", abs(sample_var - target), 4 * se, abs(sample_var - target) <= 4 * se)
-
-    # fast sampler distributional equality (two-sample KS, level 0.01)
-    from scipy import stats
-
-    tgk = TimeGrid(1.0, 1024)
-    pe = sample_fbm_exact(0.7, tgk, 1000, seed + 1)
-    pf = sample_fbm_fast(0.7, tgk, 1000, seed + 2)
-    pval = float(stats.ks_2samp(pe.values[:, -1], pf.values[:, -1]).pvalue)
-    add("fast-vs-exact-ks-pvalue", pval, 0.01, pval > 0.01)
-
-    # duality pairing with independent node sets
-    tg16 = TimeGrid(1.0, 16)
-    phi = np.zeros(16)
-    phi[:8] = 1.0
-    lhs, rhs = duality_pairing(kern7, phi, np.ones(16), tg16)
-    add("duality-indicator", abs(lhs - rhs), 1e-6, abs(lhs - rhs) <= 1e-6)
-    mid = tg16.midpoints
-    lhs, rhs = duality_pairing(kern7, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid, tg16)
-    add("duality-polynomial", abs(lhs - rhs), 1e-5, abs(lhs - rhs) <= 1e-5)
-
-    # restriction identity on the grid
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=16)
-    restricted = vals.copy()
-    restricted[10:] = 0.0
-    err = 0.0
-    for s in tg16.midpoints[:10]:
-        full = apply_kt_star(kern7, restricted, tg16.points, float(s))
-        trunc = apply_kt_star(kern7, vals[:10], tg16.points[:11], float(s))
-        err = max(err, abs(full - trunc))
-    add("restriction-identity", err, 1e-8, err <= 1e-8)
-
-    # energy-space inner product reproduces the covariance
-    ind_t = np.zeros(32)
-    ind_t[:16] = 1.0
-    ind_s = np.zeros(32)
-    ind_s[:8] = 1.0
-    tg32 = TimeGrid(1.0, 32)
-    ip = rkhs_inner_product(kern7, ind_t, ind_s, tg32)
-    err = abs(ip - fbm_covariance(0.7, 0.5, 0.25))
-    add("rkhs-vs-covariance", err, 1e-4, err <= 1e-4)
-
-    # group deviation bound over the scan
-    grid = GridSpec(1, 64, math.pi)
-    worst = -1.0
-    for gam in np.linspace(0.0, 0.95, 20):
-        for t in np.logspace(-2, 0, 20):
-            margin = group_deviation_norm(grid, float(gam), float(t)) - 2 ** (1 - gam) * t**gam
-            worst = max(worst, margin)
-    add("group-deviation-bound-margin", worst, 1e-12, worst <= 1e-12)
-
-    # plane-wave solver error
-    x = grid.coordinates[0]
-    u0 = ComplexField(grid, 0.8 * np.exp(1j * 2 * x))
-    nl = NonlinearitySpec("kerr", 1.0, 1.0)
-    traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-    omega = 4.0 - 0.8**2
-    exact = ComplexField(grid, 0.8 * np.exp(1j * 2 * x) * np.exp(1j * omega))
-    err = l2_norm(traj.terminal_field() - exact)
-    add("plane-wave-solver", err, 1e-6, err <= 1e-6)
-
-    # covariance factorization at oracle scale
-    g8 = GridSpec(1, 8, math.pi)
-    ev = np.zeros(8)
-    ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]
-    spec = CorrelationSpec(grid=g8, eigenvalues=ev, r=0.0, alpha=0.2)
-    tg8 = TimeGrid(1.0, 8)
-    L = build_L(spec, kern7, tg8)
-    resid = verify_factorization(build_Q(spec, kern7, tg8, method="beta"), L)
-    add("q-ll-factorization", resid, 1e-10, resid <= 1e-10)
-
-    # rate of a reachable target is bounded by the generating energy
-    h0 = Control(values=rng.normal(size=(8, 8)), tg=tg8)
-    f = L.apply(h0)[1:].T
-    res = gaussian_rate(L, f)
-    gap = res.rate - h0.half_energy
-    add("rate-projection-bound", gap, 1e-9, res.feasible and gap <= 1e-9)
-
-    # regularity estimator on a Lipschitz path
-    rep = holder_exponent(np.linspace(0.0, 1.0, 2048))
-    add("holder-line-path", abs(rep.exponent - 1.0), 0.02, abs(rep.exponent - 1.0) <= 0.02)
-
-    return records
-
-
 def _run_oracle_suite(cfg: dict, out_dir: str) -> int:
-    records = _oracle_records(cfg.get("seed", 0))
+    records = oracles.records(cfg.get("seed", 0))
     n_failed = sum(not r["passed"] for r in records)
     write_json(
         os.path.join(out_dir, "oracle_report.json"),

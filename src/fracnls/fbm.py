@@ -261,20 +261,14 @@ def fbm_covariance(H: float, t, s):
     return float(val) if val.ndim == 0 else val
 
 
-def build_covariance_matrix(H: float, grid: TimeGrid, eig_tol: float = 1e-10) -> np.ndarray:
+def build_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
     """Covariance matrix on the grid points t_1..t_n (t_0 = 0 excluded).
 
-    Raises :class:`InvariantViolation` if an eigenvalue falls below
-    ``-eig_tol`` relative to the largest one.
+    Definiteness is not checked here: :func:`sample_fbm_exact` factors the
+    matrix, and a failed Cholesky factorization raises there.
     """
     t = grid.points[1:]
-    R = fbm_covariance(H, t[:, None], t[None, :])
-    w = np.linalg.eigvalsh(R)
-    if w[0] < -eig_tol * max(1.0, w[-1]):
-        raise InvariantViolation(
-            f"fBm covariance matrix is numerically indefinite: min eigenvalue {w[0]:.3e}"
-        )
-    return R
+    return fbm_covariance(H, t[:, None], t[None, :])
 
 
 def covariance_from_kernel(

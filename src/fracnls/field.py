@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ComplexField",
-    "SobolevIndex",
     "sobolev_norm",
     "sobolev_norms",
     "grid_fft",
@@ -104,17 +103,6 @@ class GridSpec:
         return p[:, None] * p[None, :]
 
 
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Regularity exponent s >= 0 for the (1 + |xi|^2)^s Fourier weight."""
-
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"Sobolev index must be nonnegative, got {self.s}")
-
-
 class ComplexField:
     """Complex grid function in physical space with a cached spectrum.
 
@@ -164,10 +152,9 @@ def l2_norm(u: ComplexField) -> float:
     return float(np.sqrt(np.sum(np.abs(u.values) ** 2) * u.grid.cell_volume))
 
 
-def sobolev_norm(u: ComplexField, s: SobolevIndex | float) -> float:
+def sobolev_norm(u: ComplexField, s: float) -> float:
     """H^s norm via the weighted spectral sum; s = 0 is the L2 integral norm."""
-    sv = s.s if isinstance(s, SobolevIndex) else float(s)
-    return float(sobolev_norms(u.grid, u.values, sv))
+    return float(sobolev_norms(u.grid, u.values, float(s)))
 
 
 def sobolev_norms(grid: GridSpec, values: np.ndarray, s: float) -> np.ndarray:

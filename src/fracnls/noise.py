@@ -52,7 +52,6 @@ __all__ = [
     "GaussianRateResult",
     "n1_window",
     "build_correlation",
-    "hs_norm_sq",
     "hs_tail_ratio",
     "build_L",
     "build_Q",
@@ -125,11 +124,6 @@ def build_correlation(grid: GridSpec, r: float, H: float, alpha: float) -> Corre
         )
     phi = (1.0 + grid.xi_squared.reshape(-1)) ** (-r / 2.0)
     return CorrelationSpec(grid=grid, eigenvalues=phi, r=r, alpha=alpha)
-
-
-def hs_norm_sq(spec: CorrelationSpec, s: float) -> float:
-    """Squared Hilbert-Schmidt norm into H^s on the truncated mode set."""
-    return float(np.sum(spec.eigenvalues**2 * (1.0 + spec.xi_squared_flat) ** s))
 
 
 def hs_tail_ratio(spec: CorrelationSpec, s: float) -> float:

