@@ -16,6 +16,8 @@ import math
 import os
 import sys
 import tempfile
+from collections import ChainMap
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,136 +43,306 @@ from .noise import (
 from .solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from .ldp import EventSpec, LdpLab, holder_exponent, support_distance
 
-EXPERIMENT_KINDS = (
-    "fbm",
-    "convolve",
-    "solve",
-    "skeleton",
-    "ldp",
-    "holder",
-    "support",
-    "oracle-suite",
-)
-
 _FLOAT_FMT = "%.17g"
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config schema: one key table per kind, one walker
 # ---------------------------------------------------------------------------
-
-def _require_hurst(value, path):
-    if not isinstance(value, (int, float)) or not 0.0 < float(value) < 1.0:
-        raise ConfigError(f"{path}: H must lie in (0,1), got {value!r}")
-    return float(value)
-
-
-def _require_number(value, path, lo=None, hi=None, integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    v = int(value) if integer else float(value)
-    if lo is not None and v < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {v}")
-    return v
+#
+# A table maps each key a section accepts to a _Key: the check that turns its
+# JSON value into the resolved one, its default and when it applies. Defaults
+# and ``when`` may be functions of the scope, the keys resolved so far
+# (innermost section first); a key whose ``when`` is false is accepted and
+# left out of the run. The walker's output, ``version`` included, is the
+# public config and the manifest; the run's objects are built from it alone.
 
 
-def _require_choice(value, path, choices):
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {value!r}")
-    return value
+class _Required(str):
+    """Default of a key that must be given; the text says when."""
 
 
-def _reject_unknown(cfg: dict, known, path):
-    for key in cfg:
-        if key not in known:
+class _Key(NamedTuple):
+    check: Callable
+    default: object = _Required()
+    when: Callable | None = None
+
+
+def _num(lo=None, hi=None, integer=False):
+    def check(value, path, scope):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float holds
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        if integer and int(value) != value:
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        v = int(value) if integer else float(value)
+        if lo is not None and v < lo:
+            raise ConfigError(f"{path}: must be >= {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{path}: must be <= {hi}, got {v}")
+        return v
+
+    return check
+
+
+def _int(lo=None, hi=None):
+    return _num(lo, hi, integer=True)
+
+
+def _must(ok, expected: str):
+    def check(value, path, scope):
+        if not ok(value):
+            raise ConfigError(f"{path}: {expected}, got {value!r}")
+        return value
+
+    return check
+
+
+def _choice(*choices):  # a tuple compares, so any JSON value is safe in it
+    return _must(lambda v: v in choices, f"expected one of {sorted(choices)}")
+
+
+_hurst = _must(lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0, "H must lie in (0,1)")
+_flag = _must(lambda v: isinstance(v, bool), "expected true or false")
+_version = _must(lambda v: v == __version__, f"expected {__version__!r}")
+
+
+def _nullable(check):
+    return lambda value, path, scope: None if value is None else check(value, path, scope)
+
+
+def _list(item, message: str, min_len=1, increasing=False):
+    def check(value, path, scope):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError(f"{path}: {message}")
+        out = [item(v, f"{path}[{i}]", scope) for i, v in enumerate(value)]
+        if increasing and sorted(out) != out:
+            raise ConfigError(f"{path}: {message}")
+        return out
+
+    return check
+
+
+def _eigenvalues(value, path, scope):
+    """Finite numbers, echoed flat (row-major for d = 2)."""
+    try:
+        ev = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{path}: {exc}") from exc
+    if ev.dtype.kind not in "iuf":
+        raise ConfigError(f"{path}: expected numbers, got {value!r}")
+    if not np.isfinite(ev).all():
+        raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
+    return ev.astype(float).reshape(-1).tolist()
+
+
+def _section(table):
+    """A nested object, null for all its defaults. ``table`` is a key table or
+    a function of the raw object that picks one."""
+
+    def check(value, path, scope):
+        if value is None:
+            value = {}
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        return _walk(value, table(value) if callable(table) else table, path, scope)
+
+    return check
+
+
+def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
+    """Check each key of ``table`` in order, filling defaults, then reject the rest."""
+    out: dict = {}
+    scope = scope.new_child(out)
+    for key, spec in table.items():
+        if spec.when is not None and not spec.when(scope):
+            continue
+        if key in raw:
+            value = raw[key]
+        elif isinstance(spec.default, _Required):
+            raise ConfigError(f"{path}.{key}: required{spec.default}")
+        else:
+            value = spec.default(scope) if callable(spec.default) else spec.default
+        out[key] = spec.check(value, f"{path}.{key}", scope)
+    for key in raw:
+        if key not in table:
             raise ConfigError(f"{path}.{key}: unknown key")
+    return out
 
 
-def _section(value, path: str) -> dict:
-    """A config section: a JSON object, or null for all its defaults."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {value!r}")
-    return dict(value)
+# Kinds that build the dense response operator, as their n message names them.
+_DENSE_USERS = {"skeleton": "skeleton runs", "ldp": "rate computations", "support": "support runs"}
 
 
-def _grid_config(cfg: dict, path: str, defaults=(1, 8, math.pi)) -> GridSpec:
-    cfg = _section(cfg, path)
-    _reject_unknown(cfg, {"d", "N", "L"}, path)
-    d = _require_number(cfg.get("d", defaults[0]), f"{path}.d", lo=1, hi=2, integer=True)
-    N = _require_number(cfg.get("N", defaults[1]), f"{path}.N", lo=8, integer=True)
-    L = _require_number(cfg.get("L", defaults[2]), f"{path}.L", lo=1e-12)
+def _steps(value, path, scope):
+    n = _int(1)(value, path, scope)
+    user = _DENSE_USERS.get(scope["kind"])
+    if user is not None and n > _DENSE_LIMIT:
+        raise ConfigError(f"{path}: {user} use the dense response operator; need n <= {_DENSE_LIMIT}")
+    return n
+
+
+def _grid(N: int, when=None) -> _Key:
+    keys = {"d": _Key(_int(1, 2), 1), "N": _Key(_int(8), N), "L": _Key(_num(1e-12), math.pi)}
+    return _Key(_section(keys), None, when)
+
+
+def _noise(when=None) -> _Key:
+    """Either the power law {alpha, r} or explicit {eigenvalues}."""
+    power_law = {
+        "alpha": _Key(_num(), lambda s: 0.25 if s["H"] >= 0.5 else 0.75 - s["H"]),
+        "r": _Key(_num(), 4.0),
+    }
+    explicit = {"eigenvalues": _Key(_eigenvalues)}
+    return _Key(_section(lambda raw: explicit if "eigenvalues" in raw else power_law), None, when)
+
+
+# The u0 parameters each type reads.
+_U0 = {
+    "zero": {},
+    "gaussian": {"amplitude": _Key(_num(), 1.0), "width": _Key(_num(1e-12), 1.0)},
+    "plane": {"amplitude": _Key(_num(), 1.0), "mode": _Key(_int(), 1)},
+}
+
+
+def _u0_keys(raw: dict) -> dict:
+    params = next((keys for name, keys in _U0.items() if name == raw.get("type", "zero")), {})
+    return {"type": _Key(_choice(*_U0), "zero"), **params}
+
+
+def _noise_active(scope) -> bool:
+    return scope["eps"] > 0.0 or scope["kind"] != "solve"
+
+
+def _convolution(scope) -> bool:
+    return scope["source"] == "convolution"
+
+
+_T = _Key(_num(1e-12), 1.0)
+_SOLVE = {
+    "eps": _Key(_num(0.0), 0.0),
+    "T": _T,
+    "n": _Key(_steps, 1000),
+    "grid": _grid(64),
+    "snapshot_every": _Key(_int(0), 0),
+    "nl": _Key(_nullable(_section({
+        "kind": _Key(_choice("kerr", "saturated"), "kerr"),
+        "lam": _Key(_num(), -1.0),
+        "sigma": _Key(_num(1e-12), 1.0),
+        "kappa": _Key(_num(0.0), lambda s: 1.0 if s["kind"] == "saturated" else 0.0),
+    })), {}),
+    "u0": _Key(_section(_u0_keys), None),
+    "threshold": _Key(_nullable(_num(1e-12)), None),
+    "H": _Key(_hurst, _Required(" when noise is active"), _noise_active),
+    "noise": _noise(_noise_active),
+}
+_TABLES = {
+    "fbm": {
+        "H": _Key(_hurst),
+        "T": _T,
+        "n": _Key(_int(1), 256),
+        "replicates": _Key(_int(1), 1000),
+        "sampler": _Key(_choice("exact", "fast"), "exact"),
+    },
+    "convolve": {
+        "H": _Key(_hurst),
+        "T": _T,
+        "n": _Key(_int(1), 64),
+        "grid": _grid(8),
+        "noise": _noise(),
+        "snapshot_every": _Key(_int(1), 1),
+    },
+    "solve": _SOLVE,
+    "skeleton": {**_SOLVE, "control": _Key(_section({
+        "type": _Key(_choice("zero", "random"), "random"),
+        "scale": _Key(_num(), 1.0),
+        "seed": _Key(_int(0), 0),
+    }), None)},
+    "ldp": {
+        **_SOLVE,
+        "event": _Key(_section({
+            "kind": _Key(_choice("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T"),
+                         "terminal-ball-exit"),
+            "threshold": _Key(_num(0.0), 1.0),
+            "sobolev_index": _Key(_num(0.0), 0.0),
+        }), None),
+        "eps_ladder": _Key(_list(_num(1e-12), "expected a nonempty list"), [0.25, 0.16, 0.09, 0.04]),
+        "replicates": _Key(_int(100), 2000),
+        "optimizer": _Key(_section({
+            "enabled": _Key(_flag, False),
+            "n_splines": _Key(_int(4), 8),
+            "budget": _Key(_int(100), 4000),
+        }), None),
+    },
+    "holder": {
+        "source": _Key(_choice("fbm", "convolution"), "fbm"),
+        "H": _Key(_hurst),
+        "T": _T,
+        "n": _Key(_int(2**10), lambda s: 2**14 if s["source"] == "fbm" else 2**10),
+        "replicates": _Key(_int(1), 1),
+        "grid": _grid(8, _convolution),
+        "noise": _noise(_convolution),
+    },
+    "support": {
+        **_SOLVE,
+        "samples": _Key(_int(2), 50),
+        "family_sizes": _Key(_list(_int(1), "expected an increasing list of at least two sizes", 2, True),
+                             [8, 64]),
+        "control_scale": _Key(_num(), 1.0),
+    },
+    "oracle-suite": {},
+}
+EXPERIMENT_KINDS = tuple(_TABLES)
+_COMMON = {
+    "kind": _Key(_choice(*EXPERIMENT_KINDS)),
+    "version": _Key(_version, __version__),
+    "seed": _Key(_int(0), 0),
+    "out": _Key(None, None, lambda s: False),  # the output directory, which main reads
+}
+
+
+def _construct(path: str, make, *args, **kwargs):
     try:
-        return GridSpec(d=d, N=N, L=L)
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _nl_config(cfg: dict, path: str) -> NonlinearitySpec | None:
-    if cfg is None:
-        return None
-    cfg = _section(cfg, path)
-    _reject_unknown(cfg, {"kind", "lam", "sigma", "kappa"}, path)
-    kind = _require_choice(cfg.get("kind", "kerr"), f"{path}.kind", {"kerr", "saturated"})
-    lam = _require_number(cfg.get("lam", -1.0), f"{path}.lam")
-    sigma = _require_number(cfg.get("sigma", 1.0), f"{path}.sigma", lo=1e-12)
-    kappa = _require_number(cfg.get("kappa", 1.0 if kind == "saturated" else 0.0), f"{path}.kappa", lo=0.0)
-    try:
-        return NonlinearitySpec(kind=kind, lam=lam, sigma=sigma, kappa=kappa)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _u0_config(cfg: dict, path: str, grid: GridSpec) -> tuple[ComplexField, dict]:
-    """Initial datum and the resolved config it was built from."""
-    cfg = _section(cfg, path)
-    _reject_unknown(cfg, {"type", "amplitude", "width", "mode"}, path)
-    kind = _require_choice(cfg.setdefault("type", "zero"), f"{path}.type", {"zero", "gaussian", "plane"})
-    if kind != "zero":
-        cfg.setdefault("amplitude", 1.0)
-    amp = _require_number(cfg.get("amplitude", 1.0), f"{path}.amplitude")
-    if kind == "zero":
-        return ComplexField.zero(grid), cfg
+def _initial_datum(grid: GridSpec, u0: dict) -> ComplexField:
+    if u0["type"] == "zero":
+        return ComplexField.zero(grid)
     mesh = np.meshgrid(*grid.coordinates, indexing="ij")
-    if kind == "gaussian":
-        width = _require_number(cfg.setdefault("width", 1.0), f"{path}.width", lo=1e-12)
+    if u0["type"] == "gaussian":
         r2 = sum(x * x for x in mesh)
-        return ComplexField(grid, amp * np.exp(-r2 / (2.0 * width**2)).astype(complex)), cfg
-    mode = _require_number(cfg.setdefault("mode", 1), f"{path}.mode", integer=True)
-    phase = sum((math.pi * mode / grid.L) * x for x in mesh)
-    return ComplexField(grid, amp * np.exp(1j * phase)), cfg
+        return ComplexField(grid, u0["amplitude"] * np.exp(-r2 / (2.0 * u0["width"] ** 2)).astype(complex))
+    phase = sum((math.pi * u0["mode"] / grid.L) * x for x in mesh)
+    return ComplexField(grid, u0["amplitude"] * np.exp(1j * phase))
 
 
-def _correlation_config(cfg: dict, path: str, grid: GridSpec, H: float) -> CorrelationSpec:
-    cfg = _section(cfg, path)
-    _reject_unknown(cfg, {"alpha", "r", "eigenvalues"}, path)
-    if "eigenvalues" in cfg:
-        try:
-            ev = np.asarray(cfg["eigenvalues"])
-        except ValueError as exc:  # ragged nesting
-            raise ConfigError(f"{path}.eigenvalues: {exc}") from exc
-        if ev.dtype.kind not in "iuf":
-            raise ConfigError(f"{path}.eigenvalues: expected numbers, got {cfg['eigenvalues']!r}")
-        alpha = _require_number(cfg.get("alpha", 0.2), f"{path}.alpha")
-        r = _require_number(cfg.get("r", 0.0), f"{path}.r")
-        try:
-            return CorrelationSpec(grid=grid, eigenvalues=ev, r=r, alpha=alpha)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.eigenvalues: {exc}") from exc
-    alpha = _require_number(cfg.get("alpha", 0.25 if H >= 0.5 else 0.75 - H), f"{path}.alpha")
-    r = _require_number(cfg.get("r", 4.0), f"{path}.r")
-    return build_correlation(grid, r, H, alpha)  # raises ConfigError on bad windows
+def _resolve(raw: dict) -> dict:
+    """The public config of a loaded object, plus the run's objects under
+    ``_``-prefixed keys, each built from its resolved section."""
+    kind = raw.get("kind")
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"$.kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
+    cfg = _walk(raw, {**_COMMON, **_TABLES[kind]}, "$", ChainMap())
+    if "grid" in cfg:
+        grid = cfg["_grid"] = _construct("$.grid", GridSpec, **cfg["grid"])
+    if "eigenvalues" in cfg.get("noise", ()):
+        cfg["_spec"] = _construct("$.noise.eigenvalues", CorrelationSpec, grid, cfg["noise"]["eigenvalues"])
+    elif "noise" in cfg:  # raises ConfigError on bad windows
+        cfg["_spec"] = build_correlation(grid, cfg["noise"]["r"], cfg["H"], cfg["noise"]["alpha"])
+    if "u0" in cfg:
+        cfg["_nl"] = None if cfg["nl"] is None else _construct("$.nl", NonlinearitySpec, **cfg["nl"])
+        cfg["_u0"] = _construct("$.u0", _initial_datum, grid, cfg["u0"])
+    return cfg
 
 
-def _load_object(text: str) -> dict:
+def _load_object(text) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and over-long integers
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$: config must be a JSON object")
@@ -183,199 +355,7 @@ def parse_config(text: str) -> dict:
     Returns the resolved configuration dictionary; raises
     :class:`ConfigError` with the offending JSON path on violations.
     """
-    raw = _load_object(text)
-    kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"$.kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
-    version = raw.get("version", __version__)
-    if version != __version__:
-        raise ConfigError(f"$.version: expected {__version__!r}, got {version!r}")
-    resolved = _VALIDATORS[kind](raw)
-    resolved["kind"] = kind
-    resolved["seed"] = _require_number(raw.get("seed", 0), "$.seed", lo=0, integer=True)
-    return resolved
-
-
-def _common_keys():
-    return {"kind", "seed", "out", "version"}
-
-
-def _validate_fbm(raw: dict) -> dict:
-    _reject_unknown(raw, _common_keys() | {"H", "T", "n", "replicates", "sampler"}, "$")
-    if "H" not in raw:
-        raise ConfigError("$.H: required")
-    return {
-        "H": _require_hurst(raw["H"], "$.H"),
-        "T": _require_number(raw.get("T", 1.0), "$.T", lo=1e-12),
-        "n": _require_number(raw.get("n", 256), "$.n", lo=1, integer=True),
-        "replicates": _require_number(raw.get("replicates", 1000), "$.replicates", lo=1, integer=True),
-        "sampler": _require_choice(raw.get("sampler", "exact"), "$.sampler", {"exact", "fast"}),
-    }
-
-
-def _validate_convolve(raw: dict) -> dict:
-    _reject_unknown(raw, _common_keys() | {"H", "T", "n", "grid", "noise", "snapshot_every"}, "$")
-    if "H" not in raw:
-        raise ConfigError("$.H: required")
-    H = _require_hurst(raw["H"], "$.H")
-    grid = _grid_config(raw.get("grid"), "$.grid")
-    spec = _correlation_config(raw.get("noise"), "$.noise", grid, H)
-    return {
-        "H": H,
-        "T": _require_number(raw.get("T", 1.0), "$.T", lo=1e-12),
-        "n": _require_number(raw.get("n", 64), "$.n", lo=1, integer=True),
-        "grid": {"d": grid.d, "N": grid.N, "L": grid.L},
-        "noise": {"alpha": spec.alpha, "r": spec.r},
-        "snapshot_every": _require_number(raw.get("snapshot_every", 1), "$.snapshot_every", lo=1, integer=True),
-        "_grid": grid,
-        "_spec": spec,
-    }
-
-
-def _validate_solve(raw: dict, extra_keys=frozenset(), skeleton: bool = False) -> dict:
-    keys = _common_keys() | {
-        "H", "T", "n", "grid", "nl", "u0", "eps", "noise", "threshold", "snapshot_every",
-    } | extra_keys
-    _reject_unknown(raw, keys, "$")
-    eps = _require_number(raw.get("eps", 0.0), "$.eps", lo=0.0)
-    grid = _grid_config(raw.get("grid"), "$.grid", defaults=(1, 64, math.pi))
-    out = {
-        "T": _require_number(raw.get("T", 1.0), "$.T", lo=1e-12),
-        "n": _require_number(raw.get("n", 1000), "$.n", lo=1, integer=True),
-        "grid": {"d": grid.d, "N": grid.N, "L": grid.L},
-        "eps": eps,
-        "snapshot_every": _require_number(raw.get("snapshot_every", 0), "$.snapshot_every", lo=0, integer=True),
-        "_grid": grid,
-    }
-    out["_nl"] = _nl_config(raw.get("nl", {"kind": "kerr", "lam": -1.0, "sigma": 1.0}), "$.nl")
-    if out["_nl"] is None:
-        out["nl"] = None  # linear run, no nonlinearity
-    else:
-        out["nl"] = {
-            "kind": out["_nl"].kind, "lam": out["_nl"].lam,
-            "sigma": out["_nl"].sigma, "kappa": out["_nl"].kappa,
-        }
-    out["_u0"], out["u0"] = _u0_config(raw.get("u0"), "$.u0", grid)
-    if raw.get("threshold") is not None:
-        out["threshold"] = _require_number(raw["threshold"], "$.threshold", lo=1e-12)
-    else:
-        out["threshold"] = None
-    needs_noise = eps > 0.0 or skeleton
-    if needs_noise:
-        if "H" not in raw:
-            raise ConfigError("$.H: required when noise is active")
-        H = _require_hurst(raw["H"], "$.H")
-        spec = _correlation_config(raw.get("noise"), "$.noise", grid, H)
-        out["H"] = H
-        out["noise"] = {"alpha": spec.alpha, "r": spec.r}
-        out["_spec"] = spec
-    return out
-
-
-def _validate_skeleton(raw: dict) -> dict:
-    out = _validate_solve(raw, extra_keys={"control"}, skeleton=True)
-    ctl = _section(raw.get("control"), "$.control")
-    _reject_unknown(ctl, {"type", "scale", "seed"}, "$.control")
-    out["control"] = {
-        "type": _require_choice(ctl.get("type", "random"), "$.control.type", {"zero", "random"}),
-        "scale": _require_number(ctl.get("scale", 1.0), "$.control.scale"),
-        "seed": _require_number(ctl.get("seed", 0), "$.control.seed", lo=0, integer=True),
-    }
-    if out["n"] > _DENSE_LIMIT:
-        raise ConfigError("$.n: skeleton runs use the dense response operator; need n <= 64")
-    return out
-
-
-def _validate_ldp(raw: dict) -> dict:
-    out = _validate_solve(raw, extra_keys={"event", "eps_ladder", "replicates", "optimizer"}, skeleton=True)
-    ev = _section(raw.get("event"), "$.event")
-    _reject_unknown(ev, {"kind", "threshold", "sobolev_index"}, "$.event")
-    kind = _require_choice(
-        ev.get("kind", "terminal-ball-exit"),
-        "$.event.kind",
-        {"terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T"},
-    )
-    out["event"] = {
-        "kind": kind,
-        "threshold": _require_number(ev.get("threshold", 1.0), "$.event.threshold", lo=0.0),
-        "sobolev_index": _require_number(ev.get("sobolev_index", 0.0), "$.event.sobolev_index", lo=0.0),
-    }
-    ladder = raw.get("eps_ladder", [0.25, 0.16, 0.09, 0.04])
-    if not isinstance(ladder, list) or not ladder:
-        raise ConfigError("$.eps_ladder: expected a nonempty list")
-    out["eps_ladder"] = [
-        _require_number(e, f"$.eps_ladder[{i}]", lo=1e-12) for i, e in enumerate(ladder)
-    ]
-    out["replicates"] = _require_number(raw.get("replicates", 2000), "$.replicates", lo=100, integer=True)
-    opt = _section(raw.get("optimizer"), "$.optimizer")
-    _reject_unknown(opt, {"enabled", "n_splines", "budget"}, "$.optimizer")
-    enabled = opt.get("enabled", False)
-    if not isinstance(enabled, bool):
-        raise ConfigError(f"$.optimizer.enabled: expected true or false, got {enabled!r}")
-    out["optimizer"] = {
-        "enabled": enabled,
-        "n_splines": _require_number(opt.get("n_splines", 8), "$.optimizer.n_splines", lo=4, integer=True),
-        "budget": _require_number(opt.get("budget", 4000), "$.optimizer.budget", lo=100, integer=True),
-    }
-    if out["n"] > _DENSE_LIMIT:
-        raise ConfigError("$.n: rate computations use the dense response operator; need n <= 64")
-    return out
-
-
-def _validate_holder(raw: dict) -> dict:
-    _reject_unknown(raw, _common_keys() | {"source", "H", "T", "n", "grid", "noise", "replicates"}, "$")
-    if "H" not in raw:
-        raise ConfigError("$.H: required")
-    H = _require_hurst(raw["H"], "$.H")
-    source = _require_choice(raw.get("source", "fbm"), "$.source", {"fbm", "convolution"})
-    out = {
-        "source": source,
-        "H": H,
-        "T": _require_number(raw.get("T", 1.0), "$.T", lo=1e-12),
-        "n": _require_number(raw.get("n", 2**14 if source == "fbm" else 2**10), "$.n", lo=2**10, integer=True),
-        "replicates": _require_number(raw.get("replicates", 1), "$.replicates", lo=1, integer=True),
-    }
-    if source == "convolution":
-        grid = _grid_config(raw.get("grid"), "$.grid")
-        spec = _correlation_config(raw.get("noise"), "$.noise", grid, H)
-        out["grid"] = {"d": grid.d, "N": grid.N, "L": grid.L}
-        out["noise"] = {"alpha": spec.alpha, "r": spec.r}
-        out["_grid"], out["_spec"] = grid, spec
-    return out
-
-
-def _validate_support(raw: dict) -> dict:
-    out = _validate_solve(raw, extra_keys={"samples", "family_sizes", "control_scale"}, skeleton=True)
-    out["samples"] = _require_number(raw.get("samples", 50), "$.samples", lo=2, integer=True)
-    sizes = raw.get("family_sizes", [8, 64])
-    message = "$.family_sizes: expected an increasing list of at least two sizes"
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise ConfigError(message)
-    sizes = [_require_number(s, f"$.family_sizes[{i}]", lo=1, integer=True) for i, s in enumerate(sizes)]
-    if sorted(sizes) != sizes:
-        raise ConfigError(message)
-    out["family_sizes"] = sizes
-    out["control_scale"] = _require_number(raw.get("control_scale", 1.0), "$.control_scale")
-    if out["n"] > _DENSE_LIMIT:
-        raise ConfigError("$.n: support runs use the dense response operator; need n <= 64")
-    return out
-
-
-def _validate_oracle(raw: dict) -> dict:
-    _reject_unknown(raw, _common_keys(), "$")
-    return {}
-
-
-_VALIDATORS = {
-    "fbm": _validate_fbm,
-    "convolve": _validate_convolve,
-    "solve": lambda raw: _validate_solve(raw),
-    "skeleton": _validate_skeleton,
-    "ldp": _validate_ldp,
-    "holder": _validate_holder,
-    "support": _validate_support,
-    "oracle-suite": _validate_oracle,
-}
+    return _resolve(_load_object(text))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +408,6 @@ def write_field_csv(path: str, field: ComplexField) -> None:
     header = _INDEX_COLUMNS[g.d] + ["x", "y"][: g.d] + ["re", "im"]
     body = "\n".join([row] * g.mode_count) % tuple(table.reshape(-1).tolist())
     atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
-
-
-def _manifest(cfg: dict, out_dir: str) -> None:
-    public = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    public["version"] = __version__
-    write_json(os.path.join(out_dir, "manifest.json"), public)
 
 
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
@@ -604,7 +578,7 @@ def _run_support(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_oracle_suite(cfg: dict, out_dir: str) -> int:
-    records = oracles.records(cfg.get("seed", 0))
+    records = oracles.records(cfg["seed"])
     n_failed = sum(not r["passed"] for r in records)
     write_json(
         os.path.join(out_dir, "oracle_report.json"),
@@ -633,7 +607,8 @@ _RUNNERS = {
 def run(cfg: dict, out_dir: str) -> int:
     """Execute a validated config; artifacts land in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    _manifest(cfg, out_dir)
+    public = {k: v for k, v in cfg.items() if not k.startswith("_")}
+    write_json(os.path.join(out_dir, "manifest.json"), public)
     return _RUNNERS[cfg["kind"]](cfg, out_dir)
 
 
@@ -653,16 +628,15 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config is not None:
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 raw = _load_object(fh.read())
         raw["kind"] = args.command
         if args.seed is not None:
             raw["seed"] = args.seed
         out_dir = args.out or raw.get("out")
-        if out_dir is None:
+        if not isinstance(out_dir, str):
             raise ConfigError("$.out: output directory required (config key or --out)")
-        raw.pop("out", None)
-        cfg = parse_config(json.dumps({k: v for k, v in raw.items() if not k.startswith("_")}))
+        cfg = _resolve(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,8 @@ class GridSpec:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if self.L <= 0:
             raise ValueError(f"half-width L must be positive, got {self.L}")
+        if self.N**self.d * 16 > np.iinfo(np.intp).max:
+            raise ValueError(f"N^d = {self.N**self.d} modes exceed the largest complex array")
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:

@@ -72,8 +72,6 @@ class CorrelationSpec:
 
     grid: GridSpec
     eigenvalues: np.ndarray
-    r: float
-    alpha: float
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
@@ -123,7 +121,7 @@ def build_correlation(grid: GridSpec, r: float, H: float, alpha: float) -> Corre
             f"(summable tail needs r > {s + grid.d / 2})"
         )
     phi = (1.0 + grid.xi_squared.reshape(-1)) ** (-r / 2.0)
-    return CorrelationSpec(grid=grid, eigenvalues=phi, r=r, alpha=alpha)
+    return CorrelationSpec(grid=grid, eigenvalues=phi)
 
 
 def hs_tail_ratio(spec: CorrelationSpec, s: float) -> float:

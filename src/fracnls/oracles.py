@@ -201,7 +201,7 @@ def records(seed: int) -> list[dict]:
 
     ev = np.zeros(8)
     ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]
-    spec = noise.CorrelationSpec(grid=field.GridSpec(1, 8, math.pi), eigenvalues=ev, r=0.0, alpha=0.2)
+    spec = noise.CorrelationSpec(grid=field.GridSpec(1, 8, math.pi), eigenvalues=ev)
     tg8 = fbm.TimeGrid(1.0, 8)
     add("q-ll-factorization", q_ll_residual(spec, kern7, tg8), 1e-10)
     # drawn after the restriction-identity path, from the same generator

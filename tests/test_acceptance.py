@@ -108,7 +108,7 @@ def test_criterion_05_covariance_factorization():
     tg = TimeGrid(1.0, 8)
     ev = np.zeros(8)
     ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]  # 4 active modes
-    spec = CorrelationSpec(grid=g, eigenvalues=ev, r=0.0, alpha=0.2)
+    spec = CorrelationSpec(grid=g, eigenvalues=ev)
     resid = 0.0
     for H in (0.55, 0.7):
         resid = max(resid, oracles.q_ll_residual(spec, HurstKernel(H), tg))
@@ -166,7 +166,7 @@ def test_criterion_07_linear_ldp_triangle():
     g = GridSpec(1, 8, math.pi)
     kern = HurstKernel(0.7)
     phis = np.array([0.2, 1.0, 0.05, 0.01, 0.005, 0.01, 0.05, 1.0])
-    spec = CorrelationSpec(grid=g, eigenvalues=phis, r=0.0, alpha=0.2)
+    spec = CorrelationSpec(grid=g, eigenvalues=phis)
     cfg = SolverConfig(T=1.0, n_steps=16)
     lab = LdpLab(ComplexField.zero(g), None, spec, kern, cfg)
 

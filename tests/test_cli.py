@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracnls
 from fracnls import __version__
@@ -19,6 +21,53 @@ from fracnls.field import ComplexField, GridSpec
 from fracnls.ldp import EventSpec, LdpLab, wilson_interval
 from fracnls.solver import SolverConfig
 
+
+README_LDP = {
+    "kind": "ldp", "H": 0.7, "T": 1.0, "n": 16, "grid": {"N": 8},
+    "nl": None, "u0": {"type": "zero"},
+    "noise": {"eigenvalues": [0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]},
+    "event": {"kind": "terminal-ball-exit", "threshold": 0.64},
+    "eps_ladder": [0.25, 0.16, 0.09, 0.04],
+    "replicates": 20000, "seed": 7,
+}
+
+# One config of every kind, small enough to run twice.
+KIND_CONFIGS = {
+    "fbm": {"kind": "fbm", "H": 0.7, "n": 16, "replicates": 4, "seed": 3},
+    "convolve": {"kind": "convolve", "H": 0.6, "n": 8, "grid": {"N": 8}, "snapshot_every": 4,
+                 "noise": {"eigenvalues": [0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]}},
+    "solve": {"kind": "solve", "H": 0.4, "eps": 0.5, "T": 0.25, "n": 16, "grid": {"N": 16},
+              "nl": {"kind": "saturated", "lam": 1}, "u0": {"type": "plane", "mode": 2},
+              "noise": {"alpha": 0.3}, "snapshot_every": 8, "seed": 1},
+    "skeleton": {"kind": "skeleton", "H": 0.7, "n": 16, "grid": {"N": 8}, "nl": None,
+                 "u0": {"type": "gaussian", "width": 0.5}, "control": {"scale": 0.5, "seed": 2}},
+    "ldp": README_LDP,
+    "holder": {"kind": "holder", "H": 0.6, "source": "convolution", "n": 1024, "seed": 2},
+    "support": {"kind": "support", "H": 0.7, "n": 16, "grid": {"N": 8}, "nl": None,
+                "samples": 10, "family_sizes": [4, 16]},
+    "oracle-suite": {"kind": "oracle-suite"},
+}
+
+
+def _public(cfg: dict) -> dict:
+    return {k: v for k, v in cfg.items() if not k.startswith("_")}
+
+
+def _key_paths(node, prefix=()):
+    """Every key path (list positions included) of a resolved config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-100, 100) | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, 2**64]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
 
 ORACLE_NAMES = [
     "normalization-constant-H0.25", "normalization-constant-H0.5", "normalization-constant-H0.75",
@@ -72,6 +121,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="eps_ladder"):
             parse_config(json.dumps(cfg))
 
+    @pytest.mark.parametrize(
+        "u0, key",
+        [({"type": "gaussian", "mode": "x"}, "mode"), ({"type": "zero", "amplitude": 2.0}, "amplitude"),
+         ({"type": "plane", "width": 1.0}, "width")],
+        ids=["gaussian-mode", "zero-amplitude", "plane-width"],
+    )
+    def test_u0_takes_only_the_keys_its_type_reads(self, u0, key):
+        with pytest.raises(ConfigError, match=rf"^\$\.u0\.{key}: unknown key"):
+            parse_config(json.dumps({"kind": "solve", "u0": u0}))
+
+    def test_u0_echo_is_the_keys_its_type_reads(self):
+        echo = {t: parse_config(json.dumps({"kind": "solve", "u0": {"type": t}}))["u0"]
+                for t in ("zero", "gaussian", "plane")}
+        assert echo == {
+            "zero": {"type": "zero"},
+            "gaussian": {"type": "gaussian", "amplitude": 1.0, "width": 1.0},
+            "plane": {"type": "plane", "amplitude": 1.0, "mode": 1},
+        }
+
+    @pytest.mark.parametrize("key", ["alpha", "r"])
+    def test_power_law_key_beside_eigenvalues(self, key):
+        noise = {"eigenvalues": [1.0] * 8, key: 0.2}
+        cfg = {"kind": "convolve", "H": 0.7, "grid": {"N": 8}, "noise": noise}
+        with pytest.raises(ConfigError, match=rf"^\$\.noise\.{key}: unknown key"):
+            parse_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("kind", KIND_CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_any_json_value_at_any_key_path(self, kind, value):
+        base = _public(parse_config(json.dumps(KIND_CONFIGS[kind])))
+        for path in _key_paths(base):
+            cfg = json.loads(json.dumps(base))
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                parse_config(json.dumps(cfg))
+            except ConfigError:
+                pass
+
 
 class TestRunDeterminism:
     def test_fbm_byte_identical(self, tmp_path):
@@ -82,16 +173,18 @@ class TestRunDeterminism:
         pb = (tmp_path / "b" / "paths.csv").read_bytes()
         assert pa == pb
 
-    def test_manifest_reproduces_run(self, tmp_path):
-        cfg = parse_config('{"kind": "fbm", "H": 0.7, "n": 16, "replicates": 4, "seed": 3}')
+    @pytest.mark.parametrize("raw", KIND_CONFIGS.values(), ids=KIND_CONFIGS.keys())
+    def test_manifest_reproduces_run(self, tmp_path, raw):
+        cfg = parse_config(json.dumps(raw))
         run(cfg, str(tmp_path / "a"))
-        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        manifest.pop("version")
-        cfg2 = parse_config(json.dumps(manifest))
+        cfg2 = parse_config((tmp_path / "a" / "manifest.json").read_text())
+        assert _public(cfg2) == _public(cfg)
         run(cfg2, str(tmp_path / "b"))
-        assert (tmp_path / "a" / "paths.csv").read_bytes() == (
-            tmp_path / "b" / "paths.csv"
-        ).read_bytes()
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        assert "manifest.json" in names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_ldp_ladder_matches_loop_reference(self, tmp_path):
         raw = {
@@ -237,9 +330,16 @@ class TestMainExitCodes:
             ("ldp", json.dumps({"H": 0.7, "n": 4, "grid": {"N": 8}, "nl": None, "eps_ladder": [0.25],
                                 "replicates": 100, "optimizer": {"enabled": "false", "budget": 100}}),
              r"\$\.optimizer\.enabled"),
+            ("solve", json.dumps({"u0": {"type": [1]}}), r"\$\.u0\.type"),
+            ("solve", json.dumps({"nl": {"kind": {}}}), r"\$\.nl\.kind"),
+            ("solve", '{"n": 1e400}', r"\$\.n: expected a finite number"),
+            ("convolve", '{"H": 0.7, "noise": {"eigenvalues": [NaN, 1, 1, 1, 1, 1, 1, 1]}}',
+             r"\$\.noise\.eigenvalues: expected finite numbers"),
+            ("solve", json.dumps({"grid": {"N": 2**64}}), r"\$\.grid: N\^d = "),
         ],
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
-             "optimizer-enabled-not-boolean"],
+             "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
+             "n-overflows", "eigenvalue-nan", "grid-too-large"],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, kind, text, message):
         cfg = tmp_path / "c.json"
@@ -280,6 +380,20 @@ class TestMainExitCodes:
         assert names == sorted(os.listdir(tmp_path / "b")) == ["manifest.json", "paths.csv"]
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, literal):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"kind": "solve", "T": {literal}, "n": 4}}')
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: $.T: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_private_key_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"H": 0.7, "n": 8, "replicates": 2, "_spec": 1}')
+        assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: $._spec: unknown key")
 
     def test_other_version_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

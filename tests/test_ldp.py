@@ -29,7 +29,7 @@ def linear_lab():
     g = GridSpec(1, 8, math.pi)
     kern = HurstKernel(0.7)
     phis = np.array([0.2, 1.0, 0.05, 0.01, 0.005, 0.01, 0.05, 1.0])
-    spec = CorrelationSpec(grid=g, eigenvalues=phis, r=0.0, alpha=0.2)
+    spec = CorrelationSpec(grid=g, eigenvalues=phis)
     cfg = SolverConfig(T=1.0, n_steps=16)
     return LdpLab(ComplexField.zero(g), None, spec, kern, cfg)
 

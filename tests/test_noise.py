@@ -53,12 +53,12 @@ class TestCorrelationSpec:
             build_correlation(grid, 1.5, 0.5, 0.3)
 
     def test_degenerate_zero_spec_accepted(self, grid):
-        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8), r=0.0, alpha=0.2)
+        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
         assert np.array_equal(spec.eigenvalues, np.zeros(8))
 
     def test_negative_eigenvalues_rejected(self, grid):
         with pytest.raises(ValueError):
-            CorrelationSpec(grid=grid, eigenvalues=-np.ones(8), r=0.0, alpha=0.2)
+            CorrelationSpec(grid=grid, eigenvalues=-np.ones(8))
 
     def test_tail_ratio_converges_for_steep_decay(self):
         g = GridSpec(1, 256, math.pi)
@@ -68,7 +68,7 @@ class TestCorrelationSpec:
 
 class TestConvolutionSampler:
     def test_zero_spec_gives_zero_path(self, grid):
-        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8), r=0.0, alpha=0.2)
+        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
         path = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=1)
         assert np.all(path.mode_paths == 0)
 
@@ -165,7 +165,7 @@ class TestResponseOperator:
     def test_half_hurst_flat_mode_integrates(self):
         # kernel 1, zero frequency: response is the running integral of h
         g = GridSpec(1, 8, math.pi)
-        spec = CorrelationSpec(grid=g, eigenvalues=np.eye(8)[0] * 0 + 1.0, r=0.0, alpha=0.3)
+        spec = CorrelationSpec(grid=g, eigenvalues=np.eye(8)[0] * 0 + 1.0)
         tg = TimeGrid(1.0, 8)
         L = build_L(spec, HurstKernel(0.5), tg)
         h = Control.zero(8, tg)
@@ -186,7 +186,7 @@ class TestFactorization:
     def test_q_equals_ll_adjoint(self, grid, H):
         ev = np.zeros(8)
         ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]  # four active modes
-        spec = CorrelationSpec(grid=grid, eigenvalues=ev, r=0.0, alpha=0.2)
+        spec = CorrelationSpec(grid=grid, eigenvalues=ev)
         assert oracles.q_ll_residual(spec, HurstKernel(H), TimeGrid(1.0, 8)) < 1e-10
 
     def test_difference_route_matches_beta_route(self, grid):
@@ -198,7 +198,7 @@ class TestFactorization:
         assert np.abs(Qa - Qb).max() < 1e-12
 
     def test_zero_spec_q_is_zero(self, grid):
-        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8), r=0.0, alpha=0.2)
+        spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
         Q = build_Q(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
         assert np.all(Q == 0)
 
@@ -246,7 +246,7 @@ class TestGaussianRate:
     def test_unreachable_target_is_infinite(self, grid):
         ev = np.zeros(8)
         ev[0] = 1.0
-        spec = CorrelationSpec(grid=grid, eigenvalues=ev, r=0.0, alpha=0.2)
+        spec = CorrelationSpec(grid=grid, eigenvalues=ev)
         tg = TimeGrid(1.0, 8)
         L = build_L(spec, HurstKernel(0.7), tg)
         target = np.zeros((8, 8), dtype=complex)
