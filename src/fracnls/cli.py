@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from collections import ChainMap
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .fbm import (
     sample_fbm_exact,
     sample_fbm_fast,
 )
-from .field import ComplexField, GridSpec, hamiltonian, mass
+from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass
 from .noise import (
     _DENSE_LIMIT,
     Control,
@@ -40,8 +41,8 @@ from .noise import (
     build_correlation,
     build_L,
 )
-from .solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
-from .ldp import EventSpec, LdpLab, holder_exponent, support_distance
+from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
+from .ldp import EVENT_KINDS, EventSpec, LdpLab, holder_exponent, support_distance
 
 _FLOAT_FMT = "%.17g"
 
@@ -227,7 +228,7 @@ _SOLVE = {
     "grid": _grid(64),
     "snapshot_every": _Key(_int(0), 0),
     "nl": _Key(_nullable(_section({
-        "kind": _Key(_choice("kerr", "saturated"), "kerr"),
+        "kind": _Key(_choice(*NONLINEARITY_KINDS), "kerr"),
         "lam": _Key(_num(), -1.0),
         "sigma": _Key(_num(1e-12), 1.0),
         "kappa": _Key(_num(0.0), lambda s: 1.0 if s["kind"] == "saturated" else 0.0),
@@ -262,8 +263,7 @@ _TABLES = {
     "ldp": {
         **_SOLVE,
         "event": _Key(_section({
-            "kind": _Key(_choice("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T"),
-                         "terminal-ball-exit"),
+            "kind": _Key(_choice(*EVENT_KINDS), "terminal-ball-exit"),
             "threshold": _Key(_num(0.0), 1.0),
             "sobolev_index": _Key(_num(0.0), 0.0),
         }), None),
@@ -449,15 +449,15 @@ def _run_fbm(cfg: dict, out_dir: str) -> int:
 def _run_convolve(cfg: dict, out_dir: str) -> int:
     tg = TimeGrid(cfg["T"], cfg["n"])
     kern = HurstKernel(cfg["H"])
-    sampler = ConvolutionSampler(cfg["_spec"], kern, tg)
-    path = sampler.sample(cfg["seed"], 0)
+    paths = ConvolutionSampler(cfg["_spec"], kern, tg).sample_mode_paths(cfg["seed"], 0)
     rows = [
-        [float(tg.points[k]), float(np.sqrt((np.abs(path.mode_paths[k]) ** 2).sum()))]
+        [float(tg.points[k]), float(np.sqrt((np.abs(paths[k]) ** 2).sum()))]
         for k in range(tg.n + 1)
     ]
     write_csv(os.path.join(out_dir, "l2_norms.csv"), ["t", "l2_norm"], rows)
     for k in range(0, tg.n + 1, cfg["snapshot_every"]):
-        write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), path.field(k))
+        snapshot = field_from_modes(cfg["_grid"], paths[k])
+        write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), snapshot)
     return 0
 
 
@@ -467,7 +467,7 @@ def _solver_pieces(cfg: dict):
     if cfg["eps"] > 0.0:
         kern = HurstKernel(cfg["H"])
         tg = TimeGrid(cfg["T"], cfg["n"])
-        forcing = ConvolutionSampler(cfg["_spec"], kern, tg).sample(cfg["seed"], 0)
+        forcing = ConvolutionSampler(cfg["_spec"], kern, tg).sample_mode_paths(cfg["seed"], 0)
     return scfg, forcing
 
 
@@ -517,7 +517,7 @@ def _run_ldp(cfg: dict, out_dir: str) -> int:
             ev, n_splines=cfg["optimizer"]["n_splines"], budget=cfg["optimizer"]["budget"]
         )
         report.variational_bound = res.rate if res.feasible else None
-    write_json(os.path.join(out_dir, "rate_report.json"), report.to_dict())
+    write_json(os.path.join(out_dir, "rate_report.json"), asdict(report))
     rows = [
         [eps, p, lo, hi, -eps * math.log(p) if p > 0 else math.inf]
         for eps, p, lo, hi in zip(report.eps_ladder, report.p_hats, report.ci_lo, report.ci_hi)
@@ -533,7 +533,7 @@ def _run_holder(cfg: dict, out_dir: str) -> int:
         grid = TimeGrid(cfg["T"], cfg["n"])
         ps = sample_fbm_fast(cfg["H"], grid, cfg["replicates"], cfg["seed"])
         for i in range(cfg["replicates"]):
-            reports.append(holder_exponent(ps.values[i]).to_dict())
+            reports.append(asdict(holder_exponent(ps.values[i])))
     else:
         kern = HurstKernel(cfg["H"])
         tg = TimeGrid(cfg["T"], cfg["n"])
@@ -541,7 +541,7 @@ def _run_holder(cfg: dict, out_dir: str) -> int:
         w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
         for i in range(cfg["replicates"]):
             paths = sampler.sample_mode_paths(cfg["seed"], i)
-            reports.append(holder_exponent(paths, weights=w).to_dict())
+            reports.append(asdict(holder_exponent(paths, weights=w)))
     write_json(os.path.join(out_dir, "holder_report.json"), {"H": cfg["H"], "reports": reports})
     return 0
 

@@ -151,13 +151,27 @@ class ScalarPathSet:
 
     grid: TimeGrid
     values: np.ndarray  # (replicates, n + 1)
-    seed: int
-    H: float
 
 
 # ---------------------------------------------------------------------------
 # Kernel evaluation
 # ---------------------------------------------------------------------------
+
+# The fixed quadrature of the kernel-based checks: Gauss-Legendre nodes per
+# interior cell and in the square-root mapped first cell of the covariance
+# reconstruction, kernel rows evaluated per block, and the order of the
+# duality pairing's cell rule.
+_CELL_NODES = 8
+_FIRST_CELL_NODES = 32
+_KERNEL_CHUNK = 32
+_DUALITY_ORDER = 24
+
+
+def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order`` mapped onto (0, 1)."""
+    x, w = leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
 
 def _bracket(H: float, v2_over_s):
     # 1 - (s/(s+v^2))^{1/2-H}, stable when v^2/s underflows the naive form
@@ -223,9 +237,7 @@ def kernel_eval_grid(kern: HurstKernel, t, s, order: int = 48) -> np.ndarray:
     tm = t[mask]
     sm = s[mask]
     V = np.sqrt(tm - sm)
-    x, w = leggauss(order)
-    xg = 0.5 * (x + 1.0)
-    wg = 0.5 * w
+    xg, wg = _unit_rule(order)
     v = V[..., None] * xg
     integrand = 2.0 * v ** (2.0 * H - 2.0) * _bracket(H, v * v / sm[..., None])
     integral = V * (integrand @ wg)
@@ -271,14 +283,7 @@ def build_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
     return fbm_covariance(H, t[:, None], t[None, :])
 
 
-def covariance_from_kernel(
-    kern: HurstKernel,
-    grid: TimeGrid,
-    nodes_per_cell: int = 8,
-    first_cell_nodes: int = 32,
-    order: int = 48,
-    chunk: int = 32,
-) -> np.ndarray:
+def covariance_from_kernel(kern: HurstKernel, grid: TimeGrid) -> np.ndarray:
     """Covariance reconstructed as the quadrature of int_0^{t ^ s} K(t,r) K(s,r) dr.
 
     Independent of :func:`build_covariance_matrix`; uses shared composite
@@ -286,15 +291,11 @@ def covariance_from_kernel(
     absorb the r -> 0 kernel singularity.
     """
     pts = grid.points
-    x1, w1 = leggauss(first_cell_nodes)
-    y = 0.5 * (x1 + 1.0)
-    wy = 0.5 * w1
+    y, wy = _unit_rule(_FIRST_CELL_NODES)
     r_first = pts[1] * y * y
     w_first = pts[1] * 2.0 * y * wy
     if grid.n > 1:
-        x2, w2 = leggauss(nodes_per_cell)
-        xm = 0.5 * (x2 + 1.0)
-        wm = 0.5 * w2
+        xm, wm = _unit_rule(_CELL_NODES)
         a = pts[1:-1]
         width = np.diff(pts)[1:]
         r_rest = (a[:, None] + width[:, None] * xm).ravel()
@@ -305,9 +306,9 @@ def covariance_from_kernel(
         r, wq = r_first, w_first
     t = pts[1:]
     Kmat = np.empty((t.size, r.size))
-    for lo in range(0, t.size, chunk):
-        hi = min(lo + chunk, t.size)
-        Kmat[lo:hi] = kernel_eval_grid(kern, t[lo:hi, None], r[None, :], order=order)
+    for lo in range(0, t.size, _KERNEL_CHUNK):
+        hi = min(lo + _KERNEL_CHUNK, t.size)
+        Kmat[lo:hi] = kernel_eval_grid(kern, t[lo:hi, None], r[None, :])
     return (Kmat * wq) @ Kmat.T
 
 
@@ -381,7 +382,7 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sc
     values = np.zeros((replicates, grid.n + 1))
     for i, z in enumerate(_normal_rows(seed, replicates, grid.n)):
         values[i, 1:] = C @ z
-    return ScalarPathSet(grid=grid, values=values, seed=seed, H=H)
+    return ScalarPathSet(grid=grid, values=values)
 
 
 def _circulant_eigenvalues(H: float, n: int) -> np.ndarray:
@@ -419,7 +420,7 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sca
         xi[n + 1 :] = np.conj(xi[1:n][::-1])
         fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi).real[:n]
         values[i, 1:] = scale * np.cumsum(fgn)
-    return ScalarPathSet(grid=grid, values=values, seed=seed, H=H)
+    return ScalarPathSet(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +455,7 @@ def apply_kt_star(kern: HurstKernel, values: np.ndarray, points: np.ndarray, s: 
 
 
 def apply_kt_star_grid(
-    kern: HurstKernel,
-    values: np.ndarray,
-    points: np.ndarray,
-    s: np.ndarray,
-    order: int = 48,
+    kern: HurstKernel, values: np.ndarray, points: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
     """Vectorized :func:`apply_kt_star` over an array of evaluation points."""
     points = np.asarray(points, dtype=float)
@@ -470,7 +467,7 @@ def apply_kt_star_grid(
     # K(points[m], s_q) for all boundaries; entries with points[m] <= s are 0
     Kb = np.zeros((M + 1, s.size))
     for m in range(1, M + 1):
-        Kb[m] = kernel_eval_grid(kern, points[m], s, order=order)
+        Kb[m] = kernel_eval_grid(kern, points[m], s)
     cell = np.searchsorted(points, s, side="right") - 1
     cell = np.clip(cell, 0, M - 1)
     phi_s = np.asarray(values, dtype=float)[cell]
@@ -490,9 +487,7 @@ def _cell_quadrature_nodes(a: float, b: float, order: int):
     square-root change of variable clustering nodes at the outer endpoint,
     which absorbs the algebraic kernel behavior at cell boundaries.
     """
-    x, w = leggauss(order)
-    y = 0.5 * (x + 1.0)
-    wy = 0.5 * w
+    y, wy = _unit_rule(order)
     half = 0.5 * (b - a)
     left_nodes = a + half * y * y
     right_nodes = b - half * y * y
@@ -501,11 +496,7 @@ def _cell_quadrature_nodes(a: float, b: float, order: int):
 
 
 def duality_pairing(
-    kern: HurstKernel,
-    phi_values: np.ndarray,
-    h_values: np.ndarray,
-    tg: TimeGrid,
-    order: int = 24,
+    kern: HurstKernel, phi_values: np.ndarray, h_values: np.ndarray, tg: TimeGrid
 ) -> tuple[float, float]:
     """Both sides of the transform duality for piecewise-constant phi and h.
 
@@ -523,12 +514,12 @@ def duality_pairing(
     # LHS
     lhs = 0.0
     for m in range(n):
-        nodes, weights = _cell_quadrature_nodes(pts[m], pts[m + 1], order)
+        nodes, weights = _cell_quadrature_nodes(pts[m], pts[m + 1], _DUALITY_ORDER)
         vals = apply_kt_star_grid(kern, phi_values, pts, nodes)
         lhs += h_values[m] * float(vals @ weights)
 
     # RHS: Kh at every grid point, on an unrelated (coarser odd) node set
-    order_rhs = order + 7
+    order_rhs = _DUALITY_ORDER + 7
     Kh = np.zeros(n + 1)
     for m in range(1, n + 1):
         t_m = pts[m]

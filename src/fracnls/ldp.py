@@ -66,6 +66,15 @@ _BATCH_BYTES = 1 << 19
 _FD_STEP = 1e-8
 _FD_FALLBACK = np.finfo(float).eps ** 0.5
 
+# Normal quantile of the two-sided 95% Wilson interval.
+_WILSON_Z = 1.959963984540054
+
+# Clamped cubic B-splines parametrize the optimizer's controls in time.
+_SPLINE_DEGREE = 3
+
+# The optimizer aims for the event threshold enlarged by this relative margin.
+_MARGIN = 1e-3
+
 # The ray shrink halves the scaling interval 25 times (resolution 2^-25),
 # walking five levels of the bisection tree per batched solve.
 _RAY_HALVINGS = 25
@@ -101,19 +110,6 @@ class RateReport:
     pinv_rate: float | None = None
     variational_bound: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "eps_ladder": list(map(float, self.eps_ladder)),
-            "p_hats": list(map(float, self.p_hats)),
-            "ci_lo": list(map(float, self.ci_lo)),
-            "ci_hi": list(map(float, self.ci_hi)),
-            "replicates": self.replicates,
-            "slope_value": self.slope_value,
-            "slope_drift": self.slope_drift,
-            "pinv_rate": self.pinv_rate,
-            "variational_bound": self.variational_bound,
-        }
-
 
 @dataclass
 class HolderReport:
@@ -124,15 +120,6 @@ class HolderReport:
     lags: list
     log_increments: list
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "r_squared": self.r_squared,
-            "lags": list(map(int, self.lags)),
-            "log_increments": list(map(float, self.log_increments)),
-            "degenerate": self.degenerate,
-        }
 
 
 @dataclass(frozen=True)
@@ -152,10 +139,11 @@ class MinimizeResult:
     penalty: float
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """Wilson score interval at level 0.05 (z for 97.5%)."""
     if n <= 0:
         raise ValueError("need at least one replicate")
+    z = _WILSON_Z
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -180,7 +168,7 @@ def ldp_slope(eps_ladder, p_hats) -> SlopeFit:
     return SlopeFit(value=float(y.mean()), drift=drift, n_used=int(keep.sum()), ok=True)
 
 
-def holder_exponent(values: np.ndarray, weights: np.ndarray | None = None, lags=None) -> HolderReport:
+def holder_exponent(values: np.ndarray, weights: np.ndarray | None = None) -> HolderReport:
     """Regularity exponent from root-mean-square dyadic-lag increments.
 
     ``values`` is a path sampled at uniform times, shape (n_t,) or
@@ -193,13 +181,11 @@ def holder_exponent(values: np.ndarray, weights: np.ndarray | None = None, lags=
     n_t = values.shape[0]
     if n_t < 16:
         raise ValueError("need at least 16 time points")
-    if lags is None:
-        lags = []
-        lag = 4
-        while lag <= n_t // 8:
-            lags.append(lag)
-            lag *= 2
-    lags = [int(l) for l in lags]
+    lags = []
+    lag = 4
+    while lag <= n_t // 8:
+        lags.append(lag)
+        lag *= 2
     if len(lags) < 2:
         raise ValueError("need at least two lags for the regression")
     flat = values.reshape(n_t, -1)
@@ -229,11 +215,11 @@ def trajectory_distance(a: Trajectory, b: Trajectory, sobolev_index: float = 1.0
     return float(sobolev_norms(a.grid, a.states - b.states, sobolev_index).max())
 
 
-def support_distance(samples, family, sobolev_index: float = 1.0):
-    """Median over samples of the distance to the nearest family member."""
+def support_distance(samples, family):
+    """Median over samples of the H^1 distance to the nearest family member."""
     mins = []
     for s in samples:
-        mins.append(min(trajectory_distance(s, t, sobolev_index) for t in family))
+        mins.append(min(trajectory_distance(s, t) for t in family))
     return float(np.median(mins)), np.asarray(mins)
 
 
@@ -278,8 +264,9 @@ def _forward_difference(f, x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[0]), (values[1:] - values[0]) / ((x + h) - x)
 
 
-def _spline_design(n_cells: int, T: float, n_splines: int, degree: int = 3) -> np.ndarray:
+def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:
     """Clamped B-spline design matrix on cell midpoints, (n_cells, n_splines)."""
+    degree = _SPLINE_DEGREE
     if n_splines < degree + 1:
         raise ValueError(f"need at least {degree + 1} splines for degree {degree}")
     n_internal = n_splines - degree - 1
@@ -441,7 +428,7 @@ class LdpLab:
         return hi
 
     def _penalized_energies(
-        self, cs: np.ndarray, design: np.ndarray, ev: EventSpec, pen: float, margin: float
+        self, cs: np.ndarray, design: np.ndarray, ev: EventSpec, pen: float
     ) -> np.ndarray:
         """Objective of :meth:`minimize_rate` for the spline coefficients in
         the rows of ``cs``, from one batched skeleton solve: half the control
@@ -456,18 +443,10 @@ class LdpLab:
             # the sup of H^1 against the threshold as proxy
             short[live] = np.maximum(0.0, 1.0 - reach / (1.0 + reach))
         else:
-            short[live] = np.maximum(0.0, ev.threshold * (1.0 + margin) - reach)
+            short[live] = np.maximum(0.0, ev.threshold * (1.0 + _MARGIN) - reach)
         return energy + pen * short * short
 
-    def minimize_rate(
-        self,
-        ev: EventSpec,
-        n_splines: int = 8,
-        budget: int = 4000,
-        penalty0: float | None = None,
-        margin: float = 1e-3,
-        x0: np.ndarray | None = None,
-    ) -> MinimizeResult:
+    def minimize_rate(self, ev: EventSpec, n_splines: int = 8, budget: int = 4000) -> MinimizeResult:
         """Penalty search for a feasible control of small energy.
 
         Controls are parametrized on a tensor basis (modes x time B-splines);
@@ -489,12 +468,10 @@ class LdpLab:
         def value_and_grad(x: np.ndarray, pen: float) -> tuple[float, np.ndarray]:
             nonlocal nfev
             nfev += dim + 1  # objective rows: x and its dim shifted points
-            return _forward_difference(lambda cs: self._penalized_energies(cs, design, ev, pen, margin), x)
+            return _forward_difference(lambda cs: self._penalized_energies(cs, design, ev, pen), x)
 
-        if penalty0 is None:
-            penalty0 = 10.0 / max(ev.threshold, 1.0) ** 2
-        pen = penalty0
-        c = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+        pen = 10.0 / max(ev.threshold, 1.0) ** 2
+        c = np.zeros(dim)
         feasible = False
         for _ in range(8):
             # ``budget`` counts objective rows and scipy counts calls of dim + 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,11 +42,10 @@ from .fbm import (
     increment_covariance_beta,
     replicate_normals,
 )
-from .field import ComplexField, GridSpec, field_from_modes
+from .field import GridSpec
 
 __all__ = [
     "CorrelationSpec",
-    "ConvolutionPath",
     "ConvolutionSampler",
     "DiscreteLOperator",
     "Control",
@@ -141,16 +141,9 @@ def hs_tail_ratio(spec: CorrelationSpec, s: float) -> float:
 # Discrete per-mode model
 # ---------------------------------------------------------------------------
 
-_CHOL_CACHE: dict[tuple[float, float, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=32)
 def _increment_chol(H: float, tg: TimeGrid) -> np.ndarray:
-    key = (H, tg.T, tg.n)
-    if key not in _CHOL_CACHE:
-        if len(_CHOL_CACHE) > 32:
-            _CHOL_CACHE.clear()
-        _CHOL_CACHE[key] = np.linalg.cholesky(increment_covariance(H, tg.points))
-    return _CHOL_CACHE[key]
+    return np.linalg.cholesky(increment_covariance(H, tg.points))
 
 
 @dataclass(frozen=True)
@@ -177,32 +170,11 @@ class Control:
         return cls(values=np.zeros((n_modes, tg.n)), tg=tg)
 
 
-@dataclass(frozen=True)
-class ConvolutionPath:
-    """Sampled stochastic convolution: mode coefficients per time step.
-
-    ``mode_paths[k, j]`` is the coefficient of mode j at time t_k; the field
-    at step k is assembled on demand.
-    """
-
-    tg: TimeGrid
-    grid: GridSpec
-    H: float
-    seed: int
-    replicate: int
-    mode_paths: np.ndarray  # (n + 1, n_modes) complex
-
-    def field(self, k: int) -> ComplexField:
-        return field_from_modes(self.grid, self.mode_paths[k])
-
-
 class ConvolutionSampler:
     """Reusable sampler: precomputes the increment Cholesky factor and the
     oscillatory midpoint phases shared by every replicate."""
 
     def __init__(self, spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid):
-        self.spec = spec
-        self.kern = kern
         self.tg = tg
         self.n_modes = spec.grid.mode_count
         self.chol = _increment_chol(kern.H, tg)
@@ -211,7 +183,9 @@ class ConvolutionSampler:
         self.phase_t = np.exp(1j * np.outer(tg.points[1:], xi2))  # (n, modes)
         self.phi = spec.eigenvalues
 
-    def sample_mode_paths(self, seed: int, replicate: int = 0) -> np.ndarray:
+    def sample_mode_paths(self, seed: int, replicate: int) -> np.ndarray:
+        """Mode paths (n + 1, n_modes): ``[k, j]`` is the coefficient of mode
+        j at time t_k, drawn from the stream keyed (seed, replicate)."""
         return self.sample_mode_path_batch(seed, range(replicate, replicate + 1))[0]
 
     def sample_mode_path_batch(self, seed: int, replicates: range) -> np.ndarray:
@@ -224,16 +198,6 @@ class ConvolutionSampler:
         out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
         out[:, 1:] = self.phi * self.phase_t * csum
         return out
-
-    def sample(self, seed: int, replicate: int = 0) -> ConvolutionPath:
-        return ConvolutionPath(
-            tg=self.tg,
-            grid=self.spec.grid,
-            H=self.kern.H,
-            seed=seed,
-            replicate=replicate,
-            mode_paths=self.sample_mode_paths(seed, replicate),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +233,6 @@ class DiscreteLOperator:
 
     mats: np.ndarray  # (n_modes, n, n) complex
     tg: TimeGrid
-    grid: GridSpec
-    H: float
-    phis: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -308,9 +269,7 @@ def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteL
         raise ValueError(f"dense response assembly is limited to n <= {_DENSE_LIMIT}")
     A = _integrand_matrices(spec, tg)
     B = _increment_chol(kern.H, tg)
-    return DiscreteLOperator(
-        mats=A @ B, tg=tg, grid=spec.grid, H=kern.H, phis=spec.eigenvalues
-    )
+    return DiscreteLOperator(mats=A @ B, tg=tg)
 
 
 def _real_sandwich(A_j: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -374,14 +333,16 @@ class GaussianRateResult:
     rel_residual: float
 
 
-def gaussian_rate(
-    L: DiscreteLOperator, f_modes: np.ndarray, rtol: float = 1e-6
-) -> GaussianRateResult:
+# Relative least-squares miss above which a target path counts as unreachable.
+_REACH_RTOL = 1e-6
+
+
+def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResult:
     """Half the minimal control energy reproducing the target response path.
 
     ``f_modes[j, k]`` is the complex target for mode j at t_{k+1}.  Solved
     per mode by minimum-norm least squares; when the best fit misses the
-    target by more than ``rtol`` relative, the path is unreachable and the
+    target by more than ``_REACH_RTOL`` relative, the path is unreachable and the
     rate is +inf (flagged via ``feasible=False``).
     """
     f_modes = np.asarray(f_modes, dtype=complex)
@@ -400,7 +361,7 @@ def gaussian_rate(
     if norm_sq == 0.0:
         return GaussianRateResult(0.0, control, True, 0.0)
     rel = math.sqrt(resid_sq / norm_sq)
-    if rel > rtol:
+    if rel > _REACH_RTOL:
         return GaussianRateResult(math.inf, control, False, rel)
     return GaussianRateResult(0.5 * float(np.sum(zeta**2)), control, True, rel)
 

@@ -35,7 +35,7 @@ from .field import (
     sobolev_norms,
     values_from_modes,
 )
-from .noise import Control, ConvolutionPath, DiscreteLOperator
+from .noise import Control, DiscreteLOperator
 
 __all__ = [
     "NonlinearitySpec",
@@ -46,6 +46,8 @@ __all__ = [
     "solve_mild_batch",
     "solve_skeleton",
 ]
+
+NONLINEARITY_KINDS = ("kerr", "saturated")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class NonlinearitySpec:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("kerr", "saturated"):
+        if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.lam not in (-1.0, 1.0, -1, 1):
             raise ValueError(f"lam must be +1 or -1, got {self.lam}")
@@ -152,23 +154,19 @@ class TrajectoryBatch:
 def solve_mild(
     u0: ComplexField,
     nl: NonlinearitySpec | None,
-    forcing,
+    mode_paths: np.ndarray | None,
     eps: float,
     cfg: SolverConfig,
 ) -> Trajectory:
     """March the mild formulation on the configured uniform grid.
 
-    ``forcing`` is a sampled convolution path, raw mode paths on the same
-    grid, or None; ``eps`` scales the noise amplitude by sqrt(eps).  With
+    ``mode_paths`` (n+1, n_modes) is the forcing convolution sampled at every
+    grid point, or None; ``eps`` scales the noise amplitude by sqrt(eps).  With
     eps = 0 and no nonlinearity each step is a single exact group
     application.  Returns the trajectory, absorbed at the cemetery from the
     first index whose H^1 norm exceeds the threshold or is not finite.
     """
-    if isinstance(forcing, ConvolutionPath):
-        if forcing.tg.n != cfg.n_steps or abs(forcing.tg.T - cfg.T) > 1e-12 * cfg.T:
-            raise ValueError("forcing path and solver config use different time grids")
-        forcing = forcing.mode_paths
-    paths = None if forcing is None else np.asarray(forcing, dtype=complex)[None]
+    paths = None if mode_paths is None else np.asarray(mode_paths, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
     k_star = int(batch.cemetery_index[0])
     traj = Trajectory(cfg.times, u0.grid, eps, batch.states[0, :k_star], batch.h1_norms[0])

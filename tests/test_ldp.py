@@ -180,10 +180,10 @@ class TestMinimizeRate:
     )
     def test_batched_objective_equals_single_controls(self, request, lab_name, ev, scale):
         lab = request.getfixturevalue(lab_name)
-        n_modes, n_splines, pen, margin = lab.spec.grid.mode_count, 4, 7.0, 1e-3
+        n_modes, n_splines, pen, margin = lab.spec.grid.mode_count, 4, 7.0, ldp._MARGIN
         design = ldp._spline_design(lab.tg.n, lab.tg.T, n_splines)
         cs = scale * np.random.default_rng(4).normal(size=(n_modes * n_splines + 1, n_modes * n_splines))
-        got = lab._penalized_energies(cs, design, ev, pen, margin)
+        got = lab._penalized_energies(cs, design, ev, pen)
         shorts = []
         for r, c in enumerate(cs):
             h = Control(values=c.reshape(n_modes, n_splines) @ design.T, tg=lab.tg)
@@ -247,7 +247,7 @@ def sequential_shrink(lab, ev, c, design):
     return hi
 
 
-def workers_minimize_rate(lab, ev, n_splines, budget, margin=1e-3):
+def workers_minimize_rate(lab, ev, n_splines, budget):
     """Reference optimizer: scipy's own forward differences, whose points go
     to one batch through ``workers``, f(x) as a single-row solve, and the
     sequential ray shrink.  Returns the control, the objective rows, the
@@ -259,7 +259,7 @@ def workers_minimize_rate(lab, ev, n_splines, budget, margin=1e-3):
     def objectives(cs, pen):
         nonlocal nfev
         nfev += len(cs)
-        return lab._penalized_energies(cs, design, ev, pen, margin)
+        return lab._penalized_energies(cs, design, ev, pen)
 
     pen = 10.0 / max(ev.threshold, 1.0) ** 2
     c = np.zeros(dim)
@@ -307,7 +307,7 @@ class TestBatchedOptimizer:
         x[3], x[4] = 1e9, -1e9  # 1e-8 vanishes against these: fallback steps of both signs
 
         def batched(cs):
-            return lab._penalized_energies(cs, design, ev, 7.0, 1e-3)
+            return lab._penalized_energies(cs, design, ev, 7.0)
 
         def f(v):
             return batched(v[None])[0]
@@ -423,6 +423,11 @@ class TestHolder:
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             holder_exponent(np.arange(8, dtype=float))
+
+    def test_needs_two_dyadic_lags(self):
+        # 32 points admit only the lag 4 (lags run up to n / 8)
+        with pytest.raises(ValueError, match="need at least two lags"):
+            holder_exponent(np.arange(32, dtype=float))
 
     def test_weighted_vector_path(self):
         # weighting must change the norm actually used

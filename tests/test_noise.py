@@ -69,15 +69,15 @@ class TestCorrelationSpec:
 class TestConvolutionSampler:
     def test_zero_spec_gives_zero_path(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
-        path = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=1)
-        assert np.all(path.mode_paths == 0)
+        paths = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(1, 0)
+        assert np.all(paths == 0)
 
     def test_starts_at_zero_and_deterministic(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        a = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=5, replicate=2)
-        b = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample(seed=5, replicate=2)
-        assert np.all(a.mode_paths[0] == 0)
-        assert np.array_equal(a.mode_paths, b.mode_paths)
+        a = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
+        b = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
+        assert np.all(a[0] == 0)
+        assert np.array_equal(a, b)
 
     def test_batch_rows_equal_single_draws(self, grid):
         # each row comes from its own (seed, i) stream, whatever the range

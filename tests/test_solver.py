@@ -199,27 +199,27 @@ class TestNoisySolver:
     def test_linear_solution_is_minus_i_convolution(self, model):
         g, kern, spec, tg = model
         sampler = ConvolutionSampler(spec, kern, tg)
-        path = sampler.sample(seed=3, replicate=0)
+        paths = sampler.sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=16)
-        traj = solve_mild(ComplexField.zero(g), None, path, 1.0, cfg)
-        fields = values_from_modes(g, path.mode_paths)
+        traj = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
+        fields = values_from_modes(g, paths)
         for k in range(17):
             assert np.abs(traj.states[k] + 1j * fields[k]).max() < 1e-10
 
     def test_eps_scaling(self, model):
         g, kern, spec, tg = model
-        path = ConvolutionSampler(spec, kern, tg).sample(seed=3, replicate=0)
+        paths = ConvolutionSampler(spec, kern, tg).sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=16)
-        t1 = solve_mild(ComplexField.zero(g), None, path, 1.0, cfg)
-        t4 = solve_mild(ComplexField.zero(g), None, path, 4.0, cfg)
+        t1 = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
+        t4 = solve_mild(ComplexField.zero(g), None, paths, 4.0, cfg)
         assert np.abs(t4.terminal_field().values - 2 * t1.terminal_field().values).max() < 1e-10
 
     def test_grid_mismatch_rejected(self, model):
         g, kern, spec, tg = model
-        path = ConvolutionSampler(spec, kern, tg).sample(seed=3, replicate=0)
+        paths = ConvolutionSampler(spec, kern, tg).sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=32)
         with pytest.raises(ValueError):
-            solve_mild(ComplexField.zero(g), None, path, 1.0, cfg)
+            solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
 
 
 class TestBatchedSolver:
