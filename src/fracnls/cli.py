@@ -54,9 +54,11 @@ _FLOAT_FMT = "%.17g"
 # A table maps each key a section accepts to a _Key: the check that turns its
 # JSON value into the resolved one, its default and when it applies. Defaults
 # and ``when`` may be functions of the scope, the keys resolved so far
-# (innermost section first); a key whose ``when`` is false is accepted and
-# left out of the run. The walker's output, ``version`` included, is the
-# public config and the manifest; the run's objects are built from it alone.
+# (innermost section first); a key whose ``when`` is false does not apply and
+# must not be given, unless it has no check (``out``, which main reads): such a
+# key is accepted and left out of the run. The walker's output, ``version``
+# included, is the public config and the manifest; the run's objects are built
+# from it alone.
 
 
 class _Required(str):
@@ -158,6 +160,8 @@ def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
     scope = scope.new_child(out)
     for key, spec in table.items():
         if spec.when is not None and not spec.when(scope):
+            if key in raw and spec.check is not None:
+                raise ConfigError(f"{path}.{key}: does not apply to this config")
             continue
         if key in raw:
             value = raw[key]

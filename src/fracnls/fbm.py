@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -82,12 +82,12 @@ def _stream_key(seed: int, index: int) -> np.ndarray:
 _NORMALS_BYTES = 1 << 17
 
 
-def _normal_rows(seed: int, replicates: int, size: int):
-    """The rows of ``replicate_normals(seed, range(replicates), size)``,
-    drawn a block of replicates at a time."""
+def _normal_blocks(seed: int, replicates: int, size: int):
+    """``replicate_normals(seed, range(replicates), size)`` in consecutive
+    blocks of rows, each within the byte budget (one row at the least)."""
     block = max(1, _NORMALS_BYTES // (8 * size))
     for start in range(0, replicates, block):
-        yield from replicate_normals(seed, range(start, min(start + block, replicates)), size)
+        yield replicate_normals(seed, range(start, min(start + block, replicates)), size)
 
 
 def _check_hurst(H: float) -> None:
@@ -167,10 +167,18 @@ _KERNEL_CHUNK = 32
 _DUALITY_ORDER = 24
 
 
+@lru_cache(maxsize=32)  # the library uses 7 orders
 def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``order`` mapped onto (0, 1)."""
+    """Gauss-Legendre nodes and weights of ``order`` mapped onto (0, 1).
+
+    Computed once per order (each ``leggauss`` call solves an eigenproblem)
+    and shared by every caller, so both arrays are read-only.
+    """
     x, w = leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _bracket(H: float, v2_over_s):
@@ -380,7 +388,8 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sc
             f"covariance Cholesky failed for H={H}, n={grid.n}: {exc}"
         ) from exc
     values = np.zeros((replicates, grid.n + 1))
-    for i, z in enumerate(_normal_rows(seed, replicates, grid.n)):
+    rows = (z for Z in _normal_blocks(seed, replicates, grid.n) for z in Z)
+    for i, z in enumerate(rows):
         values[i, 1:] = C @ z
     return ScalarPathSet(grid=grid, values=values)
 
@@ -410,16 +419,19 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sca
     scale = grid.dt**H  # unit-spacing increments rescaled by self-similarity
     coeff = np.sqrt(eigs)
     values = np.zeros((replicates, n + 1))
-    for i, z in enumerate(_normal_rows(seed, replicates, 2 * n)):
-        xi = np.empty(2 * n, dtype=complex)
-        xi[0] = z[0]
-        xi[n] = z[1]
-        re = z[2 : n + 1]
-        im = z[n + 1 : 2 * n]
-        xi[1:n] = (re + 1j * im) / math.sqrt(2.0)
-        xi[n + 1 :] = np.conj(xi[1:n][::-1])
-        fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi).real[:n]
-        values[i, 1:] = scale * np.cumsum(fgn)
+    start = 0
+    # one transform per block of rows; each row is computed exactly as alone
+    for Z in _normal_blocks(seed, replicates, 2 * n):
+        xi = np.empty(Z.shape, dtype=complex)
+        xi[:, 0] = Z[:, 0]
+        xi[:, n] = Z[:, 1]
+        re = Z[:, 2 : n + 1]
+        im = Z[:, n + 1 : 2 * n]
+        xi[:, 1:n] = (re + 1j * im) / math.sqrt(2.0)
+        xi[:, n + 1 :] = np.conj(xi[:, n - 1 : 0 : -1])
+        fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi, axis=-1).real[:, :n]
+        values[start : start + len(Z), 1:] = scale * np.cumsum(fgn, axis=1)
+        start += len(Z)
     return ScalarPathSet(grid=grid, values=values)
 
 

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from . import fbm, field, ldp, noise, solver
+from .errors import InvariantViolation
 
 __all__ = [
     "normalization_constant_error",
@@ -24,6 +25,7 @@ __all__ = [
     "kernel_derivative_fd_error",
     "covariance_quadrature_error",
     "exact_sampler_variance_deviation",
+    "ks_2samp_pvalue",
     "ks_pvalue",
     "duality_gap",
     "restriction_gap",
@@ -77,13 +79,52 @@ def exact_sampler_variance_deviation(
     return abs(sample_var - target), target * math.sqrt(2.0 / (replicates - 1))
 
 
+def ks_2samp_pvalue(a, b) -> float:
+    """Exact two-sided two-sample Kolmogorov-Smirnov p-value, samples of equal size n.
+
+    The statistic D is the largest gap between the two empirical distribution
+    functions, so D = h/n with h = round(D n).  The p-value is the exact tail
+    of Hodges (1958) for equal sizes,
+
+        P(D_{n,n} >= h/n) = 2 sum_{k >= 1} (-1)^{k-1} C(2n, n - kh) / C(2n, n),
+
+    summed in Horner form from the last term inward to avoid cancellation.
+    It depends only on the integers (n, h), and the arithmetic is that of
+    scipy's two-sample KS test in its exact method (which it uses for
+    n <= 10000), so the two agree float for float.  Identical samples (h = 0)
+    give 1.0.  A tail that rounding pushes outside [0, 1] raises
+    InvariantViolation, where scipy would switch to the asymptotic form.
+    """
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    n = a.size
+    if a.ndim != 1 or b.shape != a.shape or n == 0:
+        raise ValueError(f"need two nonempty 1-D samples of equal size, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
+    pooled = np.concatenate([a, b])
+    gap = np.searchsorted(a, pooled, side="right") / n - np.searchsorted(b, pooled, side="right") / n
+    h = int(np.round(np.abs(gap).max() * n))
+    if h == 0:
+        return 1.0
+    tail = 0.0
+    for k in range(n // h, -1, -1):
+        # C(2n, n - (k+1)h) / C(2n, n - kh) as h factors, times 1 - (the terms beyond)
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        tail = term * (1.0 - tail)
+    tail *= 2
+    if not 0.0 <= tail <= 1.0:
+        raise InvariantViolation(f"KS tail P(D >= {h}/{n}) = {tail!r} lies outside [0, 1]")
+    return tail
+
+
 def ks_pvalue(H: float, tg: fbm.TimeGrid, replicates: int, seed_exact: int, seed_fast: int) -> float:
     """Two-sample KS p-value of the terminal values of the exact and fast samplers."""
-    from scipy import stats  # 0.6 s to import; only this check needs it
-
     pe = fbm.sample_fbm_exact(H, tg, replicates, seed_exact)
     pf = fbm.sample_fbm_fast(H, tg, replicates, seed_fast)
-    return float(stats.ks_2samp(pe.values[:, -1], pf.values[:, -1]).pvalue)
+    return ks_2samp_pvalue(pe.values[:, -1], pf.values[:, -1])
 
 
 def duality_gap(kern: fbm.HurstKernel, phi: np.ndarray, h: np.ndarray, tg: fbm.TimeGrid) -> float:

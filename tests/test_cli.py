@@ -395,6 +395,25 @@ class TestMainExitCodes:
         assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: $._spec: unknown key")
 
+    @pytest.mark.parametrize(
+        "kind, raw, key",
+        [("solve", {"H": "x"}, "H"),
+         ("solve", {"eps": 0.0, "noise": {"alpha": 0.3}}, "noise"),
+         ("holder", {"source": "fbm", "H": 0.6, "grid": {"N": 8}}, "grid")],
+        ids=["noiseless-solve-H", "noiseless-solve-noise", "fbm-holder-grid"],
+    )
+    def test_key_that_does_not_apply_is_a_config_error(self, tmp_path, capsys, kind, raw, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: $.{key}: does not apply")
+
+    def test_out_key_in_the_config_is_read(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"H": 0.6, "n": 8, "replicates": 2, "out": str(tmp_path / "o")}))
+        assert main(["fbm", "--config", str(cfg)]) == 0
+        assert "out" not in json.loads((tmp_path / "o" / "manifest.json").read_text())
+
     def test_other_version_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"H": 0.7, "n": 8, "replicates": 2, "version": "0.0.1"}')
@@ -409,11 +428,16 @@ class TestMainExitCodes:
         assert rep["total"] == len(ORACLE_NAMES)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes ~0.6 s to import; only the KS oracle loads it, when it runs
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats takes ~0.6 s to import, and nothing in fracnls uses it: the
+    # KS oracle computes its exact p-value with numpy
     src = os.path.dirname(os.path.dirname(fracnls.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, fracnls.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    code = (
+        "import sys, fracnls.cli; imported = 'scipy.stats' in sys.modules; "
+        "code = fracnls.cli.main(['oracle-suite', '--out', sys.argv[1]]); "
+        "print(imported, code, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "oracle")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"

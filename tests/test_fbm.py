@@ -6,14 +6,16 @@ Carlo statistics) rather than copied from the implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
-from fracnls import oracles
+from fracnls import fbm, oracles
 from fracnls.errors import InvariantViolation
 from fracnls.fbm import (
     HurstKernel,
@@ -81,6 +83,22 @@ class TestKernelEval:
         for i in range(3):
             want = kernel_eval(k, float(t[i]), float(s[i]))
             assert grid_vals[i] == pytest.approx(want, abs=1e-10)
+
+
+class TestUnitRule:
+    @pytest.mark.parametrize("order", [8, 24, 31, 32, 48, 64, 128])
+    def test_cached_rule_is_the_mapped_leggauss_rule(self, order):
+        x, w = leggauss(order)
+        nodes, weights = fbm._unit_rule(order)
+        assert nodes.tobytes() == (0.5 * (x + 1)).tobytes()
+        assert weights.tobytes() == (0.5 * w).tobytes()
+        again = fbm._unit_rule(order)
+        assert again[0] is nodes and again[1] is weights
+
+    def test_cached_rule_is_read_only(self):
+        for array in fbm._unit_rule(8):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
 
 class TestKernelTimeDerivative:
@@ -184,6 +202,82 @@ class TestReplicateNormals:
         full = sampler(0.7, g, 37, seed=11)
         part = sampler(0.7, g, 5, seed=11)
         assert np.array_equal(full.values[:5], part.values)
+
+
+def _fast_paths_one_row_at_a_time(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
+    """Reference for the fast sampler: each path on its own, from its own stream."""
+    n = grid.n
+    coeff = np.sqrt(np.clip(fbm._circulant_eigenvalues(H, n), 0.0, None))
+    values = np.zeros((replicates, n + 1))
+    for i in range(replicates):
+        z = replicate_stream(seed, i).standard_normal(2 * n)
+        xi = np.empty(2 * n, dtype=complex)
+        xi[0] = z[0]
+        xi[n] = z[1]
+        xi[1:n] = (z[2 : n + 1] + 1j * z[n + 1 : 2 * n]) / math.sqrt(2.0)
+        xi[n + 1 :] = np.conj(xi[1:n][::-1])
+        fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi).real[:n]
+        values[i, 1:] = grid.dt**H * np.cumsum(fgn)
+    return values
+
+
+class TestFastSamplerBlocks:
+    # replicate counts past a block of normals where a block holds fewer rows
+    # (32 rows at n = 256, 8 at n = 1024, 1 at n = 16384)
+    @pytest.mark.parametrize("n, replicates", [(1, 7), (2, 7), (3, 7), (256, 33), (1024, 17), (16384, 3)])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_block_transform_equals_per_row_reference(self, H, n, replicates):
+        if n >= 256:
+            assert replicates > max(1, fbm._NORMALS_BYTES // (16 * n))
+        g = TimeGrid(1.0, n)
+        got = sample_fbm_fast(H, g, replicates, seed=9)
+        assert np.array_equal(got.values, _fast_paths_one_row_at_a_time(H, g, replicates, 9))
+
+
+KS_SAMPLES = st.tuples(
+    st.integers(1, 3000),
+    st.sampled_from(["shifted", "ties", "identical"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestKsPvalue:
+    @settings(max_examples=150, deadline=None)
+    @given(case=KS_SAMPLES)
+    def test_equals_scipy_exact_float_for_float(self, case):
+        n, kind, shift, seed = case
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n)
+        if kind == "identical":
+            b = rng.permutation(a)
+        else:
+            b = rng.standard_normal(n) + shift
+        if kind == "ties":
+            a, b = np.round(a, 1), np.round(b, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = stats.ks_2samp(a, b).pvalue
+        if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
+            # scipy falls back to the asymptotic form where the exact tail
+            # leaves [0, 1]; here that is an error
+            with pytest.raises(InvariantViolation):
+                oracles.ks_2samp_pvalue(a, b)
+            return
+        got = oracles.ks_2samp_pvalue(a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if kind == "identical":
+            assert got == 1.0
+
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            oracles.ks_2samp_pvalue(np.zeros(3), np.zeros(4))
+
+    def test_tail_outside_unit_interval_is_an_invariant_violation(self):
+        # interleaved samples: D = 1/5, whose Horner sum rounds to 1 + 2^-52
+        a = np.arange(0.0, 10.0, 2.0)
+        with pytest.raises(InvariantViolation, match="outside"):
+            oracles.ks_2samp_pvalue(a, a + 1.0)
 
 
 class TestExactSampler:
