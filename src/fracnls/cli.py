@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 invariant failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -55,10 +56,8 @@ _FLOAT_FMT = "%.17g"
 # JSON value into the resolved one, its default and when it applies. Defaults
 # and ``when`` may be functions of the scope, the keys resolved so far
 # (innermost section first); a key whose ``when`` is false does not apply and
-# must not be given, unless it has no check (``out``, which main reads): such a
-# key is accepted and left out of the run. The walker's output, ``version``
-# included, is the public config and the manifest; the run's objects are built
-# from it alone.
+# must not be given. The walker's output, ``version`` included, is the public
+# config and the manifest; the run's objects are built from it alone.
 
 
 class _Required(str):
@@ -109,6 +108,7 @@ def _choice(*choices):  # a tuple compares, so any JSON value is safe in it
 _hurst = _must(lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0, "H must lie in (0,1)")
 _flag = _must(lambda v: isinstance(v, bool), "expected true or false")
 _version = _must(lambda v: v == __version__, f"expected {__version__!r}")
+_string = _must(lambda v: isinstance(v, str), "expected a string")
 
 
 def _nullable(check):
@@ -160,7 +160,7 @@ def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
     scope = scope.new_child(out)
     for key, spec in table.items():
         if spec.when is not None and not spec.when(scope):
-            if key in raw and spec.check is not None:
+            if key in raw:
                 raise ConfigError(f"{path}.{key}: does not apply to this config")
             continue
         if key in raw:
@@ -302,7 +302,6 @@ _COMMON = {
     "kind": _Key(_choice(*EXPERIMENT_KINDS)),
     "version": _Key(_version, __version__),
     "seed": _Key(_int(0), 0),
-    "out": _Key(None, None, lambda s: False),  # the output directory, which main reads
 }
 
 
@@ -330,7 +329,10 @@ def _resolve(raw: dict) -> dict:
     kind = raw.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"$.kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
-    cfg = _walk(raw, {**_COMMON, **_TABLES[kind]}, "$", ChainMap())
+    # ``out`` is the output directory, which main reads: checked, but no part of the public config
+    cfg = _walk({k: v for k, v in raw.items() if k != "out"}, {**_COMMON, **_TABLES[kind]}, "$", ChainMap())
+    if "out" in raw:
+        cfg["_out"] = _string(raw["out"], "$.out", None)
     if "grid" in cfg:
         grid = cfg["_grid"] = _construct("$.grid", GridSpec, **cfg["grid"])
     if "eigenvalues" in cfg.get("noise", ()):
@@ -369,9 +371,12 @@ def parse_config(text: str) -> dict:
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)  # the one portable way to read it; artifacts are written from one thread
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600, widened to what open() would give
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -391,27 +396,38 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_pathset_csv(path: str, ps) -> None:
-    header = [_FLOAT_FMT % t for t in ps.grid.points]
-    write_csv(path, header, ps.values.tolist())
+    """A header row of times, then one row per replicate, every value %.17g."""
+    table = np.vstack([ps.grid.points, ps.values])
+    row = ",".join([_FLOAT_FMT] * table.shape[1])
+    atomic_write_text(path, "\n".join([row] * table.shape[0]) % tuple(table.reshape(-1).tolist()) + "\n")
 
 
 _INDEX_COLUMNS = {1: ["index"], 2: ["ix", "iy"]}
 
 
-def write_field_csv(path: str, field: ComplexField) -> None:
-    """One row per grid point in C order: grid indices, coordinates, Re, Im."""
-    g = field.grid
+@functools.lru_cache(maxsize=4)
+def _field_csv_template(grid: GridSpec) -> str:
+    """The snapshot text of ``grid`` with Re and Im left as %.17g placeholders.
+
+    The index and coordinate columns are the same in every snapshot on a grid,
+    so they are formatted once here, not once per file.
+    """
     columns = [
-        *np.indices(g.shape).reshape(g.d, -1),
-        *np.meshgrid(*g.coordinates, indexing="ij"),
-        field.values.real,
-        field.values.imag,
+        *np.indices(grid.shape).reshape(grid.d, -1),
+        *np.meshgrid(*grid.coordinates, indexing="ij"),
     ]
     table = np.column_stack([c.reshape(-1) for c in columns])
-    row = ",".join(["%d"] * g.d + [_FLOAT_FMT] * (g.d + 2))
-    header = _INDEX_COLUMNS[g.d] + ["x", "y"][: g.d] + ["re", "im"]
-    body = "\n".join([row] * g.mode_count) % tuple(table.reshape(-1).tolist())
-    atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
+    row = ",".join(["%d"] * grid.d + [_FLOAT_FMT] * grid.d + ["%" + _FLOAT_FMT] * 2)
+    header = _INDEX_COLUMNS[grid.d] + ["x", "y"][: grid.d] + ["re", "im"]
+    body = "\n".join([row] * grid.mode_count) % tuple(table.reshape(-1).tolist())
+    return ",".join(header) + "\n" + body + "\n"
+
+
+def write_field_csv(path: str, field: ComplexField) -> None:
+    """One row per grid point in C order: grid indices, coordinates, Re, Im."""
+    # complex memory interleaves re, im: the order the template's rows want
+    values = np.ascontiguousarray(field.values, dtype=complex).reshape(-1).view(float)
+    atomic_write_text(path, _field_csv_template(field.grid) % tuple(values.tolist()))
 
 
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
@@ -637,10 +653,10 @@ def main(argv=None) -> int:
         raw["kind"] = args.command
         if args.seed is not None:
             raw["seed"] = args.seed
-        out_dir = args.out or raw.get("out")
-        if not isinstance(out_dir, str):
-            raise ConfigError("$.out: output directory required (config key or --out)")
         cfg = _resolve(raw)
+        out_dir = args.out or cfg.get("_out")
+        if out_dir is None:
+            raise ConfigError("$.out: output directory required (config key or --out)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

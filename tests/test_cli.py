@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -14,11 +15,21 @@ from hypothesis import strategies as st
 
 import fracnls
 from fracnls import __version__
-from fracnls.cli import main, parse_config, run, write_csv, write_field_csv
+from fracnls.cli import (
+    _field_csv_template,
+    atomic_write_text,
+    main,
+    parse_config,
+    run,
+    write_csv,
+    write_field_csv,
+    write_pathset_csv,
+)
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel
-from fracnls.field import ComplexField, GridSpec
+from fracnls.fbm import HurstKernel, ScalarPathSet, TimeGrid
+from fracnls.field import ComplexField, GridSpec, field_from_modes
 from fracnls.ldp import EventSpec, LdpLab, wilson_interval
+from fracnls.noise import ConvolutionSampler
 from fracnls.solver import SolverConfig
 
 
@@ -77,6 +88,40 @@ ORACLE_NAMES = [
     "rkhs-vs-covariance", "group-deviation-bound-margin", "plane-wave-solver",
     "q-ll-factorization", "rate-projection-bound", "holder-line-path",
 ]
+
+
+# Values whose %.17g text is easy to get wrong: signed zeros, non-finite
+# values, the smallest subnormal, huge magnitudes and integral floats.
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0,
+                  1e22, 0.1]
+
+
+def _field_csv_reference(field: ComplexField) -> bytes:
+    """Snapshot bytes from one "%d" or "%.17g" per value, row by row in C order."""
+    g = field.grid
+    header = (["index"] if g.d == 1 else ["ix", "iy"]) + ["x", "y"][: g.d] + ["re", "im"]
+    lines = [",".join(header)]
+    for idx in np.ndindex(*g.shape):
+        v = complex(field.values[idx])
+        cells = ["%d" % i for i in idx] + ["%.17g" % float(g.coordinates[a][i]) for a, i in enumerate(idx)]
+        lines.append(",".join(cells + ["%.17g" % v.real, "%.17g" % v.imag]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _snapshot_values(shape, rng, strided: bool) -> np.ndarray:
+    """Normal Re and Im with SPECIAL_FLOATS in both, optionally as a strided view."""
+    values = np.empty(shape, dtype=complex)
+    values.real = rng.normal(size=shape)
+    values.imag = rng.normal(size=shape)
+    n = len(SPECIAL_FLOATS)
+    values.real.reshape(-1)[:n] = SPECIAL_FLOATS
+    values.imag.reshape(-1)[:n] = SPECIAL_FLOATS[3:] + SPECIAL_FLOATS[:3]
+    if not strided:
+        return values
+    parent = np.zeros(tuple(2 * k for k in shape), dtype=complex)
+    view = parent[(slice(None, None, 2),) * len(shape)]
+    view[...] = values
+    return view
 
 
 class TestParseConfig:
@@ -257,23 +302,53 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_field_csv_matches_row_loop(self, tmp_path, d):
-        g = GridSpec(d, 8, 2.0)
         rng = np.random.default_rng(d)
-        f = ComplexField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-        write_field_csv(str(tmp_path / "field.csv"), f)
-        # reference: one row per grid point, every value through write_csv
-        x = g.coordinates[0]
-        if d == 1:
-            header = ["index", "x", "re", "im"]
-            rows = [[i, float(x[i]), float(f.values[i].real), float(f.values[i].imag)] for i in range(8)]
-        else:
-            header = ["ix", "iy", "x", "y", "re", "im"]
-            rows = [
-                [i, j, float(x[i]), float(x[j]), float(f.values[i, j].real), float(f.values[i, j].imag)]
-                for i in range(8) for j in range(8)
-            ]
-        write_csv(str(tmp_path / "reference.csv"), header, rows)
-        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        # the same N at two L, then both grids again with strided values: two
+        # templates, then two cached ones
+        writes = [(2.0, False), (0.75, False), (2.0, True), (0.75, True)]
+        for k, (L, strided) in enumerate(writes):
+            g = GridSpec(d, 16, L)
+            f = ComplexField(g, _snapshot_values(g.shape, rng, strided))
+            assert f.values.flags.c_contiguous is not strided
+            if k == 2:
+                hits = _field_csv_template.cache_info().hits
+            write_field_csv(str(tmp_path / f"field_{k}.csv"), f)
+            assert (tmp_path / f"field_{k}.csv").read_bytes() == _field_csv_reference(f)
+        assert _field_csv_template.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_convolve_snapshots_match_row_loop(self, tmp_path, d):
+        raw = {"kind": "convolve", "H": 0.6, "n": 8, "grid": {"d": d, "N": 8, "L": 1.5},
+               "snapshot_every": 3, "seed": 5}
+        cfg = parse_config(json.dumps(raw))
+        run(cfg, str(tmp_path))
+        sampler = ConvolutionSampler(cfg["_spec"], HurstKernel(cfg["H"]), TimeGrid(cfg["T"], cfg["n"]))
+        paths = sampler.sample_mode_paths(cfg["seed"], 0)
+        names = sorted(p for p in os.listdir(tmp_path) if p.startswith("field_"))
+        assert names == ["field_000000.csv", "field_000003.csv", "field_000006.csv"]
+        for name in names:
+            snapshot = field_from_modes(cfg["_grid"], paths[int(name[6:12])])
+            assert (tmp_path / name).read_bytes() == _field_csv_reference(snapshot)
+
+    def test_pathset_csv_matches_row_loop(self, tmp_path):
+        grid = TimeGrid(0.3, 8)
+        values = np.random.default_rng(0).normal(size=(3, 9))
+        values.reshape(-1)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+        write_pathset_csv(str(tmp_path / "paths.csv"), ScalarPathSet(grid, values))
+        rows = [grid.points, *values]
+        expected = "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
+        assert (tmp_path / "paths.csv").read_text() == expected
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "a.txt").st_mode) == mode
+        assert (tmp_path / "a.txt").read_text() == "x\n"
+        assert os.listdir(tmp_path) == ["a.txt"]
 
     def test_skeleton_writes_control(self, tmp_path):
         raw = {
@@ -409,10 +484,23 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: $.{key}: does not apply")
 
     def test_out_key_in_the_config_is_read(self, tmp_path):
+        raw = {"H": 0.6, "n": 8, "replicates": 2, "out": str(tmp_path / "o")}
+        assert parse_config(json.dumps({"kind": "fbm", **raw}))["_out"] == raw["out"]
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"H": 0.6, "n": 8, "replicates": 2, "out": str(tmp_path / "o")}))
+        cfg.write_text(json.dumps(raw))
         assert main(["fbm", "--config", str(cfg)]) == 0
         assert "out" not in json.loads((tmp_path / "o" / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("value", [5, ["o"], None], ids=["int", "list", "null"])
+    def test_out_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, value):
+        raw = {"kind": "fbm", "H": 0.5, "out": value}
+        with pytest.raises(ConfigError, match=r"^\$\.out: expected a string"):
+            parse_config(json.dumps(raw))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: $.out: expected a string")
+        assert not (tmp_path / "o").exists()
 
     def test_other_version_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
