@@ -25,24 +25,13 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import (
-    HurstKernel,
-    TimeGrid,
-    replicate_normals,
-    replicate_stream,
-    sample_fbm_exact,
-    sample_fbm_fast,
-)
+from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream
+from .fbm import sample_fbm_exact, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass
-from .noise import (
-    _DENSE_LIMIT,
-    Control,
-    ConvolutionSampler,
-    CorrelationSpec,
-    build_correlation,
-    build_L,
-)
-from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
+from .noise import _DENSE_LIMIT, Control, ConvolutionSampler, CorrelationSpec
+from .noise import build_correlation, build_L, replicate_blocks
+from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig
+from .solver import solve_mild, solve_mild_batch, solve_skeleton
 from .ldp import EVENT_KINDS, EventSpec, LdpLab, holder_exponent, support_distance
 
 _FLOAT_FMT = "%.17g"
@@ -333,13 +322,18 @@ def _resolve(raw: dict) -> dict:
     cfg = _walk({k: v for k, v in raw.items() if k != "out"}, {**_COMMON, **_TABLES[kind]}, "$", ChainMap())
     if "out" in raw:
         cfg["_out"] = _string(raw["out"], "$.out", None)
+    if "T" in cfg:
+        cfg["_tg"] = _construct("$.n", TimeGrid, cfg["T"], cfg["n"])
     if "grid" in cfg:
         grid = cfg["_grid"] = _construct("$.grid", GridSpec, **cfg["grid"])
     if "eigenvalues" in cfg.get("noise", ()):
         cfg["_spec"] = _construct("$.noise.eigenvalues", CorrelationSpec, grid, cfg["noise"]["eigenvalues"])
     elif "noise" in cfg:  # raises ConfigError on bad windows
         cfg["_spec"] = build_correlation(grid, cfg["noise"]["r"], cfg["H"], cfg["noise"]["alpha"])
+    if "noise" in cfg:
+        cfg["_kern"] = _construct("$.H", HurstKernel, cfg["H"])
     if "u0" in cfg:
+        cfg["_scfg"] = _construct("$.threshold", SolverConfig, cfg["T"], cfg["n"], cfg["threshold"])
         cfg["_nl"] = None if cfg["nl"] is None else _construct("$.nl", NonlinearitySpec, **cfg["nl"])
         cfg["_u0"] = _construct("$.u0", _initial_datum, grid, cfg["u0"])
     return cfg
@@ -459,17 +453,19 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_fbm(cfg: dict, out_dir: str) -> int:
-    grid = TimeGrid(cfg["T"], cfg["n"])
     sampler = sample_fbm_exact if cfg["sampler"] == "exact" else sample_fbm_fast
-    ps = sampler(cfg["H"], grid, cfg["replicates"], cfg["seed"])
+    ps = sampler(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
     write_pathset_csv(os.path.join(out_dir, "paths.csv"), ps)
     return 0
 
 
+def _sampler(cfg: dict) -> ConvolutionSampler:
+    return ConvolutionSampler(cfg["_spec"], cfg["_kern"], cfg["_tg"])
+
+
 def _run_convolve(cfg: dict, out_dir: str) -> int:
-    tg = TimeGrid(cfg["T"], cfg["n"])
-    kern = HurstKernel(cfg["H"])
-    paths = ConvolutionSampler(cfg["_spec"], kern, tg).sample_mode_paths(cfg["seed"], 0)
+    tg = cfg["_tg"]
+    paths = _sampler(cfg).sample_mode_paths(cfg["seed"], 0)
     rows = [
         [float(tg.points[k]), float(np.sqrt((np.abs(paths[k]) ** 2).sum()))]
         for k in range(tg.n + 1)
@@ -481,35 +477,23 @@ def _run_convolve(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _solver_pieces(cfg: dict):
-    scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-    forcing = None
-    if cfg["eps"] > 0.0:
-        kern = HurstKernel(cfg["H"])
-        tg = TimeGrid(cfg["T"], cfg["n"])
-        forcing = ConvolutionSampler(cfg["_spec"], kern, tg).sample_mode_paths(cfg["seed"], 0)
-    return scfg, forcing
-
-
 def _run_solve(cfg: dict, out_dir: str) -> int:
-    scfg, forcing = _solver_pieces(cfg)
-    traj = solve_mild(cfg["_u0"], cfg["_nl"], forcing, cfg["eps"], scfg)
+    forcing = _sampler(cfg).sample_mode_paths(cfg["seed"], 0) if cfg["eps"] > 0.0 else None
+    traj = solve_mild(cfg["_u0"], cfg["_nl"], forcing, cfg["eps"], cfg["_scfg"])
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
     return 0
 
 
 def _run_skeleton(cfg: dict, out_dir: str) -> int:
-    scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-    kern = HurstKernel(cfg["H"])
-    tg = TimeGrid(cfg["T"], cfg["n"])
-    L = build_L(cfg["_spec"], kern, tg)
+    tg = cfg["_tg"]
+    L = build_L(cfg["_spec"], cfg["_kern"], tg)
     n_modes = cfg["_grid"].mode_count
     if cfg["control"]["type"] == "zero":
         h = Control.zero(n_modes, tg)
     else:
         z = replicate_stream(cfg["control"]["seed"], 0).standard_normal((n_modes, tg.n))
         h = Control(values=cfg["control"]["scale"] * z, tg=tg)
-    traj = solve_skeleton(cfg["_u0"], h, cfg["_nl"], scfg, L)
+    traj = solve_skeleton(cfg["_u0"], h, cfg["_nl"], cfg["_scfg"], L)
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
     rows = [[float(tg.midpoints[m])] + [float(v) for v in h.values[:, m]] for m in range(tg.n)]
     write_csv(
@@ -521,14 +505,8 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
 
 
 def _run_ldp(cfg: dict, out_dir: str) -> int:
-    scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-    kern = HurstKernel(cfg["H"])
-    lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], kern, scfg)
-    ev = EventSpec(
-        kind=cfg["event"]["kind"],
-        threshold=cfg["event"]["threshold"],
-        sobolev_index=cfg["event"]["sobolev_index"],
-    )
+    lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
+    ev = EventSpec(**cfg["event"])
     report = lab.rate_ladder(ev, cfg["eps_ladder"], cfg["replicates"], cfg["seed"])
     if ev.kind == "terminal-ball-exit" and cfg["_nl"] is None:
         report.pinv_rate = lab.pinv_terminal_rate(ev.threshold)[0]
@@ -548,39 +526,35 @@ def _run_ldp(cfg: dict, out_dir: str) -> int:
 
 
 def _run_holder(cfg: dict, out_dir: str) -> int:
-    reports = []
     if cfg["source"] == "fbm":
-        grid = TimeGrid(cfg["T"], cfg["n"])
-        ps = sample_fbm_fast(cfg["H"], grid, cfg["replicates"], cfg["seed"])
-        for i in range(cfg["replicates"]):
-            reports.append(asdict(holder_exponent(ps.values[i])))
+        ps = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
+        reports = [asdict(holder_exponent(values)) for values in ps.values]
     else:
-        kern = HurstKernel(cfg["H"])
-        tg = TimeGrid(cfg["T"], cfg["n"])
-        sampler = ConvolutionSampler(cfg["_spec"], kern, tg)
         w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
-        for i in range(cfg["replicates"]):
-            paths = sampler.sample_mode_paths(cfg["seed"], i)
-            reports.append(asdict(holder_exponent(paths, weights=w)))
+        blocks = _sampler(cfg).sample_mode_path_blocks(cfg["seed"], cfg["replicates"])
+        reports = [asdict(holder_exponent(paths, weights=w)) for block in blocks for paths in block]
     write_json(os.path.join(out_dir, "holder_report.json"), {"H": cfg["H"], "reports": reports})
     return 0
 
 
 def _run_support(cfg: dict, out_dir: str) -> int:
-    scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-    kern = HurstKernel(cfg["H"])
-    lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], kern, scfg)
-    samples = [lab.sample_trajectory(1.0, cfg["seed"], i) for i in range(cfg["samples"])]
-    n_modes = cfg["_grid"].mode_count
-    biggest = cfg["family_sizes"][-1]
-    family = []
-    for z in replicate_normals(cfg["seed"] + 7_777, range(biggest), (n_modes, cfg["n"])):
-        h = Control(values=cfg["control_scale"] * z, tg=lab.tg)
-        family.append(solve_skeleton(cfg["_u0"], h, cfg["_nl"], scfg, lab.L))
-    medians = []
-    for size in cfg["family_sizes"]:
-        med, _ = support_distance(samples, family[:size])
-        medians.append(med)
+    u0, nl, scfg, grid, tg = cfg["_u0"], cfg["_nl"], cfg["_scfg"], cfg["_grid"], cfg["_tg"]
+    L = build_L(cfg["_spec"], cfg["_kern"], tg)
+
+    def skeletons(rows: range):
+        h = cfg["control_scale"] * replicate_normals(cfg["seed"] + 7_777, rows, (grid.mode_count, tg.n))
+        return solve_mild_batch(u0, nl, L.apply_batch(h), 1.0, scfg)
+
+    # blocks of samples against blocks of family members: one difference of
+    # a sample row with a family block stays within the block's budget
+    family = [skeletons(rows) for rows in replicate_blocks(tg, grid.mode_count, cfg["family_sizes"][-1])]
+    distances = []
+    for paths in _sampler(cfg).sample_mode_path_blocks(cfg["seed"], cfg["samples"]):
+        samples = solve_mild_batch(u0, nl, paths, 1.0, scfg)
+        distances.append(np.hstack([support_distance(grid, samples, members) for members in family]))
+    distances = np.vstack(distances)
+    # the median over samples of the distance to the nearest of the first ``size`` members
+    medians = [float(np.median(distances[:, :size].min(axis=1))) for size in cfg["family_sizes"]]
     monotone = all(medians[i + 1] <= medians[i] + 1e-12 for i in range(len(medians) - 1))
     write_json(
         os.path.join(out_dir, "support.json"),

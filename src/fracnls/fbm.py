@@ -82,12 +82,19 @@ def _stream_key(seed: int, index: int) -> np.ndarray:
 _NORMALS_BYTES = 1 << 17
 
 
+def _row_blocks(rows: int, row_bytes: int, budget: int):
+    """``range(rows)`` in consecutive blocks of at most ``budget`` bytes of
+    rows each, one row at the least: the block rule of every batched path."""
+    block = max(1, budget // row_bytes)
+    for start in range(0, rows, block):
+        yield range(start, min(start + block, rows))
+
+
 def _normal_blocks(seed: int, replicates: int, size: int):
     """``replicate_normals(seed, range(replicates), size)`` in consecutive
-    blocks of rows, each within the byte budget (one row at the least)."""
-    block = max(1, _NORMALS_BYTES // (8 * size))
-    for start in range(0, replicates, block):
-        yield replicate_normals(seed, range(start, min(start + block, replicates)), size)
+    blocks of rows, each within the byte budget."""
+    for rows in _row_blocks(replicates, 8 * size, _NORMALS_BYTES):
+        yield replicate_normals(seed, rows, size)
 
 
 def _check_hurst(H: float) -> None:
@@ -126,8 +133,8 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if self.n < 1:
             raise ValueError(f"need at least one step, got n={self.n}")
 

@@ -8,6 +8,7 @@ the free flow solves i du/dt = Lap u, so mode k evolves by exp(i |xi_k|^2 t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,8 +48,8 @@ class GridSpec:
             raise ValueError(f"spatial dimension must be 1 or 2, got {self.d}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"half-width L must be positive and finite, got {self.L}")
         if self.N**self.d * 16 > np.iinfo(np.intp).max:
             raise ValueError(f"N^d = {self.N**self.d} modes exceed the largest complex array")
 

@@ -21,21 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from .field import ComplexField, sobolev_norm, sobolev_norms
-from .noise import (
-    Control,
-    ConvolutionSampler,
-    CorrelationSpec,
-    DiscreteLOperator,
-    build_L,
-    cheapest_terminal_rate,
-    terminal_covariance_blocks,
-)
+from .field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
+from .noise import Control, ConvolutionSampler, CorrelationSpec, DiscreteLOperator
+from .noise import build_L, cheapest_terminal_rate, terminal_covariance_blocks
 from .fbm import HurstKernel, TimeGrid, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
 from .solver import solve_mild, solve_mild_batch
@@ -50,16 +44,11 @@ __all__ = [
     "wilson_interval",
     "ldp_slope",
     "holder_exponent",
-    "trajectory_distance",
     "support_distance",
     "gaussian_terminal_tail",
 ]
 
 EVENT_KINDS = ("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T")
-
-# Byte budget for the stepped states of one Monte Carlo chunk: a whole rung in
-# one batch raises peak memory for no further speed.
-_BATCH_BYTES = 1 << 19
 
 # L-BFGS-B's default forward-difference step, and the fallback scipy's 2-point
 # rule takes where it vanishes against the coordinate.
@@ -92,8 +81,10 @@ class EventSpec:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}; choose from {EVENT_KINDS}")
-        if self.threshold < 0:
-            raise ValueError("event threshold must be nonnegative")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"event threshold must be nonnegative and finite, got {self.threshold}")
+        if not abs(self.sobolev_index) < math.inf:
+            raise ValueError(f"event Sobolev index must be finite, got {self.sobolev_index}")
 
 
 @dataclass
@@ -208,19 +199,20 @@ def holder_exponent(values: np.ndarray, weights: np.ndarray | None = None) -> Ho
     return HolderReport(float(slope), r2, lags, list(map(float, y)))
 
 
-def trajectory_distance(a: Trajectory, b: Trajectory, sobolev_index: float = 1.0) -> float:
-    """Sup-in-time Sobolev distance; infinite on mismatched cemetery states."""
-    if a.cemetery_index != b.cemetery_index:
-        return math.inf
-    return float(sobolev_norms(a.grid, a.states - b.states, sobolev_index).max())
-
-
-def support_distance(samples, family):
-    """Median over samples of the H^1 distance to the nearest family member."""
-    mins = []
-    for s in samples:
-        mins.append(min(trajectory_distance(s, t) for t in family))
-    return float(np.median(mins)), np.asarray(mins)
+def support_distance(
+    grid: GridSpec, samples: TrajectoryBatch, family: TrajectoryBatch, sobolev_index: float = 1.0
+) -> np.ndarray:
+    """Sup-in-time H^s distances (samples, family) between the rows of two
+    batches: the max over the steps below the shared cemetery index, infinite
+    where the cemetery indices differ.  No state from a cemetery index on is
+    read.  Each sample row is differenced with every family row at once, so
+    the family passed in bounds the memory."""
+    D = np.full((len(samples.cemetery_index), len(family.cemetery_index)), math.inf)
+    for i, k in enumerate(samples.cemetery_index):
+        match = np.flatnonzero(family.cemetery_index == k)
+        diff = samples.states[i, :k] - family.states[match, :k]
+        D[i, match] = sobolev_norms(grid, diff, sobolev_index).max(axis=1)
+    return D
 
 
 def gaussian_terminal_tail(
@@ -296,13 +288,10 @@ class LdpLab:
         self.tg = TimeGrid(cfg.T, cfg.n_steps)
         self.sampler = ConvolutionSampler(spec, kern, self.tg)
         self.deterministic = solve_mild(u0, nl, None, 0.0, cfg)
-        self._L: DiscreteLOperator | None = None
 
-    @property
+    @cached_property
     def L(self) -> DiscreteLOperator:
-        if self._L is None:
-            self._L = build_L(self.spec, self.kern, self.tg)
-        return self._L
+        return build_L(self.spec, self.kern, self.tg)
 
     # -- events ------------------------------------------------------------
 
@@ -337,8 +326,8 @@ class LdpLab:
         :meth:`event_occurred` decides it for one trajectory: the cemetery
         realizes every event, and the blow-up event nothing else."""
         hits = batch.blown_up
-        if ev.kind != "blow-up-before-T":
-            live = ~hits
+        live = ~hits
+        if ev.kind != "blow-up-before-T" and live.any():
             hits[live] = self._reach(batch, live, ev) > ev.threshold
         return hits
 
@@ -351,21 +340,17 @@ class LdpLab:
     ) -> tuple[float, tuple[float, float]]:
         """Fraction of trajectories realizing the event, with Wilson CI.
 
-        Replicate i is keyed (seed, i) whatever the chunk it is stepped in;
+        Replicate i is keyed (seed, i) whatever the block it is stepped in;
         a zero estimate signals that eps is too small for direct Monte Carlo
         at this replicate budget.
         """
         if replicates < 100:
             raise ValueError("need at least 100 replicates")
         if eps == 0.0:
-            occurred = self.event_occurred(self.deterministic, ev)
-            p = 1.0 if occurred else 0.0
+            p = float(self._hits(solve_mild_batch(self.u0, self.nl, None, 0.0, self.cfg), ev)[0])
             return p, (p, p)
-        state_bytes = (self.cfg.n_steps + 1) * self.spec.grid.mode_count * np.dtype(complex).itemsize
-        chunk = max(1, _BATCH_BYTES // state_bytes)
         hits = 0
-        for start in range(0, replicates, chunk):
-            paths = self.sampler.sample_mode_path_batch(seed, range(start, min(start + chunk, replicates)))
+        for paths in self.sampler.sample_mode_path_blocks(seed, replicates):
             batch = solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
             hits += int(np.count_nonzero(self._hits(batch, ev)))
         return hits / replicates, wilson_interval(hits, replicates)

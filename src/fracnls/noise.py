@@ -35,18 +35,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fbm import (
-    HurstKernel,
-    TimeGrid,
-    increment_covariance,
-    increment_covariance_beta,
-    replicate_normals,
-)
+from .fbm import HurstKernel, TimeGrid, _row_blocks, increment_covariance, increment_covariance_beta
+from .fbm import replicate_normals
 from .field import GridSpec
 
 __all__ = [
     "CorrelationSpec",
     "ConvolutionSampler",
+    "replicate_blocks",
     "DiscreteLOperator",
     "Control",
     "GaussianRateResult",
@@ -141,6 +137,17 @@ def hs_tail_ratio(spec: CorrelationSpec, s: float) -> float:
 # Discrete per-mode model
 # ---------------------------------------------------------------------------
 
+# Byte budget for one block of replicate mode paths, and so for the states
+# stepped from them: a whole run in one batch raises peak memory for no speed.
+_BATCH_BYTES = 1 << 19
+
+
+def replicate_blocks(tg: TimeGrid, n_modes: int, replicates: int):
+    """``range(replicates)`` in consecutive blocks whose mode paths
+    (R, n + 1, n_modes), and the states stepped from them, fit the budget."""
+    return _row_blocks(replicates, (tg.n + 1) * n_modes * np.dtype(complex).itemsize, _BATCH_BYTES)
+
+
 @lru_cache(maxsize=32)
 def _increment_chol(H: float, tg: TimeGrid) -> np.ndarray:
     return np.linalg.cholesky(increment_covariance(H, tg.points))
@@ -198,6 +205,12 @@ class ConvolutionSampler:
         out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
         out[:, 1:] = self.phi * self.phase_t * csum
         return out
+
+    def sample_mode_path_blocks(self, seed: int, replicates: int):
+        """``sample_mode_path_batch(seed, range(replicates))`` in the
+        consecutive blocks of :func:`replicate_blocks`."""
+        for rows in replicate_blocks(self.tg, self.n_modes, replicates):
+            yield self.sample_mode_path_batch(seed, rows)
 
 
 # ---------------------------------------------------------------------------

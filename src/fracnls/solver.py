@@ -72,10 +72,10 @@ class NonlinearitySpec:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.lam not in (-1.0, 1.0, -1, 1):
             raise ValueError(f"lam must be +1 or -1, got {self.lam}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kind == "saturated" and self.kappa <= 0:
-            raise ValueError("saturated nonlinearity needs kappa > 0")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not abs(self.kappa) < math.inf or (self.kind == "saturated" and self.kappa <= 0):
+            raise ValueError(f"kappa must be finite, and > 0 when saturated, got {self.kappa}")
 
     def amplitude_rate(self, abs_u_sq: np.ndarray) -> np.ndarray:
         """Real factor rho(|u|) with f(u) = rho(|u|) u."""
@@ -98,8 +98,10 @@ class SolverConfig:
     blowup_threshold: float | None = None
 
     def __post_init__(self):
-        if self.T <= 0 or self.n_steps < 1:
-            raise ValueError("need T > 0 and at least one step")
+        if not 0 < self.T < math.inf or self.n_steps < 1:
+            raise ValueError("need a finite T > 0 and at least one step")
+        if self.blowup_threshold is not None and not abs(self.blowup_threshold) < math.inf:
+            raise ValueError(f"blow-up threshold must be finite, got {self.blowup_threshold}")
 
     @property
     def dt(self) -> float:
@@ -222,9 +224,11 @@ def solve_mild_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             if nl is not None:
-                values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
+                # in place: above 256 KiB numpy reuses the temporary of ``values * exp``
+                # with the operands swapped, which rounds the product differently
+                values *= np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
                 values = grid_ifft(grid, mult * grid_fft(grid, values))
-                values = values * np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
+                values *= np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
             else:
                 values = grid_ifft(grid, mult * grid_fft(grid, values))
             if D is not None:

@@ -31,14 +31,14 @@ from fracnls.field import (
 )
 from fracnls.ldp import EventSpec, LdpLab, holder_exponent, support_distance
 from fracnls.noise import (
-    Control,
     ConvolutionSampler,
     CorrelationSpec,
     build_correlation,
+    build_L,
     build_Q,
     terminal_covariance_blocks,
 )
-from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
+from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mild_batch
 from fracnls.fbm import replicate_stream
 
 
@@ -225,14 +225,13 @@ def test_criterion_09_support_proximity():
     x = g.coordinates[0]
     u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
     nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
-    lab = LdpLab(u0, nl, spec, kern, cfg)
-    samples = [lab.sample_trajectory(1.0, seed=900, replicate=i) for i in range(50)]
-    family = []
-    for i in range(64):
-        z = replicate_stream(1234, i).standard_normal((8, 16))
-        family.append(solve_skeleton(u0, Control(values=z, tg=lab.tg), nl, cfg, lab.L))
-    med8, _ = support_distance(samples, family[:8])
-    med64, _ = support_distance(samples, family)
+    tg = TimeGrid(1.0, 16)
+    paths = ConvolutionSampler(spec, kern, tg).sample_mode_path_batch(900, range(50))
+    samples = solve_mild_batch(u0, nl, paths, 1.0, cfg)
+    z = np.stack([replicate_stream(1234, i).standard_normal((8, 16)) for i in range(64)])
+    family = solve_mild_batch(u0, nl, build_L(spec, kern, tg).apply_batch(z), 1.0, cfg)
+    D = support_distance(g, samples, family)
+    med8, med64 = np.median(D[:, :8].min(axis=1)), np.median(D.min(axis=1))
     ok = med64 <= med8
     _report(9, "support proximity", ok,
             f"median distance {med8:.4f} (family 8) -> {med64:.4f} (family 64), nonincreasing")

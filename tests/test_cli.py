@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracnls
-from fracnls import __version__
+from fracnls import __version__, noise
 from fracnls.cli import (
     _field_csv_template,
     atomic_write_text,
@@ -23,14 +24,15 @@ from fracnls.cli import (
     run,
     write_csv,
     write_field_csv,
+    write_json,
     write_pathset_csv,
 )
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, ScalarPathSet, TimeGrid
-from fracnls.field import ComplexField, GridSpec, field_from_modes
-from fracnls.ldp import EventSpec, LdpLab, wilson_interval
-from fracnls.noise import ConvolutionSampler
-from fracnls.solver import SolverConfig
+from fracnls.fbm import HurstKernel, ScalarPathSet, TimeGrid, replicate_stream
+from fracnls.field import ComplexField, GridSpec, field_from_modes, sobolev_norm
+from fracnls.ldp import EventSpec, LdpLab, holder_exponent, wilson_interval
+from fracnls.noise import Control, ConvolutionSampler
+from fracnls.solver import SolverConfig, solve_skeleton
 
 
 README_LDP = {
@@ -259,6 +261,70 @@ class TestRunDeterminism:
                   ["eps", "p_hat", "ci_lo", "ci_hi", "minus_eps_log_p"], rows)
         assert (tmp_path / "ldp" / "ladder.csv").read_bytes() == (
             tmp_path / "reference.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "raw, cemeteries",
+        [
+            # samples absorbed at assorted steps, some never
+            ({"kind": "support", "H": 0.7, "n": 32, "grid": {"N": 16},
+              "nl": {"kind": "kerr", "lam": 1, "sigma": 2},
+              "u0": {"type": "gaussian", "amplitude": 1.6, "width": 0.7}, "threshold": 6.0,
+              "samples": 30, "family_sizes": [8, 64], "control_scale": 2.0},
+             {8, 9, 10, 30, None}),
+            # 17 x 64 complex mode paths a row: blocks of 30, 1 samples and 30, 30, 4 members
+            ({"kind": "support", "H": 0.7, "n": 16, "grid": {"d": 2, "N": 8},
+              "nl": {"kind": "saturated", "lam": 1}, "u0": {"type": "gaussian"},
+              "samples": 31, "family_sizes": [8, 64]},
+             {None}),
+        ],
+        ids=["kerr-mixed-cemeteries", "d2-several-blocks"],
+    )
+    def test_support_matches_loop_reference(self, tmp_path, raw, cemeteries):
+        cfg = parse_config(json.dumps(raw))
+        run(cfg, str(tmp_path / "support"))
+        # reference: one solve per sample and per family member, and one
+        # distance per pair, as the max over the steps of the H^1 norm
+        scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
+        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], HurstKernel(cfg["H"]), scfg)
+        samples = [lab.sample_trajectory(1.0, cfg["seed"], i) for i in range(cfg["samples"])]
+        assert {s.cemetery_index for s in samples} == cemeteries
+        family = []
+        for i in range(cfg["family_sizes"][-1]):
+            z = replicate_stream(cfg["seed"] + 7_777, i).standard_normal((lab.spec.grid.mode_count, cfg["n"]))
+            h = Control(values=cfg["control_scale"] * z, tg=lab.tg)
+            family.append(solve_skeleton(lab.u0, h, lab.nl, scfg, lab.L))
+
+        def distance(a, b):
+            if a.cemetery_index != b.cemetery_index:
+                return math.inf
+            return max(sobolev_norm(ComplexField(a.grid, u - v), 1.0) for u, v in zip(a.states, b.states))
+
+        pairs = [[distance(s, f) for f in family] for s in samples]
+        medians = [float(np.median([min(row[:size]) for row in pairs])) for size in cfg["family_sizes"]]
+        write_json(str(tmp_path / "support.json"),
+                   {"family_sizes": cfg["family_sizes"], "medians": medians, "monotone": True})
+        write_csv(str(tmp_path / "support.csv"), ["family_size", "median_distance"],
+                  list(zip(cfg["family_sizes"], medians)))
+        for name in ("support.json", "support.csv"):
+            assert (tmp_path / "support" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_holder_convolution_matches_loop_reference(self, tmp_path):
+        raw = {"kind": "holder", "H": 0.6, "source": "convolution", "n": 1024, "replicates": 10, "seed": 5}
+        cfg = parse_config(json.dumps(raw))
+        run(cfg, str(tmp_path / "holder"))
+        # a replicate's mode paths are 1025 x 8 complex: 10 replicates span four blocks
+        assert cfg["replicates"] > 3 * (noise._BATCH_BYTES // (1025 * 8 * 16))
+        # reference: one sample_mode_paths draw per replicate
+        sampler = ConvolutionSampler(cfg["_spec"], HurstKernel(cfg["H"]), TimeGrid(cfg["T"], cfg["n"]))
+        w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
+        reports = [
+            asdict(holder_exponent(sampler.sample_mode_paths(cfg["seed"], i), weights=w))
+            for i in range(cfg["replicates"])
+        ]
+        write_json(str(tmp_path / "reference.json"), {"H": cfg["H"], "reports": reports})
+        assert (tmp_path / "holder" / "holder_report.json").read_bytes() == (
+            tmp_path / "reference.json"
         ).read_bytes()
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
-from fracnls import ldp, oracles
+from fracnls import ldp, noise, oracles
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
 from fracnls.field import ComplexField, GridSpec, sobolev_norm
 from fracnls.ldp import (
@@ -17,11 +17,10 @@ from fracnls.ldp import (
     holder_exponent,
     ldp_slope,
     support_distance,
-    trajectory_distance,
     wilson_interval,
 )
 from fracnls.noise import Control, CorrelationSpec, build_correlation, terminal_covariance_blocks
-from fracnls.solver import NonlinearitySpec, SolverConfig, solve_skeleton
+from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild_batch, solve_skeleton
 
 
 @pytest.fixture
@@ -54,6 +53,20 @@ def saturated_lab():
     u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
     nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
     return LdpLab(u0, nl, spec, HurstKernel(0.7), SolverConfig(T=1.0, n_steps=16))
+
+
+@pytest.fixture
+def absorbed_lab():
+    # the focusing model with a large initial datum: its deterministic flow is
+    # absorbed at the cemetery before T
+    g = GridSpec(1, 16, math.pi)
+    x = g.coordinates[0]
+    u0 = ComplexField(g, (2.0 * np.exp(-(x**2))).astype(complex))
+    cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=6.0)
+    spec = build_correlation(g, 4.0, 0.7, 0.2)
+    lab = LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, HurstKernel(0.7), cfg)
+    assert lab.deterministic.blown_up
+    return lab
 
 
 def loop_hits(lab, ev, eps, replicates, seed):
@@ -106,6 +119,23 @@ class TestEvents:
         ev = EventSpec("terminal-ball-exit", threshold=0.5, sobolev_index=0.0)
         p, ci = linear_lab.estimate_event_probability(ev, 0.0, 100, seed=0)
         assert p == 0.0
+
+    @pytest.mark.parametrize(
+        "lab_name, ev",
+        [
+            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.5, sobolev_index=0.0)),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=0.6, sobolev_index=1.0)),
+            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=0.4, sobolev_index=0.5)),
+            ("focusing_lab", EventSpec("blow-up-before-T")),
+            ("absorbed_lab", EventSpec("blow-up-before-T")),
+            ("absorbed_lab", EventSpec("terminal-ball-exit", threshold=0.5)),
+        ],
+    )
+    def test_zero_noise_decides_the_deterministic_flow(self, request, lab_name, ev):
+        lab = request.getfixturevalue(lab_name)
+        p, ci = lab.estimate_event_probability(ev, 0.0, 100, seed=0)
+        expected = float(lab.event_occurred(lab.deterministic, ev))
+        assert (p, ci) == (expected, (expected, expected))
 
     def test_zero_threshold_sup_event_is_sure(self, linear_lab):
         ev = EventSpec("sup-norm-exceed", threshold=0.0, sobolev_index=0.0)
@@ -161,7 +191,7 @@ class TestBatchedMonteCarlo:
     def test_hits_equal_loop_reference(self, request, lab_name, ev, eps):
         lab = request.getfixturevalue(lab_name)
         state_bytes = (lab.cfg.n_steps + 1) * lab.spec.grid.mode_count * 16
-        chunk = ldp._BATCH_BYTES // state_bytes
+        chunk = noise._BATCH_BYTES // state_bytes
         reps = 2 * chunk + 7  # two full chunks and a short one
         p, _ = lab.estimate_event_probability(ev, eps, reps, seed=3)
         hits = loop_hits(lab, ev, eps, reps, seed=3)
@@ -355,6 +385,16 @@ class TestBatchedOptimizer:
         assert 0.0 < got < 1.0
 
 
+def sample_batch(lab, seed, rows, eps=1.0):
+    """Replicates 0..rows-1 of ``seed`` at intensity ``eps``, in one batch."""
+    paths = lab.sampler.sample_mode_path_batch(seed, range(rows))
+    return solve_mild_batch(lab.u0, lab.nl, paths, eps, lab.cfg)
+
+
+def deterministic_batch(lab):
+    return solve_mild_batch(lab.u0, lab.nl, None, 0.0, lab.cfg)
+
+
 class TestSupport:
     @pytest.fixture
     def nonlinear_lab(self):
@@ -370,8 +410,8 @@ class TestSupport:
     def test_distance_to_self_is_zero(self, nonlinear_lab):
         lab = nonlinear_lab
         h = Control(values=np.ones((8, 16)), tg=lab.tg)
-        traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
-        assert trajectory_distance(traj, traj) == 0.0
+        batch = solve_mild_batch(lab.u0, lab.nl, lab.L.apply_batch(h.values[None]), 1.0, lab.cfg)
+        assert support_distance(lab.spec.grid, batch, batch).tolist() == [[0.0]]
 
     @pytest.mark.parametrize("s", [1.0, 0.5])
     def test_distance_equals_per_step_loop(self, nonlinear_lab, s):
@@ -382,25 +422,46 @@ class TestSupport:
         loop = max(
             sobolev_norm(ComplexField(g, va) - ComplexField(g, vb), s) for va, vb in zip(a.states, b.states)
         )
-        assert trajectory_distance(a, b, s) == loop
+        D = support_distance(g, sample_batch(lab, 4, 1), deterministic_batch(lab), s)
+        assert D.tolist() == [[loop]]
 
     def test_single_member_family_is_plain_distance(self, nonlinear_lab):
         lab = nonlinear_lab
-        sample = lab.sample_trajectory(1.0, seed=4, replicate=0)
-        med, mins = support_distance([sample], [lab.deterministic])
-        assert med == pytest.approx(trajectory_distance(sample, lab.deterministic))
+        g = lab.spec.grid
+        a = lab.sample_trajectory(1.0, seed=4, replicate=0)
+        b = lab.deterministic
+        plain = max(sobolev_norm(ComplexField(g, va - vb), 1.0) for va, vb in zip(a.states, b.states))
+        D = support_distance(g, sample_batch(lab, 4, 1), deterministic_batch(lab))
+        assert np.median(D.min(axis=1)) == pytest.approx(plain)
 
     def test_median_decreases_with_family_size(self, nonlinear_lab):
         lab = nonlinear_lab
-        samples = [lab.sample_trajectory(1.0, seed=900, replicate=i) for i in range(30)]
-        family = []
-        for i in range(32):
-            z = replicate_stream(1234, i).standard_normal((8, 16))
-            family.append(solve_skeleton(lab.u0, Control(values=z, tg=lab.tg), lab.nl, lab.cfg, lab.L))
-        med_small, mins_small = support_distance(samples, family[:8])
-        med_large, mins_large = support_distance(samples, family)
+        z = np.stack([replicate_stream(1234, i).standard_normal((8, 16)) for i in range(32)])
+        family = solve_mild_batch(lab.u0, lab.nl, lab.L.apply_batch(z), 1.0, lab.cfg)
+        D = support_distance(lab.spec.grid, sample_batch(lab, 900, 30), family)
+        mins_small, mins_large = D[:, :8].min(axis=1), D.min(axis=1)
         assert np.all(mins_large <= mins_small + 1e-15)
-        assert med_large < med_small
+        assert np.median(mins_large) < np.median(mins_small)
+
+    def test_pairs_across_cemetery_indices_match_pair_loop(self, focusing_lab):
+        # two sets of focusing samples absorbed at assorted steps, some shared;
+        # the states from each cemetery index on are poisoned with NaN, which
+        # no distance may read
+        lab = focusing_lab
+        g = lab.spec.grid
+        samples, family = sample_batch(lab, 3, 40, eps=2.0), sample_batch(lab, 8, 60, eps=2.0)
+        for batch in (samples, family):
+            for r, k_star in enumerate(batch.cemetery_index):
+                batch.states[r, k_star:] = np.nan
+        shared = set(samples.cemetery_index.tolist()) & set(family.cemetery_index[family.blown_up].tolist())
+        assert len(shared) > 1
+        D = support_distance(g, samples, family)
+        for i, (a, k_a) in enumerate(zip(samples.states, samples.cemetery_index)):
+            for j, (b, k_b) in enumerate(zip(family.states, family.cemetery_index)):
+                loop = math.inf
+                if k_a == k_b:
+                    loop = max(sobolev_norm(ComplexField(g, a[k] - b[k]), 1.0) for k in range(k_a))
+                assert D[i, j] == loop
 
 
 class TestHolder:

@@ -22,6 +22,7 @@ from fracnls.noise import (
     gaussian_rate,
     hs_tail_ratio,
     n1_window,
+    replicate_blocks,
     terminal_covariance_blocks,
 )
 
@@ -87,6 +88,19 @@ class TestConvolutionSampler:
         assert batch.shape == (7, 17, 8)
         for r, i in enumerate(range(3, 10)):
             assert np.array_equal(batch[r], sampler.sample_mode_paths(11, i))
+
+    def test_blocks_split_one_batch_within_the_budget(self, grid):
+        # a replicate's 17 x 8 complex mode paths take 2176 bytes, so the
+        # 512 KiB budget holds 240 of them: 500 replicates come as 240, 240, 20
+        spec = build_correlation(grid, 4.0, 0.7, 0.2)
+        sampler = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        blocks = list(sampler.sample_mode_path_blocks(11, 500))
+        assert [len(b) for b in blocks] == [240, 240, 20]
+        assert np.array_equal(np.concatenate(blocks), sampler.sample_mode_path_batch(11, range(500)))
+
+    def test_blocks_hold_one_replicate_at_the_least(self):
+        # 65 x 1024 complex mode paths take more than the whole budget
+        assert list(replicate_blocks(TimeGrid(1.0, 64), 1024, 3)) == [range(0, 1), range(1, 2), range(2, 3)]
 
     def test_ito_variance_at_half_hurst(self, grid):
         # kernel is 1 and the group is unitary: E|Z_j(t)|^2 = phi_j^2 t

@@ -222,28 +222,38 @@ class TestNoisySolver:
             solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
 
 
+def assert_rows_equal_single_solves(N):
+    """Focusing Kerr driven by noise on 40 replicates of an N-point grid:
+    replicates are absorbed at different steps inside one batch, and every
+    row still matches its own solve."""
+    g = GridSpec(1, N, math.pi)
+    kern = HurstKernel(0.7)
+    spec = build_correlation(g, 4.0, 0.7, 0.2)
+    sampler = ConvolutionSampler(spec, kern, TimeGrid(1.0, 32))
+    u0 = gaussian_cos_field(g, amp=1.0)
+    nl = NonlinearitySpec("kerr", 1.0, 2.0)
+    cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
+    paths = sampler.sample_mode_path_batch(5, range(40))
+    batch = solve_mild_batch(u0, nl, paths, 2.0, cfg)
+    absorbed = batch.cemetery_index[batch.blown_up]
+    assert 0 < absorbed.size < 40 and len(set(absorbed.tolist())) > 1
+    for r in range(40):
+        ref = solve_mild(u0, nl, paths[r], 2.0, cfg)
+        k_star = 33 if ref.cemetery_index is None else ref.cemetery_index
+        assert batch.cemetery_index[r] == k_star
+        assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
+        for k in range(k_star):
+            assert np.array_equal(batch.states[r, k], ref.states[k])
+
+
 class TestBatchedSolver:
     def test_rows_equal_single_solves(self):
-        # focusing Kerr driven by noise: replicates are absorbed at different
-        # steps inside one batch, and every row still matches its own solve
-        g = GridSpec(1, 16, math.pi)
-        kern = HurstKernel(0.7)
-        spec = build_correlation(g, 4.0, 0.7, 0.2)
-        sampler = ConvolutionSampler(spec, kern, TimeGrid(1.0, 32))
-        u0 = gaussian_cos_field(g, amp=1.0)
-        nl = NonlinearitySpec("kerr", 1.0, 2.0)
-        cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
-        paths = sampler.sample_mode_path_batch(5, range(40))
-        batch = solve_mild_batch(u0, nl, paths, 2.0, cfg)
-        absorbed = batch.cemetery_index[batch.blown_up]
-        assert 0 < absorbed.size < 40 and len(set(absorbed.tolist())) > 1
-        for r in range(40):
-            ref = solve_mild(u0, nl, paths[r], 2.0, cfg)
-            k_star = 33 if ref.cemetery_index is None else ref.cemetery_index
-            assert batch.cemetery_index[r] == k_star
-            assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
-            for k in range(k_star):
-                assert np.array_equal(batch.states[r, k], ref.states[k])
+        assert_rows_equal_single_solves(16)
+
+    def test_rows_equal_single_solves_in_a_batch_over_256_kib(self):
+        # 40 rows of 1024 points hold 640 KiB: past 256 KiB numpy reuses the
+        # temporary of ``values * exp(...)`` with the operands swapped
+        assert_rows_equal_single_solves(1024)
 
     def test_single_replicate_kerr_matches_unbatched_step(self):
         # the R = 1 batch reproduces the plain (N,)-array Strang step
