@@ -27,7 +27,7 @@ from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
 from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream
 from .fbm import sample_fbm_exact, sample_fbm_fast
-from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass
+from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, Control, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, build_L, replicate_blocks
 from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig
@@ -205,21 +205,19 @@ def _u0_keys(raw: dict) -> dict:
     return {"type": _Key(_choice(*_U0), "zero"), **params}
 
 
-def _noise_active(scope) -> bool:
-    return scope["eps"] > 0.0 or scope["kind"] != "solve"
-
-
 def _convolution(scope) -> bool:
     return scope["source"] == "convolution"
 
 
+def _noisy(scope) -> bool:
+    return scope["eps"] > 0.0
+
+
 _T = _Key(_num(1e-12), 1.0)
-_SOLVE = {
-    "eps": _Key(_num(0.0), 0.0),
+_MODEL = {
     "T": _T,
     "n": _Key(_steps, 1000),
     "grid": _grid(64),
-    "snapshot_every": _Key(_int(0), 0),
     "nl": _Key(_nullable(_section({
         "kind": _Key(_choice(*NONLINEARITY_KINDS), "kerr"),
         "lam": _Key(_num(), -1.0),
@@ -228,8 +226,8 @@ _SOLVE = {
     })), {}),
     "u0": _Key(_section(_u0_keys), None),
     "threshold": _Key(_nullable(_num(1e-12)), None),
-    "H": _Key(_hurst, _Required(" when noise is active"), _noise_active),
-    "noise": _noise(_noise_active),
+    "H": _Key(_hurst),
+    "noise": _noise(),
 }
 _TABLES = {
     "fbm": {
@@ -247,14 +245,15 @@ _TABLES = {
         "noise": _noise(),
         "snapshot_every": _Key(_int(1), 1),
     },
-    "solve": _SOLVE,
-    "skeleton": {**_SOLVE, "control": _Key(_section({
+    "solve": {"eps": _Key(_num(0.0), 0.0), **_MODEL, "H": _Key(_hurst, _Required(" when eps > 0"), _noisy),
+              "noise": _noise(_noisy), "snapshot_every": _Key(_int(0), 0)},
+    "skeleton": {**_MODEL, "snapshot_every": _Key(_int(0), 0), "control": _Key(_section({
         "type": _Key(_choice("zero", "random"), "random"),
         "scale": _Key(_num(), 1.0),
         "seed": _Key(_int(0), 0),
     }), None)},
     "ldp": {
-        **_SOLVE,
+        **_MODEL,
         "event": _Key(_section({
             "kind": _Key(_choice(*EVENT_KINDS), "terminal-ball-exit"),
             "threshold": _Key(_num(0.0), 1.0),
@@ -278,7 +277,7 @@ _TABLES = {
         "noise": _noise(_convolution),
     },
     "support": {
-        **_SOLVE,
+        **_MODEL,
         "samples": _Key(_int(2), 50),
         "family_sizes": _Key(_list(_int(1), "expected an increasing list of at least two sizes", 2, True),
                              [8, 64]),
@@ -336,6 +335,12 @@ def _resolve(raw: dict) -> dict:
         cfg["_scfg"] = _construct("$.threshold", SolverConfig, cfg["T"], cfg["n"], cfg["threshold"])
         cfg["_nl"] = None if cfg["nl"] is None else _construct("$.nl", NonlinearitySpec, **cfg["nl"])
         cfg["_u0"] = _construct("$.u0", _initial_datum, grid, cfg["u0"])
+        with np.errstate(over="ignore", invalid="ignore"):  # an initial norm past float range is refused
+            _construct("$.threshold", cfg["_scfg"].blowup_cap, sobolev_norm(cfg["_u0"], 1.0))
+    if kind == "ldp":
+        lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
+        if cfg["event"]["kind"] == "terminal-ball-exit":
+            _construct("$.event.kind", lab.terminal_centre)
     return cfg
 
 
@@ -505,7 +510,7 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
 
 
 def _run_ldp(cfg: dict, out_dir: str) -> int:
-    lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
+    lab = cfg["_lab"]
     ev = EventSpec(**cfg["event"])
     report = lab.rate_ladder(ev, cfg["eps_ladder"], cfg["replicates"], cfg["seed"])
     if ev.kind == "terminal-ball-exit" and cfg["_nl"] is None:

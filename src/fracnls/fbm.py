@@ -402,18 +402,19 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sc
 
 
 def _circulant_eigenvalues(H: float, n: int) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n
+    """Minimal circulant embedding of unit-step fGn; expm1 and log1p keep its lags from cancelling."""
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1, where expm1 gives -1
+        gamma = 0.5 * k ** (2 * H) * (np.expm1(2 * H * np.log1p(1 / k)) + np.expm1(2 * H * np.log1p(-1 / k)))
+    first_row = np.concatenate([[1.0], gamma, gamma[-2::-1]])  # lags 0..n..1, length 2n
     return np.fft.fft(first_row).real
 
 
 def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> ScalarPathSet:
     """Circulant-embedding sampler for the stationary increment sequence.
 
-    Distributionally equal to :func:`sample_fbm_exact`; O(n log n) per path,
-    intended for large n.  Falls back to the exact sampler when the embedding
-    is not nonnegative definite.
+    Distributionally equal to :func:`sample_fbm_exact`; O(n log n) per path, for large n.
+    It never falls back: an eigenvalue below -1e-8 x the largest raises :class:`InvariantViolation`.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -421,10 +422,9 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sca
     n = grid.n
     eigs = _circulant_eigenvalues(H, n)
     if eigs.min() < -1e-8 * eigs.max():
-        return sample_fbm_exact(H, grid, replicates, seed)
-    eigs = np.clip(eigs, 0.0, None)
+        raise InvariantViolation(f"circulant embedding of H={H}, n={n} has eigenvalue {eigs.min():.3e}")
     scale = grid.dt**H  # unit-spacing increments rescaled by self-similarity
-    coeff = np.sqrt(eigs)
+    coeff = np.sqrt(np.clip(eigs, 0.0, None))
     values = np.zeros((replicates, n + 1))
     start = 0
     # one transform per block of rows; each row is computed exactly as alone

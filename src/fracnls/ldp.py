@@ -295,6 +295,15 @@ class LdpLab:
 
     # -- events ------------------------------------------------------------
 
+    def terminal_centre(self) -> ComplexField:
+        """The deterministic flow at T, the centre of the terminal-ball-exit
+        event; a ValueError naming the step where that flow is absorbed."""
+        k = self.deterministic.cemetery_index
+        if k is not None:
+            raise ValueError(f"the deterministic flow is absorbed at step {k}, "
+                             "so terminal-ball-exit has no centre")
+        return self.deterministic.terminal_field()
+
     def event_occurred(self, traj: Trajectory, ev: EventSpec) -> bool:
         if ev.kind == "blow-up-before-T":
             return traj.blown_up
@@ -302,8 +311,7 @@ class LdpLab:
             return True  # cemetery escapes every bounded set
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
-            ref = self.deterministic.terminal_field()
-            return sobolev_norm(traj.terminal_field() - ref, s) > ev.threshold
+            return sobolev_norm(traj.terminal_field() - self.terminal_centre(), s) > ev.threshold
         # sup-norm-exceed
         if s == 1.0:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
@@ -315,8 +323,7 @@ class LdpLab:
         for the blow-up event)."""
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
-            ref = self.deterministic.terminal_field().values
-            return sobolev_norms(self.spec.grid, batch.states[live, -1] - ref, s)
+            return sobolev_norms(self.spec.grid, batch.states[live, -1] - self.terminal_centre().values, s)
         if s == 1.0 or ev.kind == "blow-up-before-T":
             return batch.h1_norms[live].max(axis=1)
         return sobolev_norms(self.spec.grid, batch.states[live], s).max(axis=1)

@@ -90,7 +90,7 @@ class SolverConfig:
     """Time step, blow-up threshold, and grid bookkeeping for one run.
 
     ``blowup_threshold`` caps the energy-space (H^1) norm; ``None`` resolves
-    to 1e3 times the initial norm at solve time.
+    to 1e3 times the initial norm at solve time (:meth:`blowup_cap`).
     """
 
     T: float
@@ -102,6 +102,15 @@ class SolverConfig:
             raise ValueError("need a finite T > 0 and at least one step")
         if self.blowup_threshold is not None and not abs(self.blowup_threshold) < math.inf:
             raise ValueError(f"blow-up threshold must be finite, got {self.blowup_threshold}")
+
+    def blowup_cap(self, u0_h1: float) -> float:
+        """The H^1 norm above which a run from an initial norm ``u0_h1`` is
+        absorbed: the threshold, or 1e3 max(u0_h1, 1) when it is None.  A
+        ValueError when the cap does not exceed ``u0_h1``."""
+        cap = 1e3 * max(u0_h1, 1.0) if self.blowup_threshold is None else self.blowup_threshold
+        if not cap > u0_h1:
+            raise ValueError(f"blow-up threshold {cap} must exceed the initial H^1 norm {u0_h1}")
+        return cap
 
     @property
     def dt(self) -> float:
@@ -193,13 +202,7 @@ def solve_mild_batch(
     grid = u0.grid
     dt = cfg.dt
     u0_h1 = sobolev_norm(u0, 1.0)
-    threshold = cfg.blowup_threshold
-    if threshold is None:
-        threshold = 1e3 * max(u0_h1, 1.0)
-    if threshold <= u0_h1:
-        raise ValueError(
-            f"blow-up threshold {threshold} must exceed the initial H^1 norm {u0_h1}"
-        )
+    threshold = cfg.blowup_cap(u0_h1)
     replicates, D = 1, None
     if mode_paths is not None:
         replicates = mode_paths.shape[0]

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,13 @@ def _traced():
 
 
 TRACED = _traced()
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib, which Python 3.10 does not have
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    versions = re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE)
+    assert versions == [fracnls.__version__]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -62,6 +62,11 @@ KIND_CONFIGS = {
 }
 
 
+# Keys the kinds that solve shared until 0.3.0, though no run of these kinds read them.
+DELETED_KEYS = [("ldp", "eps"), ("ldp", "snapshot_every"), ("support", "eps"), ("support", "snapshot_every"),
+                ("skeleton", "eps")]
+
+
 def _public(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
 
@@ -477,10 +482,33 @@ class TestMainExitCodes:
             ("convolve", '{"H": 0.7, "noise": {"eigenvalues": [NaN, 1, 1, 1, 1, 1, 1, 1]}}',
              r"\$\.noise\.eigenvalues: expected finite numbers"),
             ("solve", json.dumps({"grid": {"N": 2**64}}), r"\$\.grid: N\^d = "),
+            # keys no run of the kind reads
+            *[(kind, json.dumps({**KIND_CONFIGS[kind], key: 1}), rf"^config error: \$\.{key}: unknown key")
+              for kind, key in DELETED_KEYS],
+            # a blow-up threshold the initial datum already reaches
+            ("solve", json.dumps({"T": 0.25, "n": 8, "grid": {"N": 16}, "threshold": 0.001,
+                                  "u0": {"type": "gaussian", "amplitude": 1.0}}),
+             r"\$\.threshold: blow-up threshold 0\.001 must exceed the initial H\^1 norm 1\.63"),
+            ("ldp", json.dumps({"H": 0.7, "n": 16, "grid": {"N": 8}, "threshold": 6.0,
+                                "u0": {"type": "gaussian", "amplitude": 5.0}}),
+             r"\$\.threshold: blow-up threshold 6\.0 must exceed the initial H\^1 norm"),
+            ("solve", json.dumps({"grid": {"N": 16}, "u0": {"type": "plane", "amplitude": 1.7e308}}),
+             r"\$\.threshold: blow-up threshold nan must exceed the initial H\^1 norm nan"),
+            # a terminal ball around a deterministic flow absorbed before T
+            ("ldp", json.dumps({"H": 0.7, "n": 32, "grid": {"N": 16}, "threshold": 6.0,
+                                "nl": {"kind": "kerr", "lam": 1, "sigma": 2},
+                                "u0": {"type": "gaussian", "amplitude": 1.7, "width": 0.7},
+                                "event": {"kind": "terminal-ball-exit", "threshold": 0.5},
+                                "eps_ladder": [4.0], "replicates": 100}),
+             r"^config error: \$\.event\.kind: the deterministic flow is absorbed at step 6, "
+             r"so terminal-ball-exit has no centre\n\Z"),
         ],
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
              "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
-             "n-overflows", "eigenvalue-nan", "grid-too-large"],
+             "n-overflows", "eigenvalue-nan", "grid-too-large",
+             *[f"{kind}-{key}" for kind, key in DELETED_KEYS],
+             "threshold-below-u0", "ldp-threshold-below-u0", "u0-norm-overflows",
+             "terminal-ball-absorbed-flow"],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, kind, text, message):
         cfg = tmp_path / "c.json"
@@ -489,6 +517,7 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert re.search(message, err)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "kind, raw, key",

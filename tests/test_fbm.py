@@ -359,16 +359,53 @@ class TestFastSampler:
             se = target * math.sqrt(2.0 / (reps - 1))
             assert abs(inc.var(ddof=1) - target) < 4 * se
 
-    def test_fallback_to_exact_on_bad_embedding(self, monkeypatch):
-        import fracnls.fbm as fbm_mod
-
+    @pytest.mark.parametrize("negative, raises", [(-1.0, True), (-2e-8, True), (-5e-9, False)],
+                             ids=["far-negative", "just-past-rounding", "rounding"])
+    def test_bad_embedding_raises_instead_of_falling_back(self, monkeypatch, negative, raises):
+        # one eigenvalue below -1e-8 x the largest is an invariant failure;
+        # one above it is rounding, and counts as zero
         g = TimeGrid(1.0, 16)
-        monkeypatch.setattr(
-            fbm_mod, "_circulant_eigenvalues", lambda H, n: np.array([-1.0] + [1.0] * (2 * n - 1))
-        )
-        fell_back = fbm_mod.sample_fbm_fast(0.7, g, 3, seed=4)
-        exact = sample_fbm_exact(0.7, g, 3, seed=4)
-        assert np.array_equal(fell_back.values, exact.values)
+        eigs = np.array([negative] + [1.0] * 31)
+        monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda H, n: eigs)
+        monkeypatch.setattr(fbm, "sample_fbm_exact", _no_exact_sampler)
+        if raises:
+            with pytest.raises(InvariantViolation, match="H=0.7, n=16"):
+                sample_fbm_fast(0.7, g, 3, seed=4)
+        else:
+            assert np.isfinite(sample_fbm_fast(0.7, g, 3, seed=4).values).all()
+
+    def test_near_one_hurst_at_large_n_stays_on_the_fast_path(self, monkeypatch):
+        # the embedding that once went negative (min/max -1.23e-8) and fell back
+        # to a dense covariance of 512 GiB
+        monkeypatch.setattr(fbm, "sample_fbm_exact", _no_exact_sampler)
+        ps = sample_fbm_fast(0.999, TimeGrid(1.0, 2**18), 1, 0)
+        assert ps.values.shape == (1, 2**18 + 1)
+        assert np.isfinite(ps.values).all()
+
+
+def _no_exact_sampler(*args):
+    raise AssertionError("the fast sampler called the exact sampler")
+
+
+CIRCULANT_HURST = [0.01, 0.1, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999, 0.9999]
+
+
+class TestCirculantEigenvalues:
+    @pytest.mark.parametrize("H", CIRCULANT_HURST)
+    def test_nonnegative(self, H):
+        for n in (1, 2, 3, 16, 2**10, 2**14, 2**18):
+            eigs = fbm._circulant_eigenvalues(H, n)
+            assert eigs.shape == (2 * n,)
+            assert eigs.min() / eigs.max() > 0.0, n
+
+    @pytest.mark.parametrize("H", CIRCULANT_HURST)
+    def test_agrees_with_the_direct_second_difference(self, H):
+        for n in [*range(1, 33), 100, 255, 256, 257, 500, 1000, 1023, 1024]:
+            k = np.arange(n + 1, dtype=float)
+            gamma = 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
+            direct = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+            got = fbm._circulant_eigenvalues(H, n)
+            assert np.abs(got - direct).max() <= 1e-11 * direct.max(), n
 
 
 class TestKtStar:

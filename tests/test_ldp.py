@@ -20,7 +20,7 @@ from fracnls.ldp import (
     wilson_interval,
 )
 from fracnls.noise import Control, CorrelationSpec, build_correlation, terminal_covariance_blocks
-from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild_batch, solve_skeleton
+from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mild_batch, solve_skeleton
 
 
 @pytest.fixture
@@ -136,6 +136,18 @@ class TestEvents:
         p, ci = lab.estimate_event_probability(ev, 0.0, 100, seed=0)
         expected = float(lab.event_occurred(lab.deterministic, ev))
         assert (p, ci) == (expected, (expected, expected))
+
+    def test_terminal_ball_without_a_centre_names_the_absorbed_step(self, absorbed_lab):
+        # a live trajectory of the absorbed model's grid: the zero field
+        lab, ev = absorbed_lab, EventSpec("terminal-ball-exit", threshold=0.5)
+        live = solve_mild(ComplexField.zero(lab.spec.grid), lab.nl, None, 0.0, lab.cfg)
+        assert not live.blown_up
+        message = f"absorbed at step {lab.deterministic.cemetery_index},"
+        with pytest.raises(ValueError, match=message):
+            lab.event_occurred(live, ev)
+        batch = solve_mild_batch(ComplexField.zero(lab.spec.grid), lab.nl, None, 0.0, lab.cfg)
+        with pytest.raises(ValueError, match=message):
+            lab._hits(batch, ev)
 
     def test_zero_threshold_sup_event_is_sure(self, linear_lab):
         ev = EventSpec("sup-norm-exceed", threshold=0.0, sobolev_index=0.0)
