@@ -28,7 +28,7 @@ from .errors import ConfigError, InvariantViolation
 from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream
 from .fbm import sample_fbm_exact, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
-from .noise import _DENSE_LIMIT, Control, ConvolutionSampler, CorrelationSpec
+from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, build_L, replicate_blocks
 from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig
 from .solver import solve_mild, solve_mild_batch, solve_skeleton
@@ -216,7 +216,7 @@ def _noisy(scope) -> bool:
 _T = _Key(_num(1e-12), 1.0)
 _MODEL = {
     "T": _T,
-    "n": _Key(_steps, 1000),
+    "n": _Key(_steps, lambda s: _DENSE_LIMIT if s["kind"] in _DENSE_USERS else 1000),
     "grid": _grid(64),
     "nl": _Key(_nullable(_section({
         "kind": _Key(_choice(*NONLINEARITY_KINDS), "kerr"),
@@ -250,7 +250,6 @@ _TABLES = {
     "skeleton": {**_MODEL, "snapshot_every": _Key(_int(0), 0), "control": _Key(_section({
         "type": _Key(_choice("zero", "random"), "random"),
         "scale": _Key(_num(), 1.0),
-        "seed": _Key(_int(0), 0),
     }), None)},
     "ldp": {
         **_MODEL,
@@ -327,8 +326,8 @@ def _resolve(raw: dict) -> dict:
         grid = cfg["_grid"] = _construct("$.grid", GridSpec, **cfg["grid"])
     if "eigenvalues" in cfg.get("noise", ()):
         cfg["_spec"] = _construct("$.noise.eigenvalues", CorrelationSpec, grid, cfg["noise"]["eigenvalues"])
-    elif "noise" in cfg:  # raises ConfigError on bad windows
-        cfg["_spec"] = build_correlation(grid, cfg["noise"]["r"], cfg["H"], cfg["noise"]["alpha"])
+    elif "noise" in cfg:
+        cfg["_spec"] = _construct("$.noise", build_correlation, grid, H=cfg["H"], **cfg["noise"])
     if "noise" in cfg:
         cfg["_kern"] = _construct("$.H", HurstKernel, cfg["H"])
     if "u0" in cfg:
@@ -394,9 +393,10 @@ def write_csv(path: str, header: list[str], rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_pathset_csv(path: str, ps) -> None:
-    """A header row of times, then one row per replicate, every value %.17g."""
-    table = np.vstack([ps.grid.points, ps.values])
+def write_pathset_csv(path: str, tg: TimeGrid, values: np.ndarray) -> None:
+    """A header row of the times of ``tg``, then one row per replicate path of
+    ``values`` (replicates, n + 1), every value %.17g."""
+    table = np.vstack([tg.points, values])
     row = ",".join([_FLOAT_FMT] * table.shape[1])
     atomic_write_text(path, "\n".join([row] * table.shape[0]) % tuple(table.reshape(-1).tolist()) + "\n")
 
@@ -459,8 +459,8 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 
 def _run_fbm(cfg: dict, out_dir: str) -> int:
     sampler = sample_fbm_exact if cfg["sampler"] == "exact" else sample_fbm_fast
-    ps = sampler(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
-    write_pathset_csv(os.path.join(out_dir, "paths.csv"), ps)
+    paths = sampler(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
+    write_pathset_csv(os.path.join(out_dir, "paths.csv"), cfg["_tg"], paths)
     return 0
 
 
@@ -494,13 +494,12 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
     L = build_L(cfg["_spec"], cfg["_kern"], tg)
     n_modes = cfg["_grid"].mode_count
     if cfg["control"]["type"] == "zero":
-        h = Control.zero(n_modes, tg)
+        h = np.zeros((n_modes, tg.n))
     else:
-        z = replicate_stream(cfg["control"]["seed"], 0).standard_normal((n_modes, tg.n))
-        h = Control(values=cfg["control"]["scale"] * z, tg=tg)
+        h = cfg["control"]["scale"] * replicate_stream(cfg["seed"], 0).standard_normal((n_modes, tg.n))
     traj = solve_skeleton(cfg["_u0"], h, cfg["_nl"], cfg["_scfg"], L)
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
-    rows = [[float(tg.midpoints[m])] + [float(v) for v in h.values[:, m]] for m in range(tg.n)]
+    rows = [[float(tg.midpoints[m])] + [float(v) for v in h[:, m]] for m in range(tg.n)]
     write_csv(
         os.path.join(out_dir, "control.csv"),
         ["s"] + [f"mode_{j}" for j in range(n_modes)],
@@ -532,8 +531,8 @@ def _run_ldp(cfg: dict, out_dir: str) -> int:
 
 def _run_holder(cfg: dict, out_dir: str) -> int:
     if cfg["source"] == "fbm":
-        ps = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
-        reports = [asdict(holder_exponent(values)) for values in ps.values]
+        paths = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
+        reports = [asdict(holder_exponent(values)) for values in paths]
     else:
         w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
         blocks = _sampler(cfg).sample_mode_path_blocks(cfg["seed"], cfg["replicates"])

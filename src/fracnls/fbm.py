@@ -27,7 +27,6 @@ from .errors import InvariantViolation
 __all__ = [
     "HurstKernel",
     "TimeGrid",
-    "ScalarPathSet",
     "normalization_constant",
     "kernel_eval",
     "kernel_eval_grid",
@@ -150,14 +149,6 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         p = self.points
         return 0.5 * (p[:-1] + p[1:])
-
-
-@dataclass(frozen=True)
-class ScalarPathSet:
-    """Replicated scalar paths sampled on a time grid; paths start at zero."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (replicates, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +370,9 @@ def increment_covariance_beta(kern: HurstKernel, points: np.ndarray) -> np.ndarr
 # Samplers
 # ---------------------------------------------------------------------------
 
-def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> ScalarPathSet:
-    """Exact sampler: Cholesky factor of the analytic covariance matrix.
+def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
+    """Exact sampler: paths (replicates, n + 1) on ``grid``, each starting at
+    zero, from the Cholesky factor of the analytic covariance matrix.
 
     This is the distributional oracle the fast sampler is tested against.
     Replicate i draws from the counter-based stream keyed (seed, i).
@@ -398,7 +390,7 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sc
     rows = (z for Z in _normal_blocks(seed, replicates, grid.n) for z in Z)
     for i, z in enumerate(rows):
         values[i, 1:] = C @ z
-    return ScalarPathSet(grid=grid, values=values)
+    return values
 
 
 def _circulant_eigenvalues(H: float, n: int) -> np.ndarray:
@@ -410,10 +402,11 @@ def _circulant_eigenvalues(H: float, n: int) -> np.ndarray:
     return np.fft.fft(first_row).real
 
 
-def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> ScalarPathSet:
+def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
     """Circulant-embedding sampler for the stationary increment sequence.
 
-    Distributionally equal to :func:`sample_fbm_exact`; O(n log n) per path, for large n.
+    Paths (replicates, n + 1) on ``grid``, equal in law to :func:`sample_fbm_exact`'s;
+    O(n log n) per path, for large n.
     It never falls back: an eigenvalue below -1e-8 x the largest raises :class:`InvariantViolation`.
     """
     if replicates < 1:
@@ -439,7 +432,7 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> Sca
         fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi, axis=-1).real[:, :n]
         values[start : start + len(Z), 1:] = scale * np.cumsum(fgn, axis=1)
         start += len(Z)
-    return ScalarPathSet(grid=grid, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,9 @@ class GridSpec:
 
 
 class ComplexField:
-    """Complex grid function in physical space with a cached spectrum.
+    """Complex grid function in physical space."""
 
-    The spectrum uses the continuum-transform normalization (cell volume
-    times the FFT) so that Parseval holds against the integral L2 norm.
-    """
-
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
@@ -121,17 +117,10 @@ class ComplexField:
             raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.values = values
-        self._spectrum = None
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "ComplexField":
         return cls(grid, np.zeros(grid.shape, dtype=complex))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = grid_fft(self.grid, self.values) * self.grid.cell_volume
-        return self._spectrum
 
     def __add__(self, other: "ComplexField") -> "ComplexField":
         self._check_same_grid(other)
@@ -223,10 +212,13 @@ def mass(u: ComplexField) -> float:
 def hamiltonian(u: ComplexField, lam: float, sigma: float) -> float:
     """(1/2) ||grad u||_{L2}^2 - lam/(2 sigma + 2) int |u|^{2 sigma + 2} dx.
 
-    The gradient term is computed spectrally.
+    The gradient term is computed spectrally, with the continuum-transform
+    normalization (cell volume times the FFT), so Parseval holds against the
+    integral L2 norm.
     """
     g = u.grid
-    kinetic = 0.5 * np.sum(g.xi_squared * np.abs(u.spectrum) ** 2) / g.volume
+    spectrum = grid_fft(g, u.values) * g.cell_volume
+    kinetic = 0.5 * np.sum(g.xi_squared * np.abs(spectrum) ** 2) / g.volume
     potential = np.sum(np.abs(u.values) ** (2.0 * sigma + 2.0)) * g.cell_volume
     return float(kinetic - lam / (2.0 * sigma + 2.0) * potential)
 

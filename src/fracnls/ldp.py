@@ -28,7 +28,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from .field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
-from .noise import Control, ConvolutionSampler, CorrelationSpec, DiscreteLOperator
+from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
 from .noise import build_L, cheapest_terminal_rate, terminal_covariance_blocks
 from .fbm import HurstKernel, TimeGrid, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
@@ -123,7 +123,7 @@ class SlopeFit:
 
 @dataclass
 class MinimizeResult:
-    control: Control
+    control: np.ndarray  # (n_modes, n) values on the lab's grid
     rate: float
     feasible: bool
     nfev: int
@@ -382,13 +382,13 @@ class LdpLab:
 
     # -- variational bound ---------------------------------------------------
 
-    def pinv_terminal_rate(self, delta: float) -> tuple[float, Control]:
+    def pinv_terminal_rate(self, delta: float) -> tuple[float, np.ndarray]:
         """Pseudo-inverse rate of the cheapest terminal target on the sphere."""
         return cheapest_terminal_rate(self.L, delta)
 
     def _skeletons(self, cs: np.ndarray, design: np.ndarray) -> tuple[np.ndarray, TrajectoryBatch]:
-        """Control values (R, n_modes, n) of the spline coefficients in the
-        rows of ``cs``, and their skeletons from one batched solve."""
+        """The control values (R, n_modes, n) of the spline coefficients in
+        the rows of ``cs``, and their skeletons from one batched solve."""
         values = cs.reshape(len(cs), self.spec.grid.mode_count, -1) @ design.T
         return values, solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
 
@@ -453,10 +453,6 @@ class LdpLab:
             raise ValueError("control basis too large for the optimizer budget")
         nfev = 0
 
-        def control_of(c: np.ndarray) -> Control:
-            coeff = c.reshape(n_modes, n_splines)
-            return Control(values=coeff @ design.T, tg=self.tg)
-
         def value_and_grad(x: np.ndarray, pen: float) -> tuple[float, np.ndarray]:
             nonlocal nfev
             nfev += dim + 1  # objective rows: x and its dim shifted points
@@ -482,7 +478,8 @@ class LdpLab:
                 feasible = True
                 break
             pen *= 10.0
-        if not feasible:
-            return MinimizeResult(control_of(c), math.inf, False, nfev, pen)
-        best = control_of(self._shrink_along_ray(c, design, ev) * c)
-        return MinimizeResult(best, best.half_energy, True, nfev, pen)
+        if feasible:
+            c = self._shrink_along_ray(c, design, ev) * c
+        control = c.reshape(n_modes, n_splines) @ design.T
+        rate = half_energy(control, self.tg) if feasible else math.inf
+        return MinimizeResult(control, rate, feasible, nfev, pen)

@@ -44,7 +44,7 @@ __all__ = [
     "ConvolutionSampler",
     "replicate_blocks",
     "DiscreteLOperator",
-    "Control",
+    "half_energy",
     "GaussianRateResult",
     "n1_window",
     "build_correlation",
@@ -153,28 +153,13 @@ def _increment_chol(H: float, tg: TimeGrid) -> np.ndarray:
     return np.linalg.cholesky(increment_covariance(H, tg.points))
 
 
-@dataclass(frozen=True)
-class Control:
-    """Control h in L2(0,T; L2): one real time series per Fourier mode.
+def half_energy(values: np.ndarray, tg: TimeGrid) -> float:
+    """Half the squared L2(0,T; L2) norm of a control on ``tg``.
 
-    ``values[j, m]`` is the value on time cell m for mode j; the squared
-    norm is sum_j int h_j(s)^2 ds = sum values^2 * dt.
+    A control h is a real array (n_modes, n): ``values[j, m]`` is its value
+    on time cell m for mode j, so ||h||^2 = sum values^2 * dt.
     """
-
-    values: np.ndarray  # (n_modes, n) real cell values
-    tg: TimeGrid
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(self.values**2) * self.tg.dt)
-
-    @property
-    def half_energy(self) -> float:
-        return 0.5 * self.norm_sq
-
-    @classmethod
-    def zero(cls, n_modes: int, tg: TimeGrid) -> "Control":
-        return cls(values=np.zeros((n_modes, tg.n)), tg=tg)
+    return 0.5 * float(np.sum(values**2) * tg.dt)
 
 
 class ConvolutionSampler:
@@ -251,9 +236,9 @@ class DiscreteLOperator:
     def n_modes(self) -> int:
         return self.mats.shape[0]
 
-    def apply(self, h: Control) -> np.ndarray:
-        """Mode paths (n+1, n_modes) of the response to control h."""
-        return self.apply_batch(h.values[None])[0]
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Mode paths (n+1, n_modes) of the response to control values h (n_modes, n)."""
+        return self.apply_batch(h[None])[0]
 
     def apply_batch(self, values: np.ndarray) -> np.ndarray:
         """Mode paths (R, n+1, n_modes) of the responses to control values (R, n_modes, n)."""
@@ -265,9 +250,6 @@ class DiscreteLOperator:
     def real_factor(self, j: int) -> np.ndarray:
         """Real 2n x n factor stacking (Re, Im) response rows of mode j."""
         return np.vstack([self.mats[j].real, self.mats[j].imag])
-
-    def control_from_innovations(self, zeta: np.ndarray) -> Control:
-        return Control(values=zeta / math.sqrt(self.tg.dt), tg=self.tg)
 
 
 def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteLOperator:
@@ -341,9 +323,8 @@ def verify_factorization(Q: np.ndarray, L: DiscreteLOperator) -> float:
 @dataclass(frozen=True)
 class GaussianRateResult:
     rate: float
-    control: Control
+    control: np.ndarray  # (n_modes, n) values on the operator's grid
     feasible: bool
-    rel_residual: float
 
 
 # Relative least-squares miss above which a target path counts as unreachable.
@@ -370,13 +351,12 @@ def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResu
         zeta[j] = sol
         resid_sq += float(np.sum((F @ sol - target) ** 2))
         norm_sq += float(np.sum(target**2))
-    control = L.control_from_innovations(zeta)
+    control = zeta / math.sqrt(L.tg.dt)
     if norm_sq == 0.0:
-        return GaussianRateResult(0.0, control, True, 0.0)
-    rel = math.sqrt(resid_sq / norm_sq)
-    if rel > _REACH_RTOL:
-        return GaussianRateResult(math.inf, control, False, rel)
-    return GaussianRateResult(0.5 * float(np.sum(zeta**2)), control, True, rel)
+        return GaussianRateResult(0.0, control, True)
+    if math.sqrt(resid_sq / norm_sq) > _REACH_RTOL:
+        return GaussianRateResult(math.inf, control, False)
+    return GaussianRateResult(0.5 * float(np.sum(zeta**2)), control, True)
 
 
 def terminal_covariance_blocks(L: DiscreteLOperator) -> np.ndarray:
@@ -389,7 +369,7 @@ def terminal_covariance_blocks(L: DiscreteLOperator) -> np.ndarray:
     return out
 
 
-def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> tuple[float, Control]:
+def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> tuple[float, np.ndarray]:
     """Minimal energy to push the terminal response onto the sphere of
     radius delta in L2: delta^2 / (2 lambda_max) with lambda_max the top
     eigenvalue of the terminal covariance, realized along its eigenvector."""
@@ -407,4 +387,4 @@ def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> tuple[float, C
     zeta_j, _, _, _ = np.linalg.lstsq(F, delta * direction, rcond=None)
     zeta = np.zeros((L.n_modes, L.tg.n))
     zeta[j_star] = zeta_j
-    return 0.5 * float(np.sum(zeta**2)), L.control_from_innovations(zeta)
+    return 0.5 * float(np.sum(zeta**2)), zeta / math.sqrt(L.tg.dt)

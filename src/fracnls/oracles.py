@@ -73,8 +73,8 @@ def exact_sampler_variance_deviation(
 ) -> tuple[float, float]:
     """|sample variance - t^{2H}| of the exact sampler at grid point ``index``,
     and the standard error t^{2H} sqrt(2 / (replicates - 1)) of that variance."""
-    ps = fbm.sample_fbm_exact(H, tg, replicates, seed)
-    sample_var = float(ps.values[:, index].var(ddof=1))
+    paths = fbm.sample_fbm_exact(H, tg, replicates, seed)
+    sample_var = float(paths[:, index].var(ddof=1))
     target = tg.points[index] ** (2 * H)
     return abs(sample_var - target), target * math.sqrt(2.0 / (replicates - 1))
 
@@ -124,7 +124,7 @@ def ks_pvalue(H: float, tg: fbm.TimeGrid, replicates: int, seed_exact: int, seed
     """Two-sample KS p-value of the terminal values of the exact and fast samplers."""
     pe = fbm.sample_fbm_exact(H, tg, replicates, seed_exact)
     pf = fbm.sample_fbm_fast(H, tg, replicates, seed_fast)
-    return ks_2samp_pvalue(pe.values[:, -1], pf.values[:, -1])
+    return ks_2samp_pvalue(pe[:, -1], pf[:, -1])
 
 
 def duality_gap(kern: fbm.HurstKernel, phi: np.ndarray, h: np.ndarray, tg: fbm.TimeGrid) -> float:
@@ -189,9 +189,8 @@ def q_ll_residual(spec: noise.CorrelationSpec, kern: fbm.HurstKernel, tg: fbm.Ti
 def rate_projection_gap(L: noise.DiscreteLOperator, values: np.ndarray) -> float:
     """Rate of the response to the control ``values`` less the control's half
     energy; at most 0 (infinite when the response is found unreachable)."""
-    h0 = noise.Control(values=values, tg=L.tg)
-    res = noise.gaussian_rate(L, L.apply(h0)[1:].T)
-    return res.rate - h0.half_energy
+    res = noise.gaussian_rate(L, L.apply(values)[1:].T)
+    return res.rate - noise.half_energy(values, L.tg)
 
 
 def holder_line_error(n: int) -> float:

@@ -35,7 +35,7 @@ from .field import (
     sobolev_norms,
     values_from_modes,
 )
-from .noise import Control, DiscreteLOperator
+from .noise import DiscreteLOperator
 
 __all__ = [
     "NonlinearitySpec",
@@ -250,14 +250,14 @@ def solve_mild_batch(
 
 def solve_skeleton(
     u0: ComplexField,
-    h: Control,
+    h: np.ndarray,
     nl: NonlinearitySpec | None,
     cfg: SolverConfig,
     L: DiscreteLOperator,
 ) -> Trajectory:
-    """Controlled trajectory S(u0, h): the mild stepper driven by the
-    deterministic response path L h at unit intensity (same code path as
-    :func:`solve_mild`)."""
+    """Controlled trajectory S(u0, h) of the control values h (n_modes, n) on
+    L's grid: the mild stepper driven by the deterministic response path L h
+    at unit intensity (same code path as :func:`solve_mild`)."""
     if L.tg.n != cfg.n_steps or abs(L.tg.T - cfg.T) > 1e-12 * cfg.T:
         raise ValueError("response operator and solver config use different grids")
     mode_paths = L.apply(h)

@@ -54,10 +54,10 @@ def test_criterion_01_fbm_increment_law():
     rng = np.random.default_rng(2024)
     for H in (0.3, 0.5, 0.7):
         grid = TimeGrid(1.0, 64)
-        ps = sample_fbm_exact(H, grid, reps, seed=100)
+        paths = sample_fbm_exact(H, grid, reps, seed=100)
         for _ in range(10):
             i, j = sorted(rng.choice(np.arange(1, 65), size=2, replace=False))
-            inc = ps.values[:, j] - ps.values[:, i]
+            inc = paths[:, j] - paths[:, i]
             target = (grid.points[j] - grid.points[i]) ** (2 * H)
             se = target * math.sqrt(2.0 / (reps - 1))
             z = abs(inc.var(ddof=1) - target) / se
@@ -200,9 +200,9 @@ def test_criterion_08_holder_regularity():
     worst = 0.0
     for H in (0.3, 0.5, 0.7):
         grid = TimeGrid(1.0, 2**14)
-        ps = sample_fbm_fast(H, grid, 5, seed=101)
+        paths = sample_fbm_fast(H, grid, 5, seed=101)
         for i in range(5):
-            worst = max(worst, abs(holder_exponent(ps.values[i]).exponent - H))
+            worst = max(worst, abs(holder_exponent(paths[i]).exponent - H))
     # energy-norm regularity of the stochastic convolution at H = 0.7,
     # estimated over 20 paths (single-path fits carry ~0.05 sampling noise)
     g = GridSpec(1, 8, math.pi)

@@ -28,10 +28,10 @@ from fracnls.cli import (
     write_pathset_csv,
 )
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, ScalarPathSet, TimeGrid, replicate_stream
+from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream
 from fracnls.field import ComplexField, GridSpec, field_from_modes, sobolev_norm
 from fracnls.ldp import EventSpec, LdpLab, holder_exponent, wilson_interval
-from fracnls.noise import Control, ConvolutionSampler
+from fracnls.noise import ConvolutionSampler
 from fracnls.solver import SolverConfig, solve_skeleton
 
 
@@ -53,7 +53,7 @@ KIND_CONFIGS = {
               "nl": {"kind": "saturated", "lam": 1}, "u0": {"type": "plane", "mode": 2},
               "noise": {"alpha": 0.3}, "snapshot_every": 8, "seed": 1},
     "skeleton": {"kind": "skeleton", "H": 0.7, "n": 16, "grid": {"N": 8}, "nl": None,
-                 "u0": {"type": "gaussian", "width": 0.5}, "control": {"scale": 0.5, "seed": 2}},
+                 "u0": {"type": "gaussian", "width": 0.5}, "control": {"scale": 0.5}, "seed": 2},
     "ldp": README_LDP,
     "holder": {"kind": "holder", "H": 0.6, "source": "convolution", "n": 1024, "seed": 2},
     "support": {"kind": "support", "H": 0.7, "n": 16, "grid": {"N": 8}, "nl": None,
@@ -138,6 +138,11 @@ class TestParseConfig:
         assert cfg["replicates"] == 1000
         assert cfg["sampler"] == "exact"
         assert cfg["seed"] == 0
+
+    @pytest.mark.parametrize("kind", ["skeleton", "ldp", "support"])
+    def test_dense_kinds_default_to_the_dense_limit(self, kind):
+        assert parse_config(json.dumps({"kind": kind, "H": 0.7, "grid": {"N": 8}}))["n"] == 64
+        assert parse_config('{"kind": "solve"}')["n"] == 1000
 
     def test_hurst_domain_message(self):
         with pytest.raises(ConfigError, match=r"H must lie in \(0,1\)"):
@@ -297,7 +302,7 @@ class TestRunDeterminism:
         family = []
         for i in range(cfg["family_sizes"][-1]):
             z = replicate_stream(cfg["seed"] + 7_777, i).standard_normal((lab.spec.grid.mode_count, cfg["n"]))
-            h = Control(values=cfg["control_scale"] * z, tg=lab.tg)
+            h = cfg["control_scale"] * z
             family.append(solve_skeleton(lab.u0, h, lab.nl, scfg, lab.L))
 
         def distance(a, b):
@@ -405,7 +410,7 @@ class TestArtifacts:
         grid = TimeGrid(0.3, 8)
         values = np.random.default_rng(0).normal(size=(3, 9))
         values.reshape(-1)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
-        write_pathset_csv(str(tmp_path / "paths.csv"), ScalarPathSet(grid, values))
+        write_pathset_csv(str(tmp_path / "paths.csv"), grid, values)
         rows = [grid.points, *values]
         expected = "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
         assert (tmp_path / "paths.csv").read_text() == expected
@@ -425,12 +430,20 @@ class TestArtifacts:
         raw = {
             "kind": "skeleton", "H": 0.7, "T": 1.0, "n": 16, "grid": {"N": 8},
             "nl": None, "u0": {"type": "zero"}, "noise": {"alpha": 0.2, "r": 4.0},
-            "control": {"type": "random", "scale": 0.5, "seed": 2},
+            "control": {"type": "random", "scale": 0.5}, "seed": 2,
         }
         out = tmp_path / "skel"
         run(parse_config(json.dumps(raw)), str(out))
         header = (out / "control.csv").read_text().splitlines()[0]
         assert header.startswith("s,mode_0")
+
+    def test_skeleton_control_draws_from_the_seed(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({k: v for k, v in KIND_CONFIGS["skeleton"].items() if k != "seed"}))
+        for seed in ("1", "2"):
+            assert main(["skeleton", "--config", str(cfg), "--out", str(tmp_path / seed), "--seed", seed]) == 0
+        for name in ("control.csv", "diagnostics.csv"):
+            assert (tmp_path / "1" / name).read_bytes() != (tmp_path / "2" / name).read_bytes(), name
 
     def test_holder_report(self, tmp_path):
         raw = {"kind": "holder", "H": 0.7, "source": "fbm", "n": 4096, "replicates": 2}
@@ -485,6 +498,13 @@ class TestMainExitCodes:
             # keys no run of the kind reads
             *[(kind, json.dumps({**KIND_CONFIGS[kind], key: 1}), rf"^config error: \$\.{key}: unknown key")
               for kind, key in DELETED_KEYS],
+            ("skeleton", json.dumps({**KIND_CONFIGS["skeleton"], "control": {"scale": 0.5, "seed": 2}}),
+             r"^config error: \$\.control\.seed: unknown key"),
+            # the power law outside its admissible window
+            ("convolve", json.dumps({"H": 0.7, "noise": {"alpha": 1.0}}),
+             r"^config error: \$\.noise: alpha outside the admissible window \(0\.0, 1\.0\)"),
+            ("convolve", json.dumps({"H": 0.7, "noise": {"alpha": 0.25, "r": 1.0}}),
+             r"^config error: \$\.noise: decay exponent r=1\.0 too small"),
             # a blow-up threshold the initial datum already reaches
             ("solve", json.dumps({"T": 0.25, "n": 8, "grid": {"N": 16}, "threshold": 0.001,
                                   "u0": {"type": "gaussian", "amplitude": 1.0}}),
@@ -506,7 +526,8 @@ class TestMainExitCodes:
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
              "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
              "n-overflows", "eigenvalue-nan", "grid-too-large",
-             *[f"{kind}-{key}" for kind, key in DELETED_KEYS],
+             *[f"{kind}-{key}" for kind, key in DELETED_KEYS], "skeleton-control-seed",
+             "alpha-outside-window", "decay-too-small",
              "threshold-below-u0", "ldp-threshold-below-u0", "u0-norm-overflows",
              "terminal-ball-absorbed-flow"],
     )

@@ -201,7 +201,7 @@ class TestReplicateNormals:
         g = TimeGrid(1.0, 1024)
         full = sampler(0.7, g, 37, seed=11)
         part = sampler(0.7, g, 5, seed=11)
-        assert np.array_equal(full.values[:5], part.values)
+        assert np.array_equal(full[:5], part)
 
 
 def _fast_paths_one_row_at_a_time(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
@@ -231,7 +231,7 @@ class TestFastSamplerBlocks:
             assert replicates > max(1, fbm._NORMALS_BYTES // (16 * n))
         g = TimeGrid(1.0, n)
         got = sample_fbm_fast(H, g, replicates, seed=9)
-        assert np.array_equal(got.values, _fast_paths_one_row_at_a_time(H, g, replicates, 9))
+        assert np.array_equal(got, _fast_paths_one_row_at_a_time(H, g, replicates, 9))
 
 
 KS_SAMPLES = st.tuples(
@@ -285,19 +285,19 @@ class TestExactSampler:
         g = TimeGrid(1.0, 16)
         a = sample_fbm_exact(0.7, g, 4, seed=9)
         b = sample_fbm_exact(0.7, g, 4, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_sharding_invariance(self):
         # replicate i depends only on (seed, i), not on the batch layout
         g = TimeGrid(1.0, 16)
         full = sample_fbm_exact(0.7, g, 6, seed=3)
         part = sample_fbm_exact(0.7, g, 3, seed=3)
-        assert np.array_equal(full.values[:3], part.values)
+        assert np.array_equal(full[:3], part)
 
     def test_starts_at_zero(self):
         g = TimeGrid(1.0, 8)
-        ps = sample_fbm_exact(0.3, g, 10, seed=0)
-        assert np.all(ps.values[:, 0] == 0.0)
+        paths = sample_fbm_exact(0.3, g, 10, seed=0)
+        assert np.all(paths[:, 0] == 0.0)
 
     def test_variance_within_four_se(self):
         dev, se = oracles.exact_sampler_variance_deviation(0.7, TimeGrid(1.0, 32), 4000, 21, 16)
@@ -306,9 +306,9 @@ class TestExactSampler:
     def test_brownian_disjoint_increments_uncorrelated(self):
         g = TimeGrid(1.0, 8)
         reps = 5000
-        ps = sample_fbm_exact(0.5, g, reps, seed=42)
-        inc1 = ps.values[:, 2] - ps.values[:, 1]
-        inc2 = ps.values[:, 6] - ps.values[:, 5]
+        paths = sample_fbm_exact(0.5, g, reps, seed=42)
+        inc1 = paths[:, 2] - paths[:, 1]
+        inc2 = paths[:, 6] - paths[:, 5]
         corr = np.corrcoef(inc1, inc2)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(reps)
 
@@ -316,8 +316,8 @@ class TestExactSampler:
 class TestFastSampler:
     def test_brownian_increments_iid(self):
         g = TimeGrid(1.0, 256)
-        ps = sample_fbm_fast(0.5, g, 400, seed=5)
-        inc = np.diff(ps.values, axis=1)
+        paths = sample_fbm_fast(0.5, g, 400, seed=5)
+        inc = np.diff(paths, axis=1)
         target = g.dt
         n_inc = inc.size
         se = target * math.sqrt(2.0 / (n_inc - 1))
@@ -333,7 +333,7 @@ class TestFastSampler:
         H, a = 0.7, 2.0
         pa = sample_fbm_fast(H, TimeGrid(a, 512), 2000, seed=3)
         pb = sample_fbm_fast(H, TimeGrid(1.0, 512), 2000, seed=4)
-        p = stats.ks_2samp(pa.values[:, -1], a**H * pb.values[:, -1]).pvalue
+        p = stats.ks_2samp(pa[:, -1], a**H * pb[:, -1]).pvalue
         assert p > 0.01
 
     def test_long_range_dependence_sign(self):
@@ -342,9 +342,9 @@ class TestFastSampler:
         g = TimeGrid(2.0, 2)
         for H, sign in ((0.7, 1.0), (0.3, -1.0)):
             reps = 6000
-            ps = sample_fbm_exact(H, g, reps, seed=77)
-            i1 = ps.values[:, 1] - ps.values[:, 0]
-            i2 = ps.values[:, 2] - ps.values[:, 1]
+            paths = sample_fbm_exact(H, g, reps, seed=77)
+            i1 = paths[:, 1] - paths[:, 0]
+            i2 = paths[:, 2] - paths[:, 1]
             cov = np.mean(i1 * i2)
             se = np.std(i1 * i2, ddof=1) / math.sqrt(reps)
             assert sign * cov > 4 * se
@@ -353,8 +353,8 @@ class TestFastSampler:
         for H in (0.3, 0.5, 0.7):
             g = TimeGrid(1.0, 64)
             reps = 4000
-            ps = sample_fbm_exact(H, g, reps, seed=11)
-            inc = ps.values[:, 40] - ps.values[:, 8]
+            paths = sample_fbm_exact(H, g, reps, seed=11)
+            inc = paths[:, 40] - paths[:, 8]
             target = (g.points[40] - g.points[8]) ** (2 * H)
             se = target * math.sqrt(2.0 / (reps - 1))
             assert abs(inc.var(ddof=1) - target) < 4 * se
@@ -372,15 +372,15 @@ class TestFastSampler:
             with pytest.raises(InvariantViolation, match="H=0.7, n=16"):
                 sample_fbm_fast(0.7, g, 3, seed=4)
         else:
-            assert np.isfinite(sample_fbm_fast(0.7, g, 3, seed=4).values).all()
+            assert np.isfinite(sample_fbm_fast(0.7, g, 3, seed=4)).all()
 
     def test_near_one_hurst_at_large_n_stays_on_the_fast_path(self, monkeypatch):
         # the embedding that once went negative (min/max -1.23e-8) and fell back
         # to a dense covariance of 512 GiB
         monkeypatch.setattr(fbm, "sample_fbm_exact", _no_exact_sampler)
-        ps = sample_fbm_fast(0.999, TimeGrid(1.0, 2**18), 1, 0)
-        assert ps.values.shape == (1, 2**18 + 1)
-        assert np.isfinite(ps.values).all()
+        paths = sample_fbm_fast(0.999, TimeGrid(1.0, 2**18), 1, 0)
+        assert paths.shape == (1, 2**18 + 1)
+        assert np.isfinite(paths).all()
 
 
 def _no_exact_sampler(*args):

@@ -19,7 +19,7 @@ from fracnls.ldp import (
     support_distance,
     wilson_interval,
 )
-from fracnls.noise import Control, CorrelationSpec, build_correlation, terminal_covariance_blocks
+from fracnls.noise import CorrelationSpec, build_correlation, half_energy, terminal_covariance_blocks
 from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mild_batch, solve_skeleton
 
 
@@ -228,11 +228,11 @@ class TestMinimizeRate:
         got = lab._penalized_energies(cs, design, ev, pen)
         shorts = []
         for r, c in enumerate(cs):
-            h = Control(values=c.reshape(n_modes, n_splines) @ design.T, tg=lab.tg)
+            h = c.reshape(n_modes, n_splines) @ design.T
             traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
             short = loop_shortfall(lab, traj, ev, margin)
             shorts.append(short)
-            assert got[r] == h.half_energy + pen * short * short
+            assert got[r] == half_energy(h, lab.tg) + pen * short * short
         assert 0.0 in shorts and max(shorts) > 0.0
 
     def test_event_containing_flow_costs_nothing(self):
@@ -273,7 +273,7 @@ class TestMinimizeRate:
 
 def skeleton_realizes(lab, ev, c, design):
     """Reference event test: one single-control skeleton solve."""
-    h = Control(values=c.reshape(lab.spec.grid.mode_count, -1) @ design.T, tg=lab.tg)
+    h = c.reshape(lab.spec.grid.mode_count, -1) @ design.T
     return lab.event_occurred(solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L), ev)
 
 
@@ -374,7 +374,7 @@ class TestBatchedOptimizer:
         res = lab.minimize_rate(ev, n_splines=4, budget=230)
         assert stopped_on_budget
         assert res.feasible
-        assert np.array_equal(res.control.values, values)
+        assert np.array_equal(res.control, values)
         assert res.nfev == nfev
         assert res.penalty == pen
 
@@ -421,8 +421,7 @@ class TestSupport:
 
     def test_distance_to_self_is_zero(self, nonlinear_lab):
         lab = nonlinear_lab
-        h = Control(values=np.ones((8, 16)), tg=lab.tg)
-        batch = solve_mild_batch(lab.u0, lab.nl, lab.L.apply_batch(h.values[None]), 1.0, lab.cfg)
+        batch = solve_mild_batch(lab.u0, lab.nl, lab.L.apply_batch(np.ones((1, 8, 16))), 1.0, lab.cfg)
         assert support_distance(lab.spec.grid, batch, batch).tolist() == [[0.0]]
 
     @pytest.mark.parametrize("s", [1.0, 0.5])
@@ -488,9 +487,9 @@ class TestHolder:
     def test_fbm_recovery(self):
         grid = TimeGrid(1.0, 2**14)
         for H in (0.3, 0.5, 0.7):
-            ps = sample_fbm_fast(H, grid, 3, seed=101)
+            paths = sample_fbm_fast(H, grid, 3, seed=101)
             for i in range(3):
-                rep = holder_exponent(ps.values[i])
+                rep = holder_exponent(paths[i])
                 assert abs(rep.exponent - H) <= 0.08
 
     def test_needs_enough_points(self):
