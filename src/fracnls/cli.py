@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream
-from .fbm import sample_fbm_exact, sample_fbm_fast
+from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, build_L, replicate_blocks
@@ -235,7 +234,6 @@ _TABLES = {
         "T": _T,
         "n": _Key(_int(1), 256),
         "replicates": _Key(_int(1), 1000),
-        "sampler": _Key(_choice("exact", "fast"), "exact"),
     },
     "convolve": {
         "H": _Key(_hurst),
@@ -458,8 +456,7 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_fbm(cfg: dict, out_dir: str) -> int:
-    sampler = sample_fbm_exact if cfg["sampler"] == "exact" else sample_fbm_fast
-    paths = sampler(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
+    paths = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
     write_pathset_csv(os.path.join(out_dir, "paths.csv"), cfg["_tg"], paths)
     return 0
 
@@ -635,14 +632,6 @@ def main(argv=None) -> int:
         out_dir = args.out or cfg.get("_out")
         if out_dir is None:
             raise ConfigError("$.out: output directory required (config key or --out)")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
         run(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

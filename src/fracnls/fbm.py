@@ -76,15 +76,16 @@ def _stream_key(seed: int, index: int) -> np.ndarray:
     return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
 
 
-# Byte budget for one draw of the path samplers' normals: the generator cost
-# is amortized, and the normals of a large path set never sit in memory at once.
-_NORMALS_BYTES = 1 << 17
+# Byte budget for one block of rows of every batched path: the normals of the
+# samplers, the replicate mode paths and the states stepped from them.  The
+# per-call cost is amortized, and a large run never sits in memory at once.
+_BLOCK_BYTES = 1 << 19
 
 
-def _row_blocks(rows: int, row_bytes: int, budget: int):
-    """``range(rows)`` in consecutive blocks of at most ``budget`` bytes of
-    rows each, one row at the least: the block rule of every batched path."""
-    block = max(1, budget // row_bytes)
+def _row_blocks(rows: int, row_bytes: int):
+    """``range(rows)`` in consecutive blocks of at most ``_BLOCK_BYTES`` bytes
+    of rows each, one row at the least: the block rule of every batched path."""
+    block = max(1, _BLOCK_BYTES // row_bytes)
     for start in range(0, rows, block):
         yield range(start, min(start + block, rows))
 
@@ -92,7 +93,7 @@ def _row_blocks(rows: int, row_bytes: int, budget: int):
 def _normal_blocks(seed: int, replicates: int, size: int):
     """``replicate_normals(seed, range(replicates), size)`` in consecutive
     blocks of rows, each within the byte budget."""
-    for rows in _row_blocks(replicates, 8 * size, _NORMALS_BYTES):
+    for rows in _row_blocks(replicates, 8 * size):
         yield replicate_normals(seed, rows, size)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "grid_fft",
     "grid_ifft",
     "l2_norm",
-    "l2_inner",
     "apply_group",
     "group_multiplier",
     "group_deviation_norm",
@@ -30,8 +29,6 @@ __all__ = [
     "hamiltonian",
     "field_from_modes",
     "values_from_modes",
-    "modes_from_field",
-    "coeff_sobolev_norm",
 ]
 
 
@@ -172,12 +169,6 @@ def grid_ifft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(values, axes=grid.axes)
 
 
-def l2_inner(u: ComplexField, v: ComplexField) -> float:
-    """Real-valued pairing Re int u conj(v) dx."""
-    u._check_same_grid(v)
-    return float(np.real(np.sum(u.values * np.conj(v.values))) * u.grid.cell_volume)
-
-
 def group_multiplier(grid: GridSpec, t: float) -> np.ndarray:
     """Spectral multiplier exp(i |xi|^2 t) of the free flow."""
     return np.exp(1j * grid.xi_squared * t)
@@ -241,17 +232,3 @@ def values_from_modes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     phased = coeffs.reshape(coeffs.shape[:-1] + grid.shape) * grid.mode_parity_phase
     return grid_ifft(grid, phased) * grid.mode_count / np.sqrt(grid.volume)
-
-
-def modes_from_field(u: ComplexField) -> np.ndarray:
-    """Coefficients of u in the orthonormal Fourier basis (FFT layout)."""
-    g = u.grid
-    coeffs = grid_fft(g, u.values) / g.mode_count * np.sqrt(g.volume)
-    return coeffs * g.mode_parity_phase
-
-
-def coeff_sobolev_norm(grid: GridSpec, coeffs: np.ndarray, s: float) -> float:
-    """H^s norm of a field given by orthonormal-basis coefficients."""
-    w = (1.0 + grid.xi_squared.reshape(-1)) ** s
-    c = np.asarray(coeffs).reshape(-1)
-    return float(np.sqrt(np.sum(w * np.abs(c) ** 2)))

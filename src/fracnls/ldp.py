@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 from .field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
 from .noise import build_L, cheapest_terminal_rate, terminal_covariance_blocks
-from .fbm import HurstKernel, TimeGrid, replicate_stream
+from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
 from .solver import solve_mild, solve_mild_batch
 
@@ -61,7 +61,8 @@ _WILSON_Z = 1.959963984540054
 # Clamped cubic B-splines parametrize the optimizer's controls in time.
 _SPLINE_DEGREE = 3
 
-# The optimizer aims for the event threshold enlarged by this relative margin.
+# The optimizer aims for the event threshold, or the blow-up cap for the
+# blow-up event, enlarged by this relative margin.
 _MARGIN = 1e-3
 
 # The ray shrink halves the scaling interval 25 times (resolution 2^-25),
@@ -230,13 +231,9 @@ def gaussian_terminal_tail(
     thr = delta * delta / eps
     rng = replicate_stream(seed, 0)
     hits = 0
-    chunk = 100_000
-    done = 0
-    while done < nsamples:
-        m = min(chunk, nsamples - done)
-        g = rng.standard_normal((m, lams.size))
+    for rows in _row_blocks(nsamples, 8 * lams.size):
+        g = rng.standard_normal((len(rows), lams.size))
         hits += int(np.count_nonzero((g * g) @ lams > thr))
-        done += m
     p = hits / nsamples
     se = math.sqrt(max(p * (1 - p), 1e-300) / nsamples)
     return p, se
@@ -318,13 +315,13 @@ class LdpLab:
         return any(sobolev_norm(ComplexField(traj.grid, v), s) > ev.threshold for v in traj.states)
 
     def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec) -> np.ndarray:
-        """Event functional of each live replicate: the terminal distance to
-        the deterministic flow, or the sup over time of the H^s norm (H^1
-        for the blow-up event)."""
+        """Event functional of each live replicate for the bounded events: the
+        terminal distance to the deterministic flow, or the sup over time of
+        the H^s norm."""
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
             return sobolev_norms(self.spec.grid, batch.states[live, -1] - self.terminal_centre().values, s)
-        if s == 1.0 or ev.kind == "blow-up-before-T":
+        if s == 1.0:
             return batch.h1_norms[live].max(axis=1)
         return sobolev_norms(self.spec.grid, batch.states[live], s).max(axis=1)
 
@@ -337,10 +334,6 @@ class LdpLab:
         if ev.kind != "blow-up-before-T" and live.any():
             hits[live] = self._reach(batch, live, ev) > ev.threshold
         return hits
-
-    def sample_trajectory(self, eps: float, seed: int, replicate: int) -> Trajectory:
-        paths = self.sampler.sample_mode_paths(seed, replicate)
-        return solve_mild(self.u0, self.nl, paths, eps, self.cfg)
 
     def estimate_event_probability(
         self, ev: EventSpec, eps: float, replicates: int, seed: int
@@ -429,16 +422,18 @@ class LdpLab:
         values, batch = self._skeletons(cs, design)
         energy = 0.5 * (np.sum(values**2, axis=(1, 2)) * self.tg.dt)
         live = ~batch.blown_up
-        reach = self._reach(batch, live, ev)
         short = np.zeros(len(cs))
         if ev.kind == "blow-up-before-T":
-            # the sup of H^1 against the threshold as proxy
-            short[live] = np.maximum(0.0, 1.0 - reach / (1.0 + reach))
+            # the blow-up cap against the sup of H^1 after t = 0: the norm of
+            # u0 does not depend on the control, so a sup reached there would
+            # leave the penalty flat at the zero control
+            cap = self.cfg.blowup_cap(batch.h1_norms[0, 0])
+            short[live] = np.maximum(0.0, cap * (1.0 + _MARGIN) - batch.h1_norms[live, 1:].max(axis=1))
         else:
-            short[live] = np.maximum(0.0, ev.threshold * (1.0 + _MARGIN) - reach)
+            short[live] = np.maximum(0.0, ev.threshold * (1.0 + _MARGIN) - self._reach(batch, live, ev))
         return energy + pen * short * short
 
-    def minimize_rate(self, ev: EventSpec, n_splines: int = 8, budget: int = 4000) -> MinimizeResult:
+    def minimize_rate(self, ev: EventSpec, n_splines: int, budget: int) -> MinimizeResult:
         """Penalty search for a feasible control of small energy.
 
         Controls are parametrized on a tensor basis (modes x time B-splines);

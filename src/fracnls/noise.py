@@ -137,15 +137,10 @@ def hs_tail_ratio(spec: CorrelationSpec, s: float) -> float:
 # Discrete per-mode model
 # ---------------------------------------------------------------------------
 
-# Byte budget for one block of replicate mode paths, and so for the states
-# stepped from them: a whole run in one batch raises peak memory for no speed.
-_BATCH_BYTES = 1 << 19
-
-
 def replicate_blocks(tg: TimeGrid, n_modes: int, replicates: int):
     """``range(replicates)`` in consecutive blocks whose mode paths
-    (R, n + 1, n_modes), and the states stepped from them, fit the budget."""
-    return _row_blocks(replicates, (tg.n + 1) * n_modes * np.dtype(complex).itemsize, _BATCH_BYTES)
+    (R, n + 1, n_modes), and the states stepped from them, fit the block budget."""
+    return _row_blocks(replicates, (tg.n + 1) * n_modes * np.dtype(complex).itemsize)
 
 
 @lru_cache(maxsize=32)
@@ -272,27 +267,17 @@ def _real_sandwich(A_j: np.ndarray, S: np.ndarray) -> np.ndarray:
     return Ar @ S @ Ar.T
 
 
-def build_Q(
-    spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid, method: str = "auto"
-) -> np.ndarray:
+def build_Q(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> np.ndarray:
     """Covariance of the stacked real response samples, assembled directly.
 
     Block-diagonal over modes; block j is the covariance of
-    (Re Z_j(t_1..t_n), Im Z_j(t_1..t_n)).  ``method`` selects how the driving
-    increment covariance is computed: "beta" uses the closed-form weighted
-    double integral (H > 1/2 only), "difference" uses second differences of
-    the path covariance, "auto" prefers "beta" when available.
+    (Re Z_j(t_1..t_n), Im Z_j(t_1..t_n)).  The driving increment covariance
+    is the closed-form weighted double integral, so H > 1/2: independent of
+    the second differences that L is built on, which Q = L L^T then checks.
     """
     if tg.n > _DENSE_LIMIT:
         raise ValueError(f"dense covariance assembly is limited to n <= {_DENSE_LIMIT}")
-    if method == "auto":
-        method = "beta" if kern.H > 0.5 else "difference"
-    if method == "beta":
-        S = increment_covariance_beta(kern, tg.points)
-    elif method == "difference":
-        S = increment_covariance(kern.H, tg.points)
-    else:
-        raise ValueError(f"unknown covariance assembly method {method!r}")
+    S = increment_covariance_beta(kern, tg.points)
     A = _integrand_matrices(spec, tg)
     n2 = 2 * tg.n
     n_modes = spec.grid.mode_count

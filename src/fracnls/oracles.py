@@ -183,7 +183,7 @@ def plane_wave_error(
 def q_ll_residual(spec: noise.CorrelationSpec, kern: fbm.HurstKernel, tg: fbm.TimeGrid) -> float:
     """Max residual of Q = L L* with Q from the Beta-weighted double integral."""
     L = noise.build_L(spec, kern, tg)
-    return noise.verify_factorization(noise.build_Q(spec, kern, tg, method="beta"), L)
+    return noise.verify_factorization(noise.build_Q(spec, kern, tg), L)
 
 
 def rate_projection_gap(L: noise.DiscreteLOperator, values: np.ndarray) -> float:

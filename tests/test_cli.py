@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracnls
-from fracnls import __version__, noise
+from fracnls import __version__, fbm
 from fracnls.cli import (
     _field_csv_template,
     atomic_write_text,
@@ -32,8 +32,10 @@ from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream
 from fracnls.field import ComplexField, GridSpec, field_from_modes, sobolev_norm
 from fracnls.ldp import EventSpec, LdpLab, holder_exponent, wilson_interval
 from fracnls.noise import ConvolutionSampler
-from fracnls.solver import SolverConfig, solve_skeleton
+from fracnls.solver import SolverConfig, solve_mild, solve_skeleton
 
+
+README_FBM = {"H": 0.7, "T": 1.0, "n": 256, "replicates": 1000, "seed": 42}
 
 README_LDP = {
     "kind": "ldp", "H": 0.7, "T": 1.0, "n": 16, "grid": {"N": 8},
@@ -69,6 +71,11 @@ DELETED_KEYS = [("ldp", "eps"), ("ldp", "snapshot_every"), ("support", "eps"), (
 
 def _public(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
+
+
+def sample_trajectory(lab: LdpLab, eps: float, seed: int, replicate: int):
+    """Reference: replicate ``replicate`` of ``seed`` drawn and solved alone."""
+    return solve_mild(lab.u0, lab.nl, lab.sampler.sample_mode_paths(seed, replicate), eps, lab.cfg)
 
 
 def _key_paths(node, prefix=()):
@@ -136,7 +143,7 @@ class TestParseConfig:
         cfg = parse_config('{"kind": "fbm", "H": 0.6}')
         assert cfg["n"] == 256
         assert cfg["replicates"] == 1000
-        assert cfg["sampler"] == "exact"
+        assert "sampler" not in cfg  # one sampler: circulant embedding
         assert cfg["seed"] == 0
 
     @pytest.mark.parametrize("kind", ["skeleton", "ldp", "support"])
@@ -261,7 +268,7 @@ class TestRunDeterminism:
         rows = []
         for idx, eps in enumerate(cfg["eps_ladder"]):
             hits = sum(
-                lab.event_occurred(lab.sample_trajectory(eps, cfg["seed"] + idx, i), ev)
+                lab.event_occurred(sample_trajectory(lab, eps, cfg["seed"] + idx, i), ev)
                 for i in range(reps)
             )
             p = hits / reps
@@ -272,6 +279,22 @@ class TestRunDeterminism:
         assert (tmp_path / "ldp" / "ladder.csv").read_bytes() == (
             tmp_path / "reference.csv"
         ).read_bytes()
+
+    def test_blowup_bound_is_finite_when_u0_holds_the_sup(self, tmp_path):
+        # the focusing flow's H^1 norm is largest at t = 0, which no control
+        # moves, so only a score that reads the sup after t = 0 has a slope at
+        # the zero control
+        raw = {
+            "kind": "ldp", "H": 0.7, "n": 32, "grid": {"N": 16}, "nl": {"kind": "kerr", "lam": 1, "sigma": 2},
+            "u0": {"type": "gaussian", "amplitude": 1.0, "width": 1 / math.sqrt(2)}, "threshold": 3.0,
+            "event": {"kind": "blow-up-before-T"}, "replicates": 100,
+            "optimizer": {"enabled": True, "n_splines": 4, "budget": 1000},
+        }
+        cfg = parse_config(json.dumps(raw))
+        assert np.nanargmax(cfg["_lab"].deterministic.h1_norms) == 0
+        run(cfg, str(tmp_path / "ldp"))
+        bound = json.loads((tmp_path / "ldp" / "rate_report.json").read_text())["variational_bound"]
+        assert bound is not None and 0.0 < bound < math.inf
 
     @pytest.mark.parametrize(
         "raw, cemeteries",
@@ -297,7 +320,7 @@ class TestRunDeterminism:
         # distance per pair, as the max over the steps of the H^1 norm
         scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
         lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], HurstKernel(cfg["H"]), scfg)
-        samples = [lab.sample_trajectory(1.0, cfg["seed"], i) for i in range(cfg["samples"])]
+        samples = [sample_trajectory(lab, 1.0, cfg["seed"], i) for i in range(cfg["samples"])]
         assert {s.cemetery_index for s in samples} == cemeteries
         family = []
         for i in range(cfg["family_sizes"][-1]):
@@ -324,7 +347,7 @@ class TestRunDeterminism:
         cfg = parse_config(json.dumps(raw))
         run(cfg, str(tmp_path / "holder"))
         # a replicate's mode paths are 1025 x 8 complex: 10 replicates span four blocks
-        assert cfg["replicates"] > 3 * (noise._BATCH_BYTES // (1025 * 8 * 16))
+        assert cfg["replicates"] > 3 * (fbm._BLOCK_BYTES // (1025 * 8 * 16))
         # reference: one sample_mode_paths draw per replicate
         sampler = ConvolutionSampler(cfg["_spec"], HurstKernel(cfg["H"]), TimeGrid(cfg["T"], cfg["n"]))
         w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
@@ -500,6 +523,7 @@ class TestMainExitCodes:
               for kind, key in DELETED_KEYS],
             ("skeleton", json.dumps({**KIND_CONFIGS["skeleton"], "control": {"scale": 0.5, "seed": 2}}),
              r"^config error: \$\.control\.seed: unknown key"),
+            ("fbm", json.dumps({**KIND_CONFIGS["fbm"], "sampler": "fast"}), r"^config error: \$\.sampler: unknown key"),
             # the power law outside its admissible window
             ("convolve", json.dumps({"H": 0.7, "noise": {"alpha": 1.0}}),
              r"^config error: \$\.noise: alpha outside the admissible window \(0\.0, 1\.0\)"),
@@ -526,7 +550,7 @@ class TestMainExitCodes:
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
              "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
              "n-overflows", "eigenvalue-nan", "grid-too-large",
-             *[f"{kind}-{key}" for kind, key in DELETED_KEYS], "skeleton-control-seed",
+             *[f"{kind}-{key}" for kind, key in DELETED_KEYS], "skeleton-control-seed", "fbm-sampler",
              "alpha-outside-window", "decay-too-small",
              "threshold-below-u0", "ldp-threshold-below-u0", "u0-norm-overflows",
              "terminal-ball-absorbed-flow"],
@@ -562,7 +586,7 @@ class TestMainExitCodes:
 
     def test_readme_fbm_example_reruns_from_its_manifest(self, tmp_path):
         cfg = tmp_path / "fbm.json"
-        cfg.write_text('{"H": 0.7, "T": 1.0, "n": 256, "replicates": 1000, "sampler": "fast", "seed": 42}')
+        cfg.write_text(json.dumps(README_FBM))
         assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         manifest = tmp_path / "a" / "manifest.json"
         assert json.loads(manifest.read_text())["version"] == __version__
@@ -630,6 +654,16 @@ class TestMainExitCodes:
         assert rep["failed"] == 0
         assert [r["oracle"] for r in rep["oracles"]] == ORACLE_NAMES
         assert rep["total"] == len(ORACLE_NAMES)
+
+
+def test_readme_examples_are_the_tested_configs():
+    # each ``cat > <kind>.json <<'EOF'`` heredoc of the README, as JSON
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    examples = {kind: json.loads(body)
+                for kind, body in re.findall(r"cat > (\w+)\.json <<'EOF'\n(.*?)\nEOF\n", text, re.S)}
+    assert examples == {"fbm": README_FBM, "ldp": {k: v for k, v in README_LDP.items() if k != "kind"}}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):

@@ -196,10 +196,11 @@ class TestReplicateNormals:
 
     @pytest.mark.parametrize("sampler", [sample_fbm_exact, sample_fbm_fast])
     def test_samplers_do_not_depend_on_the_draw_blocks(self, sampler):
-        # at n = 1024 a draw holds 8 (fast) or 16 (exact) replicates, so the
+        # at n = 1024 a draw holds 32 (fast) or 64 (exact) replicates, so the
         # two path sets split their replicates into different blocks
         g = TimeGrid(1.0, 1024)
-        full = sampler(0.7, g, 37, seed=11)
+        assert 70 > fbm._BLOCK_BYTES // (8 * 1024)
+        full = sampler(0.7, g, 70, seed=11)
         part = sampler(0.7, g, 5, seed=11)
         assert np.array_equal(full[:5], part)
 
@@ -222,13 +223,16 @@ def _fast_paths_one_row_at_a_time(H: float, grid: TimeGrid, replicates: int, see
 
 
 class TestFastSamplerBlocks:
-    # replicate counts past a block of normals where a block holds fewer rows
-    # (32 rows at n = 256, 8 at n = 1024, 1 at n = 16384)
-    @pytest.mark.parametrize("n, replicates", [(1, 7), (2, 7), (3, 7), (256, 33), (1024, 17), (16384, 3)])
+    # (n, rows): the replicates, or at n >= 256 the replicates past one full
+    # block of normals (128 rows at n = 256, 32 at n = 1024, 2 at n = 16384),
+    # so those path sets span more than one block whatever the budget
+    @pytest.mark.parametrize("n, rows", [(1, 7), (2, 7), (3, 7), (256, 33), (1024, 17), (16384, 3)])
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
-    def test_block_transform_equals_per_row_reference(self, H, n, replicates):
+    def test_block_transform_equals_per_row_reference(self, H, n, rows):
+        replicates = rows
         if n >= 256:
-            assert replicates > max(1, fbm._NORMALS_BYTES // (16 * n))
+            replicates += fbm._BLOCK_BYTES // (16 * n)
+            assert len(list(fbm._row_blocks(replicates, 16 * n))) > 1
         g = TimeGrid(1.0, n)
         got = sample_fbm_fast(H, g, replicates, seed=9)
         assert np.array_equal(got, _fast_paths_one_row_at_a_time(H, g, replicates, 9))

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
-from fracnls import ldp, noise, oracles
+from fracnls import fbm, ldp, oracles
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
 from fracnls.field import ComplexField, GridSpec, sobolev_norm
 from fracnls.ldp import (
@@ -69,9 +69,14 @@ def absorbed_lab():
     return lab
 
 
+def sample_trajectory(lab, eps, seed, replicate):
+    """Reference: replicate ``replicate`` of ``seed`` drawn and solved alone."""
+    return solve_mild(lab.u0, lab.nl, lab.sampler.sample_mode_paths(seed, replicate), eps, lab.cfg)
+
+
 def loop_hits(lab, ev, eps, replicates, seed):
     """Reference Monte Carlo: one trajectory and one event test per replicate."""
-    return sum(lab.event_occurred(lab.sample_trajectory(eps, seed, i), ev) for i in range(replicates))
+    return sum(lab.event_occurred(sample_trajectory(lab, eps, seed, i), ev) for i in range(replicates))
 
 
 def loop_shortfall(lab, traj, ev, margin):
@@ -84,7 +89,9 @@ def loop_shortfall(lab, traj, ev, margin):
     if ev.kind == "sup-norm-exceed":
         reach = max(sobolev_norm(ComplexField(traj.grid, v), ev.sobolev_index) for v in traj.states)
         return max(0.0, ev.threshold * (1.0 + margin) - reach)
-    return max(0.0, 1.0 - np.nanmax(traj.h1_norms) / (1.0 + np.nanmax(traj.h1_norms)))
+    # blow-up: the cap against the sup after t = 0, where the control acts
+    cap = lab.cfg.blowup_cap(traj.h1_norms[0])
+    return max(0.0, cap * (1.0 + margin) - max(traj.h1_norms[1:]))
 
 
 class TestWilson:
@@ -185,7 +192,7 @@ class TestEvents:
         # the linear flow never blows up
         assert not linear_lab.event_occurred(linear_lab.deterministic, ev)
         # a trajectory absorbed at the cemetery realizes it
-        traj = linear_lab.sample_trajectory(1.0, seed=0, replicate=0)
+        traj = sample_trajectory(linear_lab, 1.0, seed=0, replicate=0)
         traj.cemetery_index = 5
         assert linear_lab.event_occurred(traj, ev)
 
@@ -203,7 +210,7 @@ class TestBatchedMonteCarlo:
     def test_hits_equal_loop_reference(self, request, lab_name, ev, eps):
         lab = request.getfixturevalue(lab_name)
         state_bytes = (lab.cfg.n_steps + 1) * lab.spec.grid.mode_count * 16
-        chunk = noise._BATCH_BYTES // state_bytes
+        chunk = fbm._BLOCK_BYTES // state_bytes
         reps = 2 * chunk + 7  # two full chunks and a short one
         p, _ = lab.estimate_event_probability(ev, eps, reps, seed=3)
         hits = loop_hits(lab, ev, eps, reps, seed=3)
@@ -427,7 +434,7 @@ class TestSupport:
     @pytest.mark.parametrize("s", [1.0, 0.5])
     def test_distance_equals_per_step_loop(self, nonlinear_lab, s):
         lab = nonlinear_lab
-        a = lab.sample_trajectory(1.0, seed=4, replicate=0)
+        a = sample_trajectory(lab, 1.0, seed=4, replicate=0)
         b = lab.deterministic
         g = lab.spec.grid
         loop = max(
@@ -439,7 +446,7 @@ class TestSupport:
     def test_single_member_family_is_plain_distance(self, nonlinear_lab):
         lab = nonlinear_lab
         g = lab.spec.grid
-        a = lab.sample_trajectory(1.0, seed=4, replicate=0)
+        a = sample_trajectory(lab, 1.0, seed=4, replicate=0)
         b = lab.deterministic
         plain = max(sobolev_norm(ComplexField(g, va - vb), 1.0) for va, vb in zip(a.states, b.states))
         D = support_distance(g, sample_batch(lab, 4, 1), deterministic_batch(lab))

@@ -202,13 +202,11 @@ class TestFactorization:
         spec = CorrelationSpec(grid=grid, eigenvalues=ev)
         assert oracles.q_ll_residual(spec, HurstKernel(H), TimeGrid(1.0, 8)) < 1e-10
 
-    def test_difference_route_matches_beta_route(self, grid):
-        spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        kern = HurstKernel(0.7)
-        tg = TimeGrid(1.0, 8)
-        Qa = build_Q(spec, kern, tg, method="beta")
-        Qb = build_Q(spec, kern, tg, method="difference")
-        assert np.abs(Qa - Qb).max() < 1e-12
+    def test_q_requires_large_hurst(self, grid):
+        # Q is assembled from the Beta-weighted increment covariance only
+        spec = build_correlation(grid, 4.0, 0.4, 0.2)
+        with pytest.raises(ValueError, match="requires H > 1/2"):
+            build_Q(spec, HurstKernel(0.4), TimeGrid(1.0, 8))
 
     def test_zero_spec_q_is_zero(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
