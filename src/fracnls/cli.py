@@ -338,6 +338,12 @@ def _resolve(raw: dict) -> dict:
         lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
         if cfg["event"]["kind"] == "terminal-ball-exit":
             _construct("$.event.kind", lab.terminal_centre)
+        if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
+            _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
+    if kind == "oracle-suite":
+        # the suite's scipy references, loaded at set-up so that its run imports nothing
+        import scipy.integrate
+        import scipy.special
     return cfg
 
 

@@ -18,9 +18,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import beta as beta_fn
-from scipy.special import gamma as gamma_fn
 
 from .errors import InvariantViolation
 
@@ -107,6 +104,8 @@ def normalization_constant(H: float) -> float:
 
     Equals 1 exactly at H = 1/2, where every gamma argument is 1.
     """
+    from scipy.special import gamma as gamma_fn
+
     _check_hurst(H)
     num = 2.0 * H * gamma_fn(1.5 - H)
     den = gamma_fn(H + 0.5) * gamma_fn(2.0 - 2.0 * H)
@@ -188,6 +187,8 @@ def _bracket(H: float, v2_over_s):
 def _kernel_integral_quad(H: float, t: float, s: float) -> float:
     # integral_s^t (u-s)^{H-3/2} (1-(s/u)^{1/2-H}) du after u = s + v^2,
     # which removes the endpoint singularity analytically
+    from scipy.integrate import quad
+
     V = math.sqrt(t - s)
 
     def f(v):
@@ -346,6 +347,8 @@ def increment_covariance_beta(kern: HurstKernel, points: np.ndarray) -> np.ndarr
     integral c^2 (H-1/2)^2 B(2-2H, H-1/2) int int |u-v|^{2H-2} du dv over cell
     pairs, with the cell integrals in closed form.  Requires H > 1/2.
     """
+    from scipy.special import beta as beta_fn
+
     H = kern.H
     if H <= 0.5:
         raise ValueError("beta-weighted covariance requires H > 1/2")

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.optimize import minimize
 
 from .field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
@@ -58,8 +56,10 @@ _FD_FALLBACK = np.finfo(float).eps ** 0.5
 # Normal quantile of the two-sided 95% Wilson interval.
 _WILSON_Z = 1.959963984540054
 
-# Clamped cubic B-splines parametrize the optimizer's controls in time.
+# Clamped cubic B-splines parametrize the optimizer's controls in time, and
+# the tensor basis (modes x splines) holds at most this many coefficients.
 _SPLINE_DEGREE = 3
+_MAX_CONTROL_DIM = 64 * 8
 
 # The optimizer aims for the event threshold, or the blow-up cap for the
 # blow-up event, enlarged by this relative margin.
@@ -255,6 +255,8 @@ def _forward_difference(f, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:
     """Clamped B-spline design matrix on cell midpoints, (n_cells, n_splines)."""
+    from scipy.interpolate import BSpline
+
     degree = _SPLINE_DEGREE
     if n_splines < degree + 1:
         raise ValueError(f"need at least {degree + 1} splines for degree {degree}")
@@ -289,6 +291,15 @@ class LdpLab:
     @cached_property
     def L(self) -> DiscreteLOperator:
         return build_L(self.spec, self.kern, self.tg)
+
+    def control_basis(self, n_splines: int) -> np.ndarray:
+        """The time design (n, n_splines) of :meth:`minimize_rate`'s controls;
+        a ValueError where the tensor basis exceeds the optimizer's limit."""
+        dim = self.spec.grid.mode_count * n_splines
+        if dim > _MAX_CONTROL_DIM:
+            raise ValueError(f"control basis of {self.spec.grid.mode_count} modes x {n_splines} splines "
+                             f"= {dim} coefficients exceeds the optimizer's limit {_MAX_CONTROL_DIM}")
+        return _spline_design(self.tg.n, self.tg.T, n_splines)
 
     # -- events ------------------------------------------------------------
 
@@ -441,11 +452,11 @@ class LdpLab:
         event, then the control is shrunk along its ray to the cheapest
         scaling that stays feasible.  Returns an upper bound on the infimum.
         """
+        from scipy.optimize import minimize
+
         n_modes = self.spec.grid.mode_count
-        design = _spline_design(self.tg.n, self.tg.T, n_splines)  # (n, n_b)
+        design = self.control_basis(n_splines)  # (n, n_b)
         dim = n_modes * n_splines
-        if dim > 64 * 8:
-            raise ValueError("control basis too large for the optimizer budget")
         nfev = 0
 
         def value_and_grad(x: np.ndarray, pen: float) -> tuple[float, np.ndarray]:

@@ -648,6 +648,16 @@ class TestMainExitCodes:
         assert main(["fbm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: $.version: ")
 
+    def test_oversized_optimizer_basis_is_a_config_error(self, tmp_path, capsys):
+        # 64 modes x 9 splines = 576 coefficients, past the optimizer's 512:
+        # refused while the config resolves, not after the Monte Carlo ladder
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"H": 0.7, "optimizer": {"enabled": true, "n_splines": 9}}')
+        assert main(["ldp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("config error: $.optimizer.n_splines: control basis of 64 modes x 9 splines "
+                                           "= 576 coefficients exceeds the optimizer's limit 512\n")
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_suite_runs_clean(self, tmp_path):
         assert main(["oracle-suite", "--out", str(tmp_path / "oracle")]) == 0
         rep = json.loads((tmp_path / "oracle" / "oracle_report.json").read_text())
@@ -666,16 +676,47 @@ def test_readme_examples_are_the_tested_configs():
     assert examples == {"fbm": README_FBM, "ldp": {k: v for k, v in README_LDP.items() if k != "kind"}}
 
 
+# Resolves and runs each config of argv[1] in turn under argv[2], and prints
+# the scipy modules loaded after the import, then after each resolve and run.
+IMPORT_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import fracnls.cli as cli
+seen = [scipy_modules()]
+for i, raw in enumerate(json.loads(sys.argv[1])):
+    cfg = cli.parse_config(json.dumps(raw))
+    seen.append(scipy_modules())
+    cli.run(cfg, f"{sys.argv[2]}/{i}")
+    seen.append(scipy_modules())
+print(json.dumps(seen))
+"""
+
+NUMPY_ONLY_CONFIGS = [
+    KIND_CONFIGS["fbm"],
+    {"kind": "holder", "H": 0.6, "source": "fbm", "n": 1024, "replicates": 2},
+    {"kind": "solve", "T": 0.25, "n": 16, "grid": {"N": 16}, "u0": {"type": "plane", "mode": 2}},
+]
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats takes ~0.6 s to import, and nothing in fracnls uses it: the
-    # KS oracle computes its exact p-value with numpy
+    # KS oracle computes its exact p-value with numpy.  The rest of scipy loads
+    # only for the kinds that call it, and while their config resolves, so
+    # that no run imports a module
     src = os.path.dirname(os.path.dirname(fracnls.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, fracnls.cli; imported = 'scipy.stats' in sys.modules; "
-        "code = fracnls.cli.main(['oracle-suite', '--out', sys.argv[1]]); "
-        "print(imported, code, 'scipy.stats' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "oracle")], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False 0 False"
+
+    def probe(name: str, configs: list) -> list:
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(configs), str(tmp_path / name)],
+                             env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    assert probe("numpy-only", NUMPY_ONLY_CONFIGS) == [[]] * 7
+    ldp_optimizer = {**README_LDP, "replicates": 200,
+                     "optimizer": {"enabled": True, "n_splines": 4, "budget": 100}}
+    for kind, raw in {**KIND_CONFIGS, "ldp": ldp_optimizer}.items():
+        imported, resolved, ran = probe(kind, [raw])
+        assert imported == [], kind
+        assert ran == resolved, kind
+        assert "scipy.stats" not in ran, kind
