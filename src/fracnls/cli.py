@@ -28,9 +28,8 @@ from .errors import ConfigError, InvariantViolation
 from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
-from .noise import build_correlation, build_L, replicate_blocks
-from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig
-from .solver import solve_mild, solve_mild_batch, solve_skeleton
+from .noise import build_correlation, replicate_blocks
+from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from .ldp import EVENT_KINDS, EventSpec, LdpLab, holder_exponent, support_distance
 
 _FLOAT_FMT = "%.17g"
@@ -318,7 +317,7 @@ def _resolve(raw: dict) -> dict:
     cfg = _walk({k: v for k, v in raw.items() if k != "out"}, {**_COMMON, **_TABLES[kind]}, "$", ChainMap())
     if "out" in raw:
         cfg["_out"] = _string(raw["out"], "$.out", None)
-    if "T" in cfg:
+    if "T" in cfg and "u0" not in cfg:  # a model's grid is its solver config's
         cfg["_tg"] = _construct("$.n", TimeGrid, cfg["T"], cfg["n"])
     if "grid" in cfg:
         grid = cfg["_grid"] = _construct("$.grid", GridSpec, **cfg["grid"])
@@ -330,12 +329,14 @@ def _resolve(raw: dict) -> dict:
         cfg["_kern"] = _construct("$.H", HurstKernel, cfg["H"])
     if "u0" in cfg:
         cfg["_scfg"] = _construct("$.threshold", SolverConfig, cfg["T"], cfg["n"], cfg["threshold"])
+        cfg["_tg"] = cfg["_scfg"].tg
         cfg["_nl"] = None if cfg["nl"] is None else _construct("$.nl", NonlinearitySpec, **cfg["nl"])
         cfg["_u0"] = _construct("$.u0", _initial_datum, grid, cfg["u0"])
         with np.errstate(over="ignore", invalid="ignore"):  # an initial norm past float range is refused
             _construct("$.threshold", cfg["_scfg"].blowup_cap, sobolev_norm(cfg["_u0"], 1.0))
-    if kind == "ldp":
+    if kind in _DENSE_USERS:
         lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
+    if kind == "ldp":
         if cfg["event"]["kind"] == "terminal-ball-exit":
             _construct("$.event.kind", lab.terminal_centre)
         if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
@@ -434,8 +435,8 @@ def write_field_csv(path: str, field: ComplexField) -> None:
 
 
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
-    lam = nl.lam if nl is not None else -1.0
-    sig = nl.sigma if nl is not None else 1.0
+    # a linear run reports the kinetic energy, which the free flow conserves
+    lam, sig = (0.0, 1.0) if nl is None else (nl.lam, nl.sigma)
     fields = [ComplexField(traj.grid, v) for v in traj.states]
     rows = [
         [float(t), mass(f), float(h1), hamiltonian(f, lam, sig), 0]
@@ -493,21 +494,16 @@ def _run_solve(cfg: dict, out_dir: str) -> int:
 
 
 def _run_skeleton(cfg: dict, out_dir: str) -> int:
-    tg = cfg["_tg"]
-    L = build_L(cfg["_spec"], cfg["_kern"], tg)
+    lab, tg = cfg["_lab"], cfg["_tg"]
     n_modes = cfg["_grid"].mode_count
     if cfg["control"]["type"] == "zero":
         h = np.zeros((n_modes, tg.n))
     else:
         h = cfg["control"]["scale"] * replicate_stream(cfg["seed"], 0).standard_normal((n_modes, tg.n))
-    traj = solve_skeleton(cfg["_u0"], h, cfg["_nl"], cfg["_scfg"], L)
+    traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
-    rows = [[float(tg.midpoints[m])] + [float(v) for v in h[:, m]] for m in range(tg.n)]
-    write_csv(
-        os.path.join(out_dir, "control.csv"),
-        ["s"] + [f"mode_{j}" for j in range(n_modes)],
-        rows,
-    )
+    write_csv(os.path.join(out_dir, "control.csv"), ["s"] + [f"mode_{j}" for j in range(n_modes)],
+              np.column_stack([tg.midpoints, h.T]).tolist())
     return 0
 
 
@@ -518,9 +514,7 @@ def _run_ldp(cfg: dict, out_dir: str) -> int:
     if ev.kind == "terminal-ball-exit" and cfg["_nl"] is None:
         report.pinv_rate = lab.pinv_terminal_rate(ev.threshold)[0]
     if cfg["optimizer"]["enabled"]:
-        res = lab.minimize_rate(
-            ev, n_splines=cfg["optimizer"]["n_splines"], budget=cfg["optimizer"]["budget"]
-        )
+        res = lab.minimize_rate(ev, cfg["optimizer"]["n_splines"], cfg["optimizer"]["budget"])
         report.variational_bound = res.rate if res.feasible else None
     write_json(os.path.join(out_dir, "rate_report.json"), asdict(report))
     rows = [
@@ -545,21 +539,16 @@ def _run_holder(cfg: dict, out_dir: str) -> int:
 
 
 def _run_support(cfg: dict, out_dir: str) -> int:
-    u0, nl, scfg, grid, tg = cfg["_u0"], cfg["_nl"], cfg["_scfg"], cfg["_grid"], cfg["_tg"]
-    L = build_L(cfg["_spec"], cfg["_kern"], tg)
-
-    def skeletons(rows: range):
-        h = cfg["control_scale"] * replicate_normals(cfg["seed"] + 7_777, rows, (grid.mode_count, tg.n))
-        return solve_mild_batch(u0, nl, L.apply_batch(h), 1.0, scfg)
-
+    lab, grid, tg = cfg["_lab"], cfg["_grid"], cfg["_tg"]
+    shape = (grid.mode_count, tg.n)
     # blocks of samples against blocks of family members: one difference of
     # a sample row with a family block stays within the block's budget
-    family = [skeletons(rows) for rows in replicate_blocks(tg, grid.mode_count, cfg["family_sizes"][-1])]
-    distances = []
-    for paths in _sampler(cfg).sample_mode_path_blocks(cfg["seed"], cfg["samples"]):
-        samples = solve_mild_batch(u0, nl, paths, 1.0, scfg)
-        distances.append(np.hstack([support_distance(grid, samples, members) for members in family]))
-    distances = np.vstack(distances)
+    family = [lab.skeletons(cfg["control_scale"] * replicate_normals(cfg["seed"] + 7_777, rows, shape))
+              for rows in replicate_blocks(tg, grid.mode_count, cfg["family_sizes"][-1])]
+    distances = np.vstack([
+        np.hstack([support_distance(grid, samples, members) for members in family])
+        for samples in lab.trajectory_blocks(1.0, cfg["samples"], cfg["seed"])
+    ])
     # the median over samples of the distance to the nearest of the first ``size`` members
     medians = [float(np.median(distances[:, :size].min(axis=1))) for size in cfg["family_sizes"]]
     monotone = all(medians[i + 1] <= medians[i] + 1e-12 for i in range(len(medians) - 1))

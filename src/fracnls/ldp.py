@@ -61,8 +61,7 @@ _WILSON_Z = 1.959963984540054
 _SPLINE_DEGREE = 3
 _MAX_CONTROL_DIM = 64 * 8
 
-# The optimizer aims for the event threshold, or the blow-up cap for the
-# blow-up event, enlarged by this relative margin.
+# The optimizer aims past the event's target (:meth:`LdpLab._target`) by this relative margin.
 _MARGIN = 1e-3
 
 # The ray shrink halves the scaling interval 25 times (resolution 2^-25),
@@ -267,30 +266,37 @@ def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:
     return BSpline.design_matrix(mids, knots, degree).toarray()
 
 
+@dataclass(eq=False)
 class LdpLab:
-    """Rare-event study bound to one model: initial datum, nonlinearity,
-    correlation operator, Hurst parameter, and solver grid."""
+    """The noisy mild solution and the skeleton of one model.  The sampler,
+    the response operator and the deterministic flow are built on first use,
+    so a lab builds only what its run reads."""
 
-    def __init__(
-        self,
-        u0: ComplexField,
-        nl: NonlinearitySpec | None,
-        spec: CorrelationSpec,
-        kern: HurstKernel,
-        cfg: SolverConfig,
-    ):
-        self.u0 = u0
-        self.nl = nl
-        self.spec = spec
-        self.kern = kern
-        self.cfg = cfg
-        self.tg = TimeGrid(cfg.T, cfg.n_steps)
-        self.sampler = ConvolutionSampler(spec, kern, self.tg)
-        self.deterministic = solve_mild(u0, nl, None, 0.0, cfg)
+    u0: ComplexField
+    nl: NonlinearitySpec | None
+    spec: CorrelationSpec
+    kern: HurstKernel
+    cfg: SolverConfig
+
+    @property
+    def tg(self) -> TimeGrid:
+        return self.cfg.tg
+
+    @cached_property
+    def sampler(self) -> ConvolutionSampler:
+        return ConvolutionSampler(self.spec, self.kern, self.tg)
 
     @cached_property
     def L(self) -> DiscreteLOperator:
         return build_L(self.spec, self.kern, self.tg)
+
+    @cached_property
+    def deterministic(self) -> Trajectory:
+        return solve_mild(self.u0, self.nl, None, 0.0, self.cfg)
+
+    @cached_property
+    def _cap(self) -> float:
+        return self.cfg.blowup_cap(sobolev_norm(self.u0, 1.0))
 
     def control_basis(self, n_splines: int) -> np.ndarray:
         """The time design (n, n_splines) of :meth:`minimize_rate`'s controls;
@@ -300,6 +306,17 @@ class LdpLab:
             raise ValueError(f"control basis of {self.spec.grid.mode_count} modes x {n_splines} splines "
                              f"= {dim} coefficients exceeds the optimizer's limit {_MAX_CONTROL_DIM}")
         return _spline_design(self.tg.n, self.tg.T, n_splines)
+
+    # -- the two maps ---------------------------------------------------------
+
+    def trajectory_blocks(self, eps: float, replicates: int, seed: int):
+        """Replicates 0..replicates-1 of ``seed`` at intensity ``eps``, a batched solve per block."""
+        for paths in self.sampler.sample_mode_path_blocks(seed, replicates):
+            yield solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
+
+    def skeletons(self, values: np.ndarray) -> TrajectoryBatch:
+        """The skeletons of the control values (R, n_modes, n), from one batched solve."""
+        return solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
 
     # -- events ------------------------------------------------------------
 
@@ -325,25 +342,28 @@ class LdpLab:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
         return any(sobolev_norm(ComplexField(traj.grid, v), s) > ev.threshold for v in traj.states)
 
-    def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec) -> np.ndarray:
-        """Event functional of each live replicate for the bounded events: the
-        terminal distance to the deterministic flow, or the sup over time of
-        the H^s norm."""
+    def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec, start: int) -> np.ndarray:
+        """Event functional of each live replicate: the terminal distance to
+        the deterministic flow, or the sup of the H^s norm over the steps
+        k >= ``start`` (of H^1 for the blow-up event)."""
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
             return sobolev_norms(self.spec.grid, batch.states[live, -1] - self.terminal_centre().values, s)
-        if s == 1.0:
-            return batch.h1_norms[live].max(axis=1)
-        return sobolev_norms(self.spec.grid, batch.states[live], s).max(axis=1)
+        if ev.kind == "blow-up-before-T" or s == 1.0:
+            return batch.h1_norms[live, start:].max(axis=1)
+        return sobolev_norms(self.spec.grid, batch.states[live, start:], s).max(axis=1)
+
+    def _target(self, ev: EventSpec) -> float:
+        """The threshold, or the blow-up cap, which no live replicate passes."""
+        return self._cap if ev.kind == "blow-up-before-T" else ev.threshold
 
     def _hits(self, batch: TrajectoryBatch, ev: EventSpec) -> np.ndarray:
         """Whether each replicate of ``batch`` realizes the event, as
-        :meth:`event_occurred` decides it for one trajectory: the cemetery
-        realizes every event, and the blow-up event nothing else."""
+        :meth:`event_occurred` decides it for one trajectory."""
         hits = batch.blown_up
         live = ~hits
-        if ev.kind != "blow-up-before-T" and live.any():
-            hits[live] = self._reach(batch, live, ev) > ev.threshold
+        if live.any():
+            hits[live] = self._reach(batch, live, ev, 0) > self._target(ev)
         return hits
 
     def estimate_event_probability(
@@ -357,28 +377,20 @@ class LdpLab:
         """
         if replicates < 100:
             raise ValueError("need at least 100 replicates")
-        if eps == 0.0:
-            p = float(self._hits(solve_mild_batch(self.u0, self.nl, None, 0.0, self.cfg), ev)[0])
-            return p, (p, p)
-        hits = 0
-        for paths in self.sampler.sample_mode_path_blocks(seed, replicates):
-            batch = solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
-            hits += int(np.count_nonzero(self._hits(batch, ev)))
+        hits = sum(int(np.count_nonzero(self._hits(batch, ev)))
+                   for batch in self.trajectory_blocks(eps, replicates, seed))
         return hits / replicates, wilson_interval(hits, replicates)
 
     def rate_ladder(self, ev: EventSpec, eps_ladder, replicates: int, seed: int) -> RateReport:
-        p_hats, lo, hi = [], [], []
-        for idx, eps in enumerate(eps_ladder):
-            p, (a, b) = self.estimate_event_probability(ev, eps, replicates, seed + idx)
-            p_hats.append(p)
-            lo.append(a)
-            hi.append(b)
+        rungs = [self.estimate_event_probability(ev, eps, replicates, seed + idx)
+                 for idx, eps in enumerate(eps_ladder)]
+        p_hats = [p for p, _ in rungs]
         fit = ldp_slope(eps_ladder, p_hats)
         return RateReport(
             eps_ladder=list(eps_ladder),
             p_hats=p_hats,
-            ci_lo=lo,
-            ci_hi=hi,
+            ci_lo=[lo for _, (lo, _) in rungs],
+            ci_hi=[hi for _, (_, hi) in rungs],
             replicates=replicates,
             slope_value=fit.value if fit.ok else None,
             slope_drift=fit.drift if fit.ok else None,
@@ -394,7 +406,7 @@ class LdpLab:
         """The control values (R, n_modes, n) of the spline coefficients in
         the rows of ``cs``, and their skeletons from one batched solve."""
         values = cs.reshape(len(cs), self.spec.grid.mode_count, -1) @ design.T
-        return values, solve_mild_batch(self.u0, self.nl, self.L.apply_batch(values), 1.0, self.cfg)
+        return values, self.skeletons(values)
 
     def _realizes(self, cs: np.ndarray, design: np.ndarray, ev: EventSpec) -> np.ndarray:
         """Whether the skeleton of each row of ``cs`` realizes the event."""
@@ -434,14 +446,9 @@ class LdpLab:
         energy = 0.5 * (np.sum(values**2, axis=(1, 2)) * self.tg.dt)
         live = ~batch.blown_up
         short = np.zeros(len(cs))
-        if ev.kind == "blow-up-before-T":
-            # the blow-up cap against the sup of H^1 after t = 0: the norm of
-            # u0 does not depend on the control, so a sup reached there would
-            # leave the penalty flat at the zero control
-            cap = self.cfg.blowup_cap(batch.h1_norms[0, 0])
-            short[live] = np.maximum(0.0, cap * (1.0 + _MARGIN) - batch.h1_norms[live, 1:].max(axis=1))
-        else:
-            short[live] = np.maximum(0.0, ev.threshold * (1.0 + _MARGIN) - self._reach(batch, live, ev))
+        # steps k >= 1: the state at t = 0 does not depend on the control, so a
+        # sup reached there would leave the penalty flat at the zero control
+        short[live] = np.maximum(0.0, self._target(ev) * (1.0 + _MARGIN) - self._reach(batch, live, ev, 1))
         return energy + pen * short * short
 
     def minimize_rate(self, ev: EventSpec, n_splines: int, budget: int) -> MinimizeResult:
@@ -450,7 +457,8 @@ class LdpLab:
         Controls are parametrized on a tensor basis (modes x time B-splines);
         the penalty is multiplied by 10 until the skeleton realizes the
         event, then the control is shrunk along its ray to the cheapest
-        scaling that stays feasible.  Returns an upper bound on the infimum.
+        scaling that stays feasible; a zero control that realizes the event
+        has rate 0, and no search.  Returns an upper bound on the infimum.
         """
         from scipy.optimize import minimize
 
@@ -466,6 +474,8 @@ class LdpLab:
 
         pen = 10.0 / max(ev.threshold, 1.0) ** 2
         c = np.zeros(dim)
+        if self._realizes(c[None], design, ev)[0]:  # u0 or the deterministic flow realizes it
+            return MinimizeResult(np.zeros((n_modes, self.tg.n)), 0.0, True, nfev, pen)
         feasible = False
         for _ in range(8):
             # ``budget`` counts objective rows and scipy counts calls of dim + 1

@@ -21,10 +21,11 @@ absorbed in the cemetery state and carries no field values afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .fbm import TimeGrid
 from .field import (
     ComplexField,
     GridSpec,
@@ -87,8 +88,9 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, blow-up threshold, and grid bookkeeping for one run.
+    """Time grid and blow-up threshold of one run.
 
+    ``tg`` is the run's time grid, of ``n_steps`` cells on [0, ``T``].
     ``blowup_threshold`` caps the energy-space (H^1) norm; ``None`` resolves
     to 1e3 times the initial norm at solve time (:meth:`blowup_cap`).
     """
@@ -96,10 +98,10 @@ class SolverConfig:
     T: float
     n_steps: int
     blowup_threshold: float | None = None
+    tg: TimeGrid = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf or self.n_steps < 1:
-            raise ValueError("need a finite T > 0 and at least one step")
+        object.__setattr__(self, "tg", TimeGrid(self.T, self.n_steps))
         if self.blowup_threshold is not None and not abs(self.blowup_threshold) < math.inf:
             raise ValueError(f"blow-up threshold must be finite, got {self.blowup_threshold}")
 
@@ -111,14 +113,6 @@ class SolverConfig:
         if not cap > u0_h1:
             raise ValueError(f"blow-up threshold {cap} must exceed the initial H^1 norm {u0_h1}")
         return cap
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
 @dataclass
@@ -180,9 +174,9 @@ def solve_mild(
     paths = None if mode_paths is None else np.asarray(mode_paths, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
     k_star = int(batch.cemetery_index[0])
-    traj = Trajectory(cfg.times, u0.grid, eps, batch.states[0, :k_star], batch.h1_norms[0])
+    traj = Trajectory(cfg.tg.points, u0.grid, eps, batch.states[0, :k_star], batch.h1_norms[0])
     if batch.blown_up[0]:
-        traj.cemetery_index, traj.blowup_time = k_star, float(cfg.times[k_star])
+        traj.cemetery_index, traj.blowup_time = k_star, float(cfg.tg.points[k_star])
     return traj
 
 
@@ -200,7 +194,7 @@ def solve_mild_batch(
     if eps < 0:
         raise ValueError("noise intensity eps must be nonnegative")
     grid = u0.grid
-    dt = cfg.dt
+    dt = cfg.tg.dt
     u0_h1 = sobolev_norm(u0, 1.0)
     threshold = cfg.blowup_cap(u0_h1)
     replicates, D = 1, None
@@ -258,7 +252,7 @@ def solve_skeleton(
     """Controlled trajectory S(u0, h) of the control values h (n_modes, n) on
     L's grid: the mild stepper driven by the deterministic response path L h
     at unit intensity (same code path as :func:`solve_mild`)."""
-    if L.tg.n != cfg.n_steps or abs(L.tg.T - cfg.T) > 1e-12 * cfg.T:
+    if L.tg != cfg.tg:
         raise ValueError("response operator and solver config use different grids")
     mode_paths = L.apply(h)
     return solve_mild(u0, nl, mode_paths, 1.0, cfg)

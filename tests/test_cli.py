@@ -296,6 +296,23 @@ class TestRunDeterminism:
         bound = json.loads((tmp_path / "ldp" / "rate_report.json").read_text())["variational_bound"]
         assert bound is not None and 0.0 < bound < math.inf
 
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_sup_norm_bound_is_finite_when_u0_holds_the_sup(self, s):
+        # the focusing flow's H^s norm is largest at t = 0, so a score that read
+        # the sup from t = 0 on would have no slope at the zero control
+        raw = {
+            "kind": "ldp", "H": 0.7, "n": 32, "grid": {"N": 8}, "nl": {"kind": "kerr", "lam": 1, "sigma": 2},
+            "u0": {"type": "gaussian", "amplitude": 1.0, "width": 1 / math.sqrt(2)}, "threshold": 3.0,
+            "event": {"kind": "sup-norm-exceed", "threshold": 2.0, "sobolev_index": s},
+            "optimizer": {"enabled": True, "budget": 1000},
+        }
+        cfg = parse_config(json.dumps(raw))
+        lab, ev = cfg["_lab"], EventSpec(**cfg["event"])
+        norms = [sobolev_norm(ComplexField(lab.spec.grid, v), s) for v in lab.deterministic.states]
+        assert np.argmax(norms) == 0 and max(norms) < ev.threshold
+        res = lab.minimize_rate(ev, cfg["optimizer"]["n_splines"], cfg["optimizer"]["budget"])
+        assert res.feasible and 0.0 < res.rate < math.inf
+
     @pytest.mark.parametrize(
         "raw, cemeteries",
         [
@@ -378,6 +395,18 @@ class TestArtifacts:
         assert (out / "field_000032.csv").exists()
         traj = json.loads((out / "trajectory.json").read_text())
         assert traj["cemetery_index"] is None
+
+    def test_linear_hamiltonian_is_conserved(self, tmp_path):
+        # a linear run reports the kinetic energy, which the free flow conserves
+        raw = {
+            "kind": "solve", "T": 1.0, "n": 1000, "grid": {"N": 64}, "nl": None,
+            "u0": {"type": "gaussian", "amplitude": 1.5, "width": 0.5},
+        }
+        run(parse_config(json.dumps(raw)), str(tmp_path))
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+        energies = np.array([float(row.split(",")[3]) for row in rows])
+        assert len(energies) == 1001 and energies[0] > 0
+        assert np.abs(energies - energies[0]).max() <= 1e-12 * energies[0]
 
     def test_blowup_serialization_has_no_post_cemetery_fields(self, tmp_path):
         raw = {

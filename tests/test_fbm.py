@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
+from scipy.stats._stats_py import _compute_prob_outside_square
 
 from fracnls import fbm, oracles
 from fracnls.errors import InvariantViolation
@@ -261,12 +262,18 @@ class TestKsPvalue:
             a, b = np.round(a, 1), np.round(b, 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            want = stats.ks_2samp(a, b).pvalue
+            res = stats.ks_2samp(a, b)
+            want = res.pvalue
         if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
             # scipy falls back to the asymptotic form where the exact tail
-            # leaves [0, 1]; here that is an error
-            with pytest.raises(InvariantViolation):
-                oracles.ks_2samp_pvalue(a, b)
+            # leaves [0, 1]; here a tail at most 4 ulps above 1 is 1.0, and
+            # any other is an error
+            tail = _compute_prob_outside_square(n, round(res.statistic * n))
+            if 1.0 < tail <= 1.0 + 4 * np.finfo(float).eps:
+                assert oracles.ks_2samp_pvalue(a, b) == 1.0
+            else:
+                with pytest.raises(InvariantViolation):
+                    oracles.ks_2samp_pvalue(a, b)
             return
         got = oracles.ks_2samp_pvalue(a, b)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -278,10 +285,21 @@ class TestKsPvalue:
             oracles.ks_2samp_pvalue(np.zeros(3), np.zeros(4))
 
     def test_tail_outside_unit_interval_is_an_invariant_violation(self):
-        # interleaved samples: D = 1/5, whose Horner sum rounds to 1 + 2^-52
-        a = np.arange(0.0, 10.0, 2.0)
+        # interleaved samples: D = 1/321, whose Horner sum rounds to 1 + 6 * 2^-52
+        a = np.arange(0.0, 642.0, 2.0)
         with pytest.raises(InvariantViolation, match="outside"):
             oracles.ks_2samp_pvalue(a, a + 1.0)
+
+    @pytest.mark.parametrize("n, h", [(5, 1), (7, 1), (13, 1), (14, 1), (15, 1), (30, 1), (36, 1),
+                                      (60, 2), (69, 2)])
+    def test_tail_rounded_just_over_one_is_one(self, n, h):
+        # blocks of h points of each sample in turn: D = h/n, and the Horner
+        # sum lands 1 or 2 ulps above the exact tail, 1
+        labels = np.array(([0] * h + [1] * h) * (n // h) + [0] * (n % h) + [1] * (n % h))
+        points = np.arange(2.0 * n)
+        a, b = points[labels == 0], points[labels == 1]
+        assert 1.0 < _compute_prob_outside_square(n, h) <= 1.0 + 4 * np.finfo(float).eps
+        assert oracles.ks_2samp_pvalue(a, b) == 1.0
 
 
 class TestExactSampler:

@@ -262,12 +262,12 @@ class TestBatchedSolver:
         nl = NonlinearitySpec("kerr", -1.0, 2.0)
         cfg = SolverConfig(T=100 * 1.25e-4, n_steps=100, blowup_threshold=1e3)
         traj = solve_mild(u0, nl, None, 0.0, cfg)
-        mult = group_multiplier(g, cfg.dt)
+        mult = group_multiplier(g, cfg.tg.dt)
         v = u0.values.copy()
         for _ in range(100):
-            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
             v = np.fft.ifftn(mult * np.fft.fftn(v))
-            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
         assert np.array_equal(traj.terminal_field().values, v)
 
 
@@ -333,13 +333,13 @@ class TestSkeleton:
 
         # inline duplicate of the stepping (independent arithmetic path)
         D = values_from_modes(
-            g, mode_paths[1:] - np.exp(1j * g.xi_squared.reshape(-1) * cfg.dt) * mode_paths[:-1]
+            g, mode_paths[1:] - np.exp(1j * g.xi_squared.reshape(-1) * cfg.tg.dt) * mode_paths[:-1]
         )
-        mult = group_multiplier(g, cfg.dt)
+        mult = group_multiplier(g, cfg.tg.dt)
         v = 0.3 * np.ones(8, complex)
         for k in range(16):
-            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
             v = np.fft.ifft(mult * np.fft.fft(v))
-            v = v * np.exp(-0.5j * cfg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
             v = v - 1j * D[k]
         assert np.abs(via_skeleton.terminal_field().values - v).max() < 1e-12
