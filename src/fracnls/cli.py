@@ -437,17 +437,17 @@ def write_field_csv(path: str, field: ComplexField) -> None:
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
     # a linear run reports the kinetic energy, which the free flow conserves
     lam, sig = (0.0, 1.0) if nl is None else (nl.lam, nl.sigma)
-    fields = [ComplexField(traj.grid, v) for v in traj.states]
-    rows = [
-        [float(t), mass(f), float(h1), hamiltonian(f, lam, sig), 0]
-        for t, f, h1 in zip(traj.times, fields, traj.h1_norms)
-    ]
-    rows += [[float(t), math.nan, math.nan, math.nan, 1] for t in traj.times[len(fields):]]
+    rows = []
+    # one field at a time, each read back from its spectrum once
+    for k, spectrum in enumerate(traj.spectra):
+        f = traj.field(k)
+        rows.append([float(traj.times[k]), mass(f), float(traj.h1_norms[k]),
+                     hamiltonian(f, lam, sig, spectrum), 0])
+        if snapshot_every > 0 and k % snapshot_every == 0:
+            write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), f)
+    rows += [[float(t), math.nan, math.nan, math.nan, 1] for t in traj.times[len(rows):]]
     write_csv(os.path.join(out_dir, "diagnostics.csv"),
               ["t", "mass", "h1_norm", "hamiltonian", "cemetery"], rows)
-    if snapshot_every > 0:
-        for k in range(0, len(fields), snapshot_every):
-            write_field_csv(os.path.join(out_dir, f"field_{k:06d}.csv"), fields[k])
     write_json(
         os.path.join(out_dir, "trajectory.json"),
         {

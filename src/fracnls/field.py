@@ -143,14 +143,16 @@ def l2_norm(u: ComplexField) -> float:
 
 def sobolev_norm(u: ComplexField, s: float) -> float:
     """H^s norm via the weighted spectral sum; s = 0 is the L2 integral norm."""
-    return float(sobolev_norms(u.grid, u.values, float(s)))
+    return float(sobolev_norms(u.grid, grid_fft(u.grid, u.values), float(s)))
 
 
-def sobolev_norms(grid: GridSpec, values: np.ndarray, s: float) -> np.ndarray:
-    """H^s norms of the fields stacked along the leading axes of ``values``."""
-    spectrum = grid_fft(grid, values) * grid.cell_volume
+def sobolev_norms(grid: GridSpec, spectra: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of the fields whose spectra (:func:`grid_fft`) are stacked
+    along the leading axes of ``spectra``: a weighted sum of their squared
+    moduli, with the continuum-transform scale (the cell volume) applied to
+    the sum, so no field is transformed."""
     weight = (1.0 + grid.xi_squared) ** s
-    return np.sqrt(np.sum(weight * np.abs(spectrum) ** 2, axis=grid.axes) / grid.volume)
+    return np.sqrt(np.sum(weight * np.abs(spectra) ** 2, axis=grid.axes) / grid.volume) * grid.cell_volume
 
 
 def grid_fft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -200,16 +202,18 @@ def mass(u: ComplexField) -> float:
     return l2_norm(u) ** 2
 
 
-def hamiltonian(u: ComplexField, lam: float, sigma: float) -> float:
+def hamiltonian(u: ComplexField, lam: float, sigma: float, spectrum: np.ndarray | None = None) -> float:
     """(1/2) ||grad u||_{L2}^2 - lam/(2 sigma + 2) int |u|^{2 sigma + 2} dx.
 
     The gradient term is computed spectrally, with the continuum-transform
     normalization (cell volume times the FFT), so Parseval holds against the
-    integral L2 norm.
+    integral L2 norm.  ``spectrum`` is ``grid_fft`` of ``u.values`` where the
+    caller already holds it.
     """
     g = u.grid
-    spectrum = grid_fft(g, u.values) * g.cell_volume
-    kinetic = 0.5 * np.sum(g.xi_squared * np.abs(spectrum) ** 2) / g.volume
+    if spectrum is None:
+        spectrum = grid_fft(g, u.values)
+    kinetic = 0.5 * np.sum(g.xi_squared * np.abs(spectrum * g.cell_volume) ** 2) / g.volume
     potential = np.sum(np.abs(u.values) ** (2.0 * sigma + 2.0)) * g.cell_volume
     return float(kinetic - lam / (2.0 * sigma + 2.0) * potential)
 

@@ -205,12 +205,13 @@ def support_distance(
     """Sup-in-time H^s distances (samples, family) between the rows of two
     batches: the max over the steps below the shared cemetery index, infinite
     where the cemetery indices differ.  No state from a cemetery index on is
-    read.  Each sample row is differenced with every family row at once, so
-    the family passed in bounds the memory."""
+    read, and none is transformed: the distances are norms of differences of
+    spectra.  Each sample row is differenced with every family row at once,
+    so the family passed in bounds the memory."""
     D = np.full((len(samples.cemetery_index), len(family.cemetery_index)), math.inf)
     for i, k in enumerate(samples.cemetery_index):
         match = np.flatnonzero(family.cemetery_index == k)
-        diff = samples.states[i, :k] - family.states[match, :k]
+        diff = samples.spectra[i, :k] - family.spectra[match, :k]
         D[i, match] = sobolev_norms(grid, diff, sobolev_index).max(axis=1)
     return D
 
@@ -320,14 +321,15 @@ class LdpLab:
 
     # -- events ------------------------------------------------------------
 
-    def terminal_centre(self) -> ComplexField:
-        """The deterministic flow at T, the centre of the terminal-ball-exit
-        event; a ValueError naming the step where that flow is absorbed."""
+    def terminal_centre(self) -> np.ndarray:
+        """The spectrum of the deterministic flow at T, the centre of the
+        terminal-ball-exit event; a ValueError naming the step where that
+        flow is absorbed."""
         k = self.deterministic.cemetery_index
         if k is not None:
             raise ValueError(f"the deterministic flow is absorbed at step {k}, "
                              "so terminal-ball-exit has no centre")
-        return self.deterministic.terminal_field()
+        return self.deterministic.spectra[-1]
 
     def event_occurred(self, traj: Trajectory, ev: EventSpec) -> bool:
         if ev.kind == "blow-up-before-T":
@@ -336,22 +338,22 @@ class LdpLab:
             return True  # cemetery escapes every bounded set
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
-            return sobolev_norm(traj.terminal_field() - self.terminal_centre(), s) > ev.threshold
+            return bool(sobolev_norms(traj.grid, traj.spectra[-1] - self.terminal_centre(), s) > ev.threshold)
         # sup-norm-exceed
         if s == 1.0:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
-        return any(sobolev_norm(ComplexField(traj.grid, v), s) > ev.threshold for v in traj.states)
+        return bool(np.any(sobolev_norms(traj.grid, traj.spectra, s) > ev.threshold))
 
     def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec, start: int) -> np.ndarray:
         """Event functional of each live replicate: the terminal distance to
         the deterministic flow, or the sup of the H^s norm over the steps
-        k >= ``start`` (of H^1 for the blow-up event)."""
+        k >= ``start`` (of H^1 for the blow-up event), read off the spectra."""
         s = ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
-            return sobolev_norms(self.spec.grid, batch.states[live, -1] - self.terminal_centre().values, s)
+            return sobolev_norms(self.spec.grid, batch.spectra[live, -1] - self.terminal_centre(), s)
         if ev.kind == "blow-up-before-T" or s == 1.0:
             return batch.h1_norms[live, start:].max(axis=1)
-        return sobolev_norms(self.spec.grid, batch.states[live, start:], s).max(axis=1)
+        return sobolev_norms(self.spec.grid, batch.spectra[live, start:], s).max(axis=1)
 
     def _target(self, ev: EventSpec) -> float:
         """The threshold, or the blow-up cap, which no live replicate passes."""

@@ -89,10 +89,13 @@ def ks_2samp_pvalue(a, b) -> float:
         P(D_{n,n} >= h/n) = 2 sum_{k >= 1} (-1)^{k-1} C(2n, n - kh) / C(2n, n),
 
     summed in Horner form from the last term inward to avoid cancellation.
-    It depends only on the integers (n, h), and the arithmetic is that of
-    scipy's two-sample KS test in its exact method (which it uses for
-    n <= 10000), so the two agree float for float.  Identical samples (h = 0)
-    give 1.0, and so does a tail rounded at most 4 ulps above 1; one rounded
+    It depends only on the integers (n, h), and for h >= 2 the arithmetic is
+    that of scipy's two-sample KS test in its exact method (which it uses for
+    n <= 10000), so the two agree float for float.  h = 0 (identical samples)
+    and h = 1 give 1.0 outright: D >= 1/n holds for any two samples of
+    distinct values, so the exact tail is 1, which the sum misses by a few
+    ulps on either side (6 ulps over at n = 321, 609 and 1000, 10 at 2486).
+    For h >= 2 a tail rounded at most 4 ulps above 1 is 1.0, and one rounded
     further outside [0, 1] raises InvariantViolation, where scipy would
     switch to the asymptotic form.
     """
@@ -106,7 +109,7 @@ def ks_2samp_pvalue(a, b) -> float:
     pooled = np.concatenate([a, b])
     gap = np.searchsorted(a, pooled, side="right") / n - np.searchsorted(b, pooled, side="right") / n
     h = int(np.round(np.abs(gap).max() * n))
-    if h == 0:
+    if h <= 1:
         return 1.0
     tail = 0.0
     for k in range(n // h, -1, -1):

@@ -1,17 +1,23 @@
 """Mild-formulation time stepper for the noisy Schrodinger equation, with
 blow-up (cemetery) semantics and the controlled skeleton problem.
 
-One step combines a Strang splitting of the deterministic flow with the
-precomputed forcing increment:
+The state is kept as its spectrum U_k = F u_k (F = ``grid_fft``), because the
+free group and the noise correlation are both diagonal in Fourier modes.  One
+step is a Strang splitting, half free flow, nonlinear flow, half free flow,
+plus the precomputed forcing increment:
 
-    u_{k+1} = N_{dt/2}( U(dt) ( N_{dt/2}(u_k) ) ) - i sqrt(eps) D_k,
-    D_k     = Z(t_{k+1}) - U(dt) Z(t_k),
+    U_{k+1} = M(dt/2) F N(dt) F^{-1} M(dt/2) U_k - i sqrt(eps) D_k,
+    D_k     = F (Z(t_{k+1}) - U(dt) Z(t_k)),
 
-where N is the exact phase-rotation solution of the nonlinear subflow (the
-modulus is invariant under it, so the splitting conserves mass exactly) and
-U(dt) is the free group.  The increments D_k accumulate the convolution
-consistently: the noise part of the state at t_k is exactly -i sqrt(eps) Z(t_k)
-when the nonlinearity vanishes.
+where M(t) = exp(i |xi|^2 t) is the free-flow multiplier and N is the exact
+phase-rotation solution of the nonlinear subflow (the modulus is invariant
+under it, so the splitting conserves mass exactly).  A nonlinear step costs
+two transforms and one complex ``exp``; a linear step, M(dt) U_k - i sqrt(eps)
+D_k, costs none.  D_k is built elementwise from the mode paths of Z, with the
+parity phase and basis scale of :func:`~fracnls.field.values_from_modes`, and
+it accumulates the convolution consistently: the noise part of the state at
+t_k is exactly -i sqrt(eps) F Z(t_k) when the nonlinearity vanishes.  The
+H^1 norm of each step is a weighted sum over the spectrum, with no transform.
 
 Blow-up is a legal outcome, not an error: once the energy-space norm passes
 the configured threshold (or the field stops being finite), the trajectory is
@@ -34,7 +40,6 @@ from .field import (
     group_multiplier,
     sobolev_norm,
     sobolev_norms,
-    values_from_modes,
 )
 from .noise import DiscreteLOperator
 
@@ -117,8 +122,9 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Exploding path: ``states[k]`` is the field at t_k for k below the
-    cemetery index, or at every grid time when the path never blows up.
+    """Exploding path: ``spectra[k]`` is the spectrum (``grid_fft``) of the
+    field at t_k for k below the cemetery index, or at every grid time when
+    the path never blows up; :meth:`field` reads one state back.
 
     Once absorbed, always absorbed: no field values exist from the cemetery
     index on, and ``h1_norms`` is NaN there; ``blowup_time`` is +inf for
@@ -126,34 +132,46 @@ class Trajectory:
     """
 
     times: np.ndarray
-    grid: GridSpec
+    u0: ComplexField
     epsilon: float
-    states: np.ndarray  # (k*, *grid.shape) complex
+    spectra: np.ndarray  # (k*, *grid.shape) complex
     h1_norms: np.ndarray  # (n_steps + 1,)
     cemetery_index: int | None = None
     blowup_time: float = math.inf
 
     @property
+    def grid(self) -> GridSpec:
+        return self.u0.grid
+
+    @property
     def blown_up(self) -> bool:
         return self.cemetery_index is not None
 
+    def field(self, k: int) -> ComplexField:
+        """The field at t_k, for k below the cemetery index: ``u0`` as given
+        at k = 0, one inverse transform of ``spectra[k]`` otherwise."""
+        if k == 0:
+            return self.u0
+        return ComplexField(self.grid, grid_ifft(self.grid, self.spectra[k]))
+
     def terminal_field(self) -> ComplexField | None:
-        return None if self.blown_up else ComplexField(self.grid, self.states[-1])
+        return None if self.blown_up else self.field(len(self.spectra) - 1)
 
 
 @dataclass
 class TrajectoryBatch:
-    """Replicates stepped together: ``states[r, k]`` (replicate r at t_k) is
-    a field only for k < ``cemetery_index[r]``, which is n_steps + 1 when r
-    is never absorbed; ``h1_norms`` is NaN from the cemetery index on."""
+    """Replicates stepped together: ``spectra[r, k]`` is the spectrum of
+    replicate r at t_k only for k < ``cemetery_index[r]``, which is
+    n_steps + 1 when r is never absorbed; ``h1_norms`` is NaN from the
+    cemetery index on."""
 
-    states: np.ndarray  # (R, n_steps + 1, *grid.shape) complex
+    spectra: np.ndarray  # (R, n_steps + 1, *grid.shape) complex
     h1_norms: np.ndarray  # (R, n_steps + 1)
     cemetery_index: np.ndarray  # (R,) int
 
     @property
     def blown_up(self) -> np.ndarray:
-        return self.cemetery_index < self.states.shape[1]
+        return self.cemetery_index < self.spectra.shape[1]
 
 
 def solve_mild(
@@ -174,7 +192,7 @@ def solve_mild(
     paths = None if mode_paths is None else np.asarray(mode_paths, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
     k_star = int(batch.cemetery_index[0])
-    traj = Trajectory(cfg.tg.points, u0.grid, eps, batch.states[0, :k_star], batch.h1_norms[0])
+    traj = Trajectory(cfg.tg.points, u0, eps, batch.spectra[0, :k_star], batch.h1_norms[0])
     if batch.blown_up[0]:
         traj.cemetery_index, traj.blowup_time = k_star, float(cfg.tg.points[k_star])
     return traj
@@ -195,51 +213,55 @@ def solve_mild_batch(
         raise ValueError("noise intensity eps must be nonnegative")
     grid = u0.grid
     dt = cfg.tg.dt
+    n = cfg.n_steps
     u0_h1 = sobolev_norm(u0, 1.0)
     threshold = cfg.blowup_cap(u0_h1)
     replicates, D = 1, None
     if mode_paths is not None:
         replicates = mode_paths.shape[0]
-        if mode_paths.shape[1] != cfg.n_steps + 1:
+        if mode_paths.shape[1] != n + 1:
             raise ValueError("forcing mode paths must cover every grid point")
         if eps != 0.0:
-            # increments D_k = Z(t_{k+1}) - U(dt) Z(t_k) as physical fields
+            # -i sqrt(eps) D_k: the increments in mode coordinates, times the
+            # factor that takes mode coefficients to the spectrum of their field
             phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
-            D = values_from_modes(grid, mode_paths[:, 1:] - phase * mode_paths[:, :-1])
-    scale = math.sqrt(eps)
-    mult = group_multiplier(grid, dt)
+            basis = grid.mode_parity_phase.reshape(-1) * (grid.mode_count / math.sqrt(grid.volume))
+            D = (mode_paths[:, 1:] - phase * mode_paths[:, :-1]) * (-1j * math.sqrt(eps) * basis)
+            D = D.reshape((replicates, n) + grid.shape)
 
-    n = cfg.n_steps
-    states = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
+    spectra = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
     h1 = np.full((replicates, n + 1), math.nan)
     cemetery = np.full(replicates, n + 1)
-    states[:, 0] = u0.values
+    spectra[:, 0] = grid_fft(grid, u0.values)
     h1[:, 0] = u0_h1
     live = np.arange(replicates)
-    values = states[:, 0].copy()
+    spec = spectra[:, 0].copy()
+    # the free flow over a whole step, or over the half step on each side of the nonlinear flow
+    mult = group_multiplier(grid, dt if nl is None else 0.5 * dt)
     # overflow and NaN mark the absorbed replicates instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
+            # every product is in place: above 256 KiB numpy reuses the
+            # temporary operand of ``a * b`` with the operands swapped, which
+            # rounds the product differently from a small batch's
+            spec *= mult
             if nl is not None:
-                # in place: above 256 KiB numpy reuses the temporary of ``values * exp``
-                # with the operands swapped, which rounds the product differently
-                values *= np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
-                values = grid_ifft(grid, mult * grid_fft(grid, values))
-                values *= np.exp(-0.5j * dt * nl.amplitude_rate(np.abs(values) ** 2))
-            else:
-                values = grid_ifft(grid, mult * grid_fft(grid, values))
+                values = grid_ifft(grid, spec)
+                values *= np.exp(-1j * dt * nl.amplitude_rate(np.abs(values) ** 2))
+                spec = grid_fft(grid, values)
+                spec *= mult
             if D is not None:
-                values = values - 1j * scale * D[live, k]
-            norms = sobolev_norms(grid, values, 1.0)
+                spec += D[live, k]
+            norms = sobolev_norms(grid, spec, 1.0)
             keep = np.isfinite(norms) & (norms <= threshold)
             if not keep.all():
                 cemetery[live[~keep]] = k + 1
-                live, values, norms = live[keep], values[keep], norms[keep]
+                live, spec, norms = live[keep], spec[keep], norms[keep]
                 if live.size == 0:
                     break
-            states[live, k + 1] = values
+            spectra[live, k + 1] = spec
             h1[live, k + 1] = norms
-    return TrajectoryBatch(states, h1, cemetery)
+    return TrajectoryBatch(spectra, h1, cemetery)
 
 
 def solve_skeleton(

@@ -141,7 +141,7 @@ def test_criterion_06_deterministic_solver():
     for lam_c in (1.0, -1.0):
         nlc = NonlinearitySpec("kerr", lam_c, 1.0)
         tr = solve_mild(ComplexField(g, prof), nlc, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-        first = ComplexField(g, tr.states[0])
+        first = tr.field(0)
         m0, mT = mass(first), mass(tr.terminal_field())
         h0 = hamiltonian(first, lam_c, 1.0)
         hT = hamiltonian(tr.terminal_field(), lam_c, 1.0)

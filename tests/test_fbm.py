@@ -247,6 +247,13 @@ KS_SAMPLES = st.tuples(
 )
 
 
+def blocked_samples(n, h):
+    """Two samples of n distinct points that take turns in blocks of h: D = h/n."""
+    labels = np.array(([0] * h + [1] * h) * (n // h) + [0] * (n % h) + [1] * (n % h))
+    points = np.arange(2.0 * n)
+    return points[labels == 0], points[labels == 1]
+
+
 class TestKsPvalue:
     @settings(max_examples=150, deadline=None)
     @given(case=KS_SAMPLES)
@@ -264,6 +271,10 @@ class TestKsPvalue:
             warnings.simplefilter("always")
             res = stats.ks_2samp(a, b)
             want = res.pvalue
+        if round(res.statistic * n) <= 1:
+            # D <= 1/n: the exact tail is 1, which scipy's sum misses by a few ulps
+            assert oracles.ks_2samp_pvalue(a, b) == 1.0
+            return
         if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
             # scipy falls back to the asymptotic form where the exact tail
             # leaves [0, 1]; here a tail at most 4 ulps above 1 is 1.0, and
@@ -285,21 +296,28 @@ class TestKsPvalue:
             oracles.ks_2samp_pvalue(np.zeros(3), np.zeros(4))
 
     def test_tail_outside_unit_interval_is_an_invariant_violation(self):
-        # interleaved samples: D = 1/321, whose Horner sum rounds to 1 + 6 * 2^-52
-        a = np.arange(0.0, 642.0, 2.0)
+        # blocks of 2: D = 2/1531, whose Horner sum rounds to 1 + 5 * 2^-52
+        a, b = blocked_samples(1531, 2)
+        assert _compute_prob_outside_square(1531, 2) > 1.0 + 4 * np.finfo(float).eps
         with pytest.raises(InvariantViolation, match="outside"):
-            oracles.ks_2samp_pvalue(a, a + 1.0)
+            oracles.ks_2samp_pvalue(a, b)
 
     @pytest.mark.parametrize("n, h", [(5, 1), (7, 1), (13, 1), (14, 1), (15, 1), (30, 1), (36, 1),
                                       (60, 2), (69, 2)])
     def test_tail_rounded_just_over_one_is_one(self, n, h):
-        # blocks of h points of each sample in turn: D = h/n, and the Horner
-        # sum lands 1 or 2 ulps above the exact tail, 1
-        labels = np.array(([0] * h + [1] * h) * (n // h) + [0] * (n % h) + [1] * (n % h))
-        points = np.arange(2.0 * n)
-        a, b = points[labels == 0], points[labels == 1]
+        # D = h/n, and the Horner sum lands 1 or 2 ulps above the exact tail, 1
+        a, b = blocked_samples(n, h)
         assert 1.0 < _compute_prob_outside_square(n, h) <= 1.0 + 4 * np.finfo(float).eps
         assert oracles.ks_2samp_pvalue(a, b) == 1.0
+
+    @pytest.mark.parametrize("n", [321, 609, 1000, 2486])
+    def test_interleaved_samples_have_p_value_one(self, n):
+        # D = 1/n, whose Horner sum rounds 6 to 10 ulps above 1: P(D >= 1/n) is
+        # exactly 1, and n = 1000 is the oracle suite's sample size
+        a, b = blocked_samples(n, 1)
+        assert _compute_prob_outside_square(n, 1) > 1.0 + 4 * np.finfo(float).eps
+        assert oracles.ks_2samp_pvalue(a, b) == 1.0
+        assert oracles.ks_2samp_pvalue(b, a) == 1.0
 
 
 class TestExactSampler:

@@ -105,7 +105,7 @@ class TestNorms:
         shape = (3, 5) + g.shape
         values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for s in (0.0, 0.5, 1.0):
-            norms = sobolev_norms(g, values, s)
+            norms = sobolev_norms(g, grid_fft(g, values), s)
             assert norms.shape == (3, 5)
             for idx in np.ndindex(3, 5):
                 assert norms[idx] == sobolev_norm(ComplexField(g, values[idx]), s)

@@ -9,7 +9,7 @@ from scipy.optimize._numdiff import approx_derivative
 
 from fracnls import fbm, ldp, oracles
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
-from fracnls.field import ComplexField, GridSpec, sobolev_norm
+from fracnls.field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from fracnls.ldp import (
     EventSpec,
     LdpLab,
@@ -84,11 +84,11 @@ def loop_shortfall(lab, traj, ev, margin):
     if traj.blown_up:
         return 0.0
     if ev.kind == "terminal-ball-exit":
-        reach = sobolev_norm(traj.terminal_field() - lab.deterministic.terminal_field(), ev.sobolev_index)
+        reach = float(sobolev_norms(traj.grid, traj.spectra[-1] - lab.deterministic.spectra[-1], ev.sobolev_index))
         return max(0.0, ev.threshold * (1.0 + margin) - reach)
     if ev.kind == "sup-norm-exceed":
         # the sup over steps k >= 1, where the control acts
-        reach = max(sobolev_norm(ComplexField(traj.grid, v), ev.sobolev_index) for v in traj.states[1:])
+        reach = max(float(sobolev_norms(traj.grid, v, ev.sobolev_index)) for v in traj.spectra[1:])
         return max(0.0, ev.threshold * (1.0 + margin) - reach)
     # blow-up: the cap against the sup after t = 0, where the control acts
     cap = lab.cfg.blowup_cap(traj.h1_norms[0])
@@ -451,9 +451,7 @@ class TestSupport:
         a = sample_trajectory(lab, 1.0, seed=4, replicate=0)
         b = lab.deterministic
         g = lab.spec.grid
-        loop = max(
-            sobolev_norm(ComplexField(g, va) - ComplexField(g, vb), s) for va, vb in zip(a.states, b.states)
-        )
+        loop = max(float(sobolev_norms(g, va - vb, s)) for va, vb in zip(a.spectra, b.spectra))
         D = support_distance(g, sample_batch(lab, 4, 1), deterministic_batch(lab), s)
         assert D.tolist() == [[loop]]
 
@@ -462,7 +460,7 @@ class TestSupport:
         g = lab.spec.grid
         a = sample_trajectory(lab, 1.0, seed=4, replicate=0)
         b = lab.deterministic
-        plain = max(sobolev_norm(ComplexField(g, va - vb), 1.0) for va, vb in zip(a.states, b.states))
+        plain = max(float(sobolev_norms(g, va - vb, 1.0)) for va, vb in zip(a.spectra, b.spectra))
         D = support_distance(g, sample_batch(lab, 4, 1), deterministic_batch(lab))
         assert np.median(D.min(axis=1)) == pytest.approx(plain)
 
@@ -484,15 +482,15 @@ class TestSupport:
         samples, family = sample_batch(lab, 3, 40, eps=2.0), sample_batch(lab, 8, 60, eps=2.0)
         for batch in (samples, family):
             for r, k_star in enumerate(batch.cemetery_index):
-                batch.states[r, k_star:] = np.nan
+                batch.spectra[r, k_star:] = np.nan
         shared = set(samples.cemetery_index.tolist()) & set(family.cemetery_index[family.blown_up].tolist())
         assert len(shared) > 1
         D = support_distance(g, samples, family)
-        for i, (a, k_a) in enumerate(zip(samples.states, samples.cemetery_index)):
-            for j, (b, k_b) in enumerate(zip(family.states, family.cemetery_index)):
+        for i, (a, k_a) in enumerate(zip(samples.spectra, samples.cemetery_index)):
+            for j, (b, k_b) in enumerate(zip(family.spectra, family.cemetery_index)):
                 loop = math.inf
                 if k_a == k_b:
-                    loop = max(sobolev_norm(ComplexField(g, a[k] - b[k]), 1.0) for k in range(k_a))
+                    loop = max(float(sobolev_norms(g, a[k] - b[k], 1.0)) for k in range(k_a))
                 assert D[i, j] == loop
 
 

@@ -101,7 +101,7 @@ class TestDeterministicSolver:
         u0 = gaussian_cos_field(grid)
         nl = NonlinearitySpec("kerr", lam, 1.0)
         traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=1.0, n_steps=1000))
-        first = ComplexField(grid, traj.states[0])
+        first = traj.field(0)
         m0, mT = mass(first), mass(traj.terminal_field())
         h0 = hamiltonian(first, lam, 1.0)
         hT = hamiltonian(traj.terminal_field(), lam, 1.0)
@@ -152,7 +152,7 @@ class TestBlowup:
         u0 = ComplexField(g, np.full(8, 1e100 + 0j))
         blown = solve_mild(u0, NonlinearitySpec("kerr", 1.0, 2.0), None, 0.0, SolverConfig(T=1.0, n_steps=4))
         assert blown.cemetery_index == 1
-        assert len(blown.states) == blown.cemetery_index
+        assert len(blown.spectra) == blown.cemetery_index
 
     def test_threshold_below_initial_rejected(self, grid):
         u0 = gaussian_cos_field(grid)
@@ -173,7 +173,7 @@ class TestBlowup:
         assert traj.blown_up
         assert traj.blowup_time < 0.25
         # absorption: no field values from the cemetery index onward
-        assert len(traj.states) == traj.cemetery_index
+        assert len(traj.spectra) == traj.cemetery_index
 
     def test_defocusing_twin_is_global(self):
         g = GridSpec(1, 4096, 2.0)
@@ -203,7 +203,7 @@ class TestNoisySolver:
         traj = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
         fields = values_from_modes(g, paths)
         for k in range(17):
-            assert np.abs(traj.states[k] + 1j * fields[k]).max() < 1e-10
+            assert np.abs(traj.field(k).values + 1j * fields[k]).max() < 1e-10
 
     def test_eps_scaling(self, model):
         g, kern, spec, tg = model
@@ -242,7 +242,7 @@ def assert_rows_equal_single_solves(N):
         assert batch.cemetery_index[r] == k_star
         assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
         for k in range(k_star):
-            assert np.array_equal(batch.states[r, k], ref.states[k])
+            assert np.array_equal(batch.spectra[r, k], ref.spectra[k])
 
 
 class TestBatchedSolver:
@@ -255,20 +255,82 @@ class TestBatchedSolver:
         assert_rows_equal_single_solves(1024)
 
     def test_single_replicate_kerr_matches_unbatched_step(self):
-        # the R = 1 batch reproduces the plain (N,)-array Strang step
+        # the R = 1 batch reproduces the plain (N,)-array Strang step on the
+        # spectrum: half free flow, nonlinear flow, half free flow
         g = GridSpec(1, 4096, 2.0)
         x = g.coordinates[0]
         u0 = ComplexField(g, (8.0 * np.exp(-(x**2) / (2 * 0.25**2))).astype(complex))
         nl = NonlinearitySpec("kerr", -1.0, 2.0)
         cfg = SolverConfig(T=100 * 1.25e-4, n_steps=100, blowup_threshold=1e3)
         traj = solve_mild(u0, nl, None, 0.0, cfg)
-        mult = group_multiplier(g, cfg.tg.dt)
-        v = u0.values.copy()
+        half = group_multiplier(g, 0.5 * cfg.tg.dt)
+        spectrum = np.fft.fftn(u0.values)
         for _ in range(100):
-            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
-            v = np.fft.ifftn(mult * np.fft.fftn(v))
-            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
-        assert np.array_equal(traj.terminal_field().values, v)
+            v = np.fft.ifftn(spectrum * half)
+            v *= np.exp(-1j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            spectrum = np.fft.fftn(v) * half
+        assert np.array_equal(traj.spectra[-1], spectrum)
+
+
+def count_transforms(monkeypatch) -> list[str]:
+    """Record the name of every ``numpy.fft`` transform called from now on."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestTransformBudget:
+    # outside the step loop a solve makes two forward transforms of u0: one
+    # for the norm the blow-up cap is checked against, one for the state
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_linear_steps_make_no_transform(self, monkeypatch, d, n):
+        g = GridSpec(d, 8, math.pi)
+        spec = build_correlation(g, 4.0, 0.7, 0.2)
+        paths = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, n)).sample_mode_paths(3, 0)
+        u0 = ComplexField(g, np.full(g.shape, 0.5 + 0j))
+        calls = count_transforms(monkeypatch)
+        traj = solve_mild(u0, None, paths, 0.5, SolverConfig(T=1.0, n_steps=n))
+        assert not traj.blown_up
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_kerr_step_makes_two_transforms(self, monkeypatch, grid, n):
+        u0 = gaussian_cos_field(grid)
+        nl = NonlinearitySpec("kerr", 1.0, 1.0)
+        calls = count_transforms(monkeypatch)
+        traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=0.5, n_steps=n))
+        assert not traj.blown_up
+        assert calls.count("ifft") == n and calls.count("fft") == n + 2 and len(calls) == 2 * n + 2
+
+    def test_outputs_read_each_state_back_once(self, monkeypatch, tmp_path):
+        # diagnostics and snapshots of the states 1..k*-1 take one inverse
+        # transform each; state 0 is u0 as given and costs none
+        from fracnls.cli import _trajectory_outputs
+
+        g = GridSpec(1, 16, math.pi)
+        x = g.coordinates[0]
+        u0 = ComplexField(g, (2.0 * np.exp(-(x**2))).astype(complex))
+        nl = NonlinearitySpec("kerr", 1.0, 2.0)
+        cemeteries = []
+        for threshold, snapshot_every in ((6.0, 1), (1e3, 3)):
+            traj = solve_mild(u0, nl, None, 0.0, SolverConfig(T=1.0, n_steps=32, blowup_threshold=threshold))
+            out = tmp_path / str(threshold)
+            out.mkdir()
+            calls = count_transforms(monkeypatch)
+            _trajectory_outputs(traj, nl, str(out), snapshot_every)
+            monkeypatch.undo()
+            assert calls == ["ifft"] * (len(traj.spectra) - 1)
+            cemeteries.append(traj.cemetery_index)
+        assert cemeteries[0] is not None and 1 < cemeteries[0] < 32 and cemeteries[1] is None
 
 
 class TestSkeleton:
@@ -289,7 +351,7 @@ class TestSkeleton:
         skel = solve_skeleton(u0, np.zeros((8, tg.n)), nl, cfg, L)
         det = solve_mild(u0, nl, None, 0.0, cfg)
         for k in range(17):
-            assert np.abs(skel.states[k] - det.states[k]).max() < 1e-14
+            assert np.abs(skel.field(k).values - det.field(k).values).max() < 1e-14
 
     def test_linear_skeleton_is_response_path(self, model):
         g, spec, L, tg = model
@@ -299,7 +361,7 @@ class TestSkeleton:
         traj = solve_skeleton(ComplexField.zero(g), h, None, cfg, L)
         fields = values_from_modes(g, L.apply(h))
         for k in range(17):
-            assert np.abs(traj.states[k] + 1j * fields[k]).max() < 1e-10
+            assert np.abs(traj.field(k).values + 1j * fields[k]).max() < 1e-10
 
     def test_linearity_in_control(self, model):
         g, spec, L, tg = model
@@ -310,7 +372,7 @@ class TestSkeleton:
         a = solve_skeleton(ComplexField.zero(g), h, None, cfg, L)
         b = solve_skeleton(ComplexField.zero(g), h2, None, cfg, L)
         for k in range(17):
-            assert np.abs(b.states[k] - 2 * a.states[k]).max() < 1e-12
+            assert np.abs(b.field(k).values - 2 * a.field(k).values).max() < 1e-12
 
     def test_skeleton_equals_mild_on_response_path(self, model):
         # same trajectory whether stepped through solve_skeleton or through
@@ -329,17 +391,18 @@ class TestSkeleton:
             ComplexField(g, 0.3 * np.ones(8, complex)), nl, mode_paths, 1.0, cfg
         )
         for k in range(17):
-            assert np.array_equal(via_skeleton.states[k], via_mild.states[k])
+            assert np.array_equal(via_skeleton.spectra[k], via_mild.spectra[k])
 
-        # inline duplicate of the stepping (independent arithmetic path)
+        # inline duplicate of the stepping on physical values, with the
+        # increments assembled as fields (independent arithmetic path)
         D = values_from_modes(
             g, mode_paths[1:] - np.exp(1j * g.xi_squared.reshape(-1) * cfg.tg.dt) * mode_paths[:-1]
         )
-        mult = group_multiplier(g, cfg.tg.dt)
+        half = group_multiplier(g, 0.5 * cfg.tg.dt)
         v = 0.3 * np.ones(8, complex)
         for k in range(16):
-            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
-            v = np.fft.ifft(mult * np.fft.fft(v))
-            v = v * np.exp(-0.5j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = np.fft.ifft(half * np.fft.fft(v))
+            v = v * np.exp(-1j * cfg.tg.dt * nl.amplitude_rate(np.abs(v) ** 2))
+            v = np.fft.ifft(half * np.fft.fft(v))
             v = v - 1j * D[k]
         assert np.abs(via_skeleton.terminal_field().values - v).max() < 1e-12
