@@ -176,7 +176,7 @@ def _steps(value, path, scope):
 
 
 def _grid(N: int, when=None) -> _Key:
-    keys = {"d": _Key(_int(1, 2), 1), "N": _Key(_int(8), N), "L": _Key(_num(1e-12), math.pi)}
+    keys = {"d": _Key(_int(1, 2), 1), "N": _Key(_int(8), N), "L": _Key(_num(1e-12, 1e12), math.pi)}
     return _Key(_section(keys), None, when)
 
 
@@ -190,11 +190,17 @@ def _noise(when=None) -> _Key:
     return _Key(_section(lambda raw: explicit if "eigenvalues" in raw else power_law), None, when)
 
 
+def _wavenumber(value, path, scope):
+    """A plane-wave mode the grid resolves: |mode| <= N/2."""
+    half = scope["grid"]["N"] // 2
+    return _int(-half, half)(value, path, scope)
+
+
 # The u0 parameters each type reads.
 _U0 = {
     "zero": {},
     "gaussian": {"amplitude": _Key(_num(), 1.0), "width": _Key(_num(1e-12), 1.0)},
-    "plane": {"amplitude": _Key(_num(), 1.0), "mode": _Key(_int(), 1)},
+    "plane": {"amplitude": _Key(_num(), 1.0), "mode": _Key(_wavenumber, 1)},
 }
 
 

@@ -150,9 +150,12 @@ def sobolev_norms(grid: GridSpec, spectra: np.ndarray, s: float) -> np.ndarray:
     """H^s norms of the fields whose spectra (:func:`grid_fft`) are stacked
     along the leading axes of ``spectra``: a weighted sum of their squared
     moduli, with the continuum-transform scale (the cell volume) applied to
-    the sum, so no field is transformed."""
-    weight = (1.0 + grid.xi_squared) ** s
-    return np.sqrt(np.sum(weight * np.abs(spectra) ** 2, axis=grid.axes) / grid.volume) * grid.cell_volume
+    the sum, so no field is transformed.  The squared moduli are the one
+    temporary, weighted in place."""
+    power = np.abs(spectra)
+    power *= power
+    power *= (1.0 + grid.xi_squared) ** s
+    return np.sqrt(np.sum(power, axis=grid.axes) / grid.volume) * grid.cell_volume
 
 
 def grid_fft(grid: GridSpec, values: np.ndarray) -> np.ndarray:

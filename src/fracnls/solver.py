@@ -2,22 +2,29 @@
 blow-up (cemetery) semantics and the controlled skeleton problem.
 
 The state is kept as its spectrum U_k = F u_k (F = ``grid_fft``), because the
-free group and the noise correlation are both diagonal in Fourier modes.  One
-step is a Strang splitting, half free flow, nonlinear flow, half free flow,
-plus the precomputed forcing increment:
+free group and the noise correlation are both diagonal in Fourier modes.
+Without a nonlinearity the mild solution is known outright at every grid
+time, and every state is computed at once with no transform:
+
+    U_k = M(t_k) U_0 - i sqrt(eps) B Z_k,
+
+where M(t) = exp(i |xi|^2 t) is the free-flow multiplier, Z_k the mode
+coefficients of the forcing convolution Z(t_k) (Z_0 = 0), and B the parity
+phase times ``mode_count / sqrt(volume)`` that takes mode coefficients to the
+spectrum of their field, as in :func:`~fracnls.field.values_from_modes`.
+With a nonlinearity one step is a Strang splitting, half free flow,
+nonlinear flow, half free flow, plus the forcing increment:
 
     U_{k+1} = M(dt/2) F N(dt) F^{-1} M(dt/2) U_k - i sqrt(eps) D_k,
-    D_k     = F (Z(t_{k+1}) - U(dt) Z(t_k)),
+    D_k     = B (Z_{k+1} - M(dt) Z_k),
 
-where M(t) = exp(i |xi|^2 t) is the free-flow multiplier and N is the exact
-phase-rotation solution of the nonlinear subflow (the modulus is invariant
-under it, so the splitting conserves mass exactly).  A nonlinear step costs
-two transforms and one complex ``exp``; a linear step, M(dt) U_k - i sqrt(eps)
-D_k, costs none.  D_k is built elementwise from the mode paths of Z, with the
-parity phase and basis scale of :func:`~fracnls.field.values_from_modes`, and
-it accumulates the convolution consistently: the noise part of the state at
-t_k is exactly -i sqrt(eps) F Z(t_k) when the nonlinearity vanishes.  The
-H^1 norm of each step is a weighted sum over the spectrum, with no transform.
+where N is the exact phase-rotation solution of the nonlinear subflow (the
+modulus is invariant under it, so the splitting conserves mass exactly).  A
+nonlinear step costs two transforms and one complex ``exp``; D_k is built
+elementwise from the mode paths, and it accumulates the convolution
+consistently with the closed form.  The H^1 norm of a state is a weighted sum
+over its spectrum, with no transform; an unforced linear state keeps the norm
+of U_0, the free flow being an isometry.
 
 Blow-up is a legal outcome, not an error: once the energy-space norm passes
 the configured threshold (or the field stops being finite), the trajectory is
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fbm import TimeGrid
+from .fbm import TimeGrid, _row_blocks
 from .field import (
     ComplexField,
     GridSpec,
@@ -160,7 +167,7 @@ class Trajectory:
 
 @dataclass
 class TrajectoryBatch:
-    """Replicates stepped together: ``spectra[r, k]`` is the spectrum of
+    """Replicates solved together: ``spectra[r, k]`` is the spectrum of
     replicate r at t_k only for k < ``cemetery_index[r]``, which is
     n_steps + 1 when r is never absorbed; ``h1_norms`` is NaN from the
     cemetery index on."""
@@ -181,13 +188,14 @@ def solve_mild(
     eps: float,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """March the mild formulation on the configured uniform grid.
+    """Solve the mild formulation on the configured uniform grid.
 
     ``mode_paths`` (n+1, n_modes) is the forcing convolution sampled at every
-    grid point, or None; ``eps`` scales the noise amplitude by sqrt(eps).  With
-    eps = 0 and no nonlinearity each step is a single exact group
-    application.  Returns the trajectory, absorbed at the cemetery from the
-    first index whose H^1 norm exceeds the threshold or is not finite.
+    grid point, zero at t_0, or None; ``eps`` scales the noise amplitude by
+    sqrt(eps).  With no nonlinearity every state is the closed form of the
+    module docstring, exact up to rounding.  Returns the trajectory, absorbed
+    at the cemetery from the first index whose H^1 norm exceeds the threshold
+    or is not finite.
     """
     paths = None if mode_paths is None else np.asarray(mode_paths, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
@@ -205,63 +213,111 @@ def solve_mild_batch(
     eps: float,
     cfg: SolverConfig,
 ) -> TrajectoryBatch:
-    """March one replicate per forcing path in ``mode_paths`` (R, n+1, n_modes)
-    at once, or one unforced replicate when it is None.  Row r equals
-    :func:`solve_mild` driven by ``mode_paths[r]`` bit for bit; a replicate is
-    stepped no further once absorbed."""
+    """Solve for one replicate per forcing path in ``mode_paths`` (R, n+1,
+    n_modes) at once, or one unforced replicate when it is None: in closed
+    form when ``nl`` is None, by the Strang step otherwise.  Every path starts
+    at zero, as the convolution does.  Row r equals :func:`solve_mild` driven
+    by ``mode_paths[r]`` bit for bit."""
     if eps < 0:
         raise ValueError("noise intensity eps must be nonnegative")
     grid = u0.grid
-    dt = cfg.tg.dt
     n = cfg.n_steps
     u0_h1 = sobolev_norm(u0, 1.0)
     threshold = cfg.blowup_cap(u0_h1)
-    replicates, D = 1, None
+    replicates, coef = 1, None
     if mode_paths is not None:
         replicates = mode_paths.shape[0]
         if mode_paths.shape[1] != n + 1:
             raise ValueError("forcing mode paths must cover every grid point")
+        if np.any(mode_paths[:, 0]):
+            raise ValueError("forcing mode paths must start at zero")
         if eps != 0.0:
-            # -i sqrt(eps) D_k: the increments in mode coordinates, times the
-            # factor that takes mode coefficients to the spectrum of their field
-            phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
+            # -i sqrt(eps) B: takes mode coefficients to the spectrum of their field
             basis = grid.mode_parity_phase.reshape(-1) * (grid.mode_count / math.sqrt(grid.volume))
-            D = (mode_paths[:, 1:] - phase * mode_paths[:, :-1]) * (-1j * math.sqrt(eps) * basis)
-            D = D.reshape((replicates, n) + grid.shape)
+            coef = -1j * math.sqrt(eps) * basis
 
     spectra = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
     h1 = np.full((replicates, n + 1), math.nan)
-    cemetery = np.full(replicates, n + 1)
     spectra[:, 0] = grid_fft(grid, u0.values)
     h1[:, 0] = u0_h1
-    live = np.arange(replicates)
-    spec = spectra[:, 0].copy()
-    # the free flow over a whole step, or over the half step on each side of the nonlinear flow
-    mult = group_multiplier(grid, dt if nl is None else 0.5 * dt)
+    paths = None if coef is None else mode_paths
     # overflow and NaN mark the absorbed replicates instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            # every product is in place: above 256 KiB numpy reuses the
-            # temporary operand of ``a * b`` with the operands swapped, which
-            # rounds the product differently from a small batch's
-            spec *= mult
-            if nl is not None:
-                values = grid_ifft(grid, spec)
-                values *= np.exp(-1j * dt * nl.amplitude_rate(np.abs(values) ** 2))
-                spec = grid_fft(grid, values)
-                spec *= mult
-            if D is not None:
-                spec += D[live, k]
-            norms = sobolev_norms(grid, spec, 1.0)
-            keep = np.isfinite(norms) & (norms <= threshold)
-            if not keep.all():
-                cemetery[live[~keep]] = k + 1
-                live, spec, norms = live[keep], spec[keep], norms[keep]
-                if live.size == 0:
-                    break
-            spectra[live, k + 1] = spec
-            h1[live, k + 1] = norms
+        if nl is None:
+            cemetery = _linear_states(grid, cfg.tg, paths, coef, threshold, spectra, h1)
+        else:
+            cemetery = _strang_states(grid, cfg.tg, nl, paths, coef, threshold, spectra, h1)
     return TrajectoryBatch(spectra, h1, cemetery)
+
+
+def _linear_states(grid, tg, paths, coef, threshold, spectra, h1) -> np.ndarray:
+    """Fill the states from step 1 on in closed form, U_k = M(t_k) U_0 + coef
+    Z_k, and their H^1 norms (that of U_0 when unforced), over blocks of
+    steps within the block budget; NaN-fill the norms from each row's
+    cemetery index on and return those indices.  M(t_k) U_0 is built in
+    place in row 0 and each product keeps its operands in one order, so a
+    row's bits do not depend on the batch."""
+    replicates, n = h1.shape[0], tg.n
+    flat = spectra.reshape(replicates, n + 1, grid.mode_count)
+    if paths is None:
+        # the free flow is an isometry of H^1: every state keeps the norm of U_0
+        h1[:, 1:] = h1[:, :1]
+    for block in _row_blocks(n, replicates * grid.mode_count * spectra.itemsize):
+        ks = slice(block.start + 1, block.stop + 1)
+        free = spectra[0, ks]
+        free.real = 0.0
+        np.multiply(grid.xi_squared, tg.points[ks].reshape((-1,) + (1,) * grid.d), out=free.imag)
+        np.exp(free, out=free)
+        free *= spectra[0, 0]
+        if paths is None:
+            spectra[1:, ks] = free
+        else:
+            np.multiply(paths[1:, ks], coef, out=flat[1:, ks])
+            spectra[1:, ks] += free
+            flat[0, ks] += paths[0, ks] * coef
+            h1[:, ks] = sobolev_norms(grid, spectra[:, ks], 1.0)
+    keep = np.isfinite(h1[:, 1:]) & (h1[:, 1:] <= threshold)
+    cemetery = np.where(keep.all(axis=1), n + 1, keep.argmin(axis=1) + 1)
+    h1[np.arange(n + 1) >= cemetery[:, None]] = math.nan
+    return cemetery
+
+
+def _strang_states(grid, tg, nl, paths, coef, threshold, spectra, h1) -> np.ndarray:
+    """Step the states and their H^1 norms, a replicate no further once
+    absorbed, and return the cemetery indices."""
+    replicates, n, dt = h1.shape[0], tg.n, tg.dt
+    D = None
+    if paths is not None:
+        # -i sqrt(eps) D_k: the increments in mode coordinates, times coef
+        phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
+        D = (paths[:, 1:] - phase * paths[:, :-1]) * coef
+        D = D.reshape((replicates, n) + grid.shape)
+    cemetery = np.full(replicates, n + 1)
+    live = np.arange(replicates)
+    spec = spectra[:, 0].copy()
+    # the free flow over the half step on each side of the nonlinear flow
+    half = group_multiplier(grid, 0.5 * dt)
+    for k in range(n):
+        # every product is in place: above 256 KiB numpy reuses the
+        # temporary operand of ``a * b`` with the operands swapped, which
+        # rounds the product differently from a small batch's
+        spec *= half
+        values = grid_ifft(grid, spec)
+        values *= np.exp(-1j * dt * nl.amplitude_rate(np.abs(values) ** 2))
+        spec = grid_fft(grid, values)
+        spec *= half
+        if D is not None:
+            spec += D[live, k]
+        norms = sobolev_norms(grid, spec, 1.0)
+        keep = np.isfinite(norms) & (norms <= threshold)
+        if not keep.all():
+            cemetery[live[~keep]] = k + 1
+            live, spec, norms = live[keep], spec[keep], norms[keep]
+            if live.size == 0:
+                break
+        spectra[live, k + 1] = spec
+        h1[live, k + 1] = norms
+    return cemetery
 
 
 def solve_skeleton(

@@ -648,6 +648,27 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("config error: $.T: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [({"grid": {"L": 5.99e306}}, "grid.L"), ({"grid": {"d": 2, "L": 1e200}}, "grid.L"),
+         ({"grid": {"N": 16}, "u0": {"type": "plane", "mode": 5.7e307}}, "u0.mode"),
+         ({"grid": {"N": 16}, "u0": {"type": "plane", "mode": -9}}, "u0.mode")],
+        ids=["L-past-coordinates", "L-d2", "mode-huge", "mode-past-nyquist"],
+    )
+    def test_grid_the_floats_cannot_hold_is_a_config_error(self, tmp_path, capsys, raw, key):
+        # an L whose coordinates overflow, or a plane wave past the grid's
+        # wavenumbers, is refused before any field is built
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 4, **raw}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: $.{key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_plane_wave_at_the_nyquist_mode_runs(self):
+        cfg = parse_config(json.dumps({"kind": "solve", "grid": {"N": 16, "L": 1e12},
+                                       "u0": {"type": "plane", "mode": -8}}))
+        assert np.isfinite(cfg["_u0"].values).all()
+
     def test_private_key_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"H": 0.7, "n": 8, "replicates": 2, "_spec": 1}')

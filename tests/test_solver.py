@@ -15,6 +15,7 @@ from fracnls.field import (
     hamiltonian,
     l2_norm,
     mass,
+    sobolev_norms,
     values_from_modes,
 )
 from fracnls.noise import (
@@ -221,16 +222,56 @@ class TestNoisySolver:
             solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
 
 
-def assert_rows_equal_single_solves(N):
-    """Focusing Kerr driven by noise on 40 replicates of an N-point grid:
-    replicates are absorbed at different steps inside one batch, and every
-    row still matches its own solve."""
+def linear_recursion(u0, paths, eps, cfg):
+    """The linear mild solution stepped on the spectrum, U <- M(dt) U + D_k,
+    with D_k = -i sqrt(eps) B (Z_{k+1} - M(dt) Z_k)."""
+    g = u0.grid
+    mult = group_multiplier(g, cfg.tg.dt)
+    basis = g.mode_parity_phase * (g.mode_count / math.sqrt(g.volume))
+    Z = paths.reshape((-1,) + g.shape)
+    U = np.fft.fftn(u0.values)
+    states = [U]
+    for k in range(cfg.n_steps):
+        U = mult * U - 1j * math.sqrt(eps) * basis * (Z[k + 1] - mult * Z[k])
+        states.append(U)
+    return np.array(states)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_the_step_recursion(self, d, eps):
+        g = GridSpec(d, 16, 2.0)
+        spec = build_correlation(g, 4.0, 0.7, 0.2)
+        cfg = SolverConfig(T=0.5, n_steps=64)
+        paths = ConvolutionSampler(spec, HurstKernel(0.7), cfg.tg).sample_mode_paths(4, 0)
+        mesh = np.meshgrid(*g.coordinates, indexing="ij")
+        u0 = ComplexField(g, np.exp(-sum(x * x for x in mesh) + 1j * mesh[0]))
+        traj = solve_mild(u0, None, paths, eps, cfg)
+        ref = linear_recursion(u0, paths, eps, cfg)
+        assert not traj.blown_up
+        for k in range(cfg.n_steps + 1):
+            assert np.abs(traj.spectra[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
+        assert np.allclose(traj.h1_norms, sobolev_norms(g, ref, 1.0), rtol=1e-12, atol=0.0)
+
+    def test_paths_that_do_not_start_at_zero_are_rejected(self):
+        g = GridSpec(1, 8, math.pi)
+        paths = np.zeros((5, 8), dtype=complex)
+        paths[0, 3] = 1e-300
+        with pytest.raises(ValueError, match="start at zero"):
+            solve_mild(ComplexField.zero(g), None, paths, 1.0, SolverConfig(T=1.0, n_steps=4))
+
+
+def assert_rows_equal_single_solves(N, nl):
+    """Solves under ``nl`` driven by noise on 40 replicates of an N-point
+    grid: replicates are absorbed at different steps inside one batch, every
+    row still matches its own solve, and its norms are NaN from its cemetery
+    index on."""
     g = GridSpec(1, N, math.pi)
     kern = HurstKernel(0.7)
     spec = build_correlation(g, 4.0, 0.7, 0.2)
     sampler = ConvolutionSampler(spec, kern, TimeGrid(1.0, 32))
     u0 = gaussian_cos_field(g, amp=1.0)
-    nl = NonlinearitySpec("kerr", 1.0, 2.0)
     cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
     paths = sampler.sample_mode_path_batch(5, range(40))
     batch = solve_mild_batch(u0, nl, paths, 2.0, cfg)
@@ -240,19 +281,29 @@ def assert_rows_equal_single_solves(N):
         ref = solve_mild(u0, nl, paths[r], 2.0, cfg)
         k_star = 33 if ref.cemetery_index is None else ref.cemetery_index
         assert batch.cemetery_index[r] == k_star
+        assert np.isfinite(batch.h1_norms[r, :k_star]).all() and np.isnan(batch.h1_norms[r, k_star:]).all()
         assert np.array_equal(batch.h1_norms[r], ref.h1_norms, equal_nan=True)
         for k in range(k_star):
             assert np.array_equal(batch.spectra[r, k], ref.spectra[k])
 
 
+KERR = NonlinearitySpec("kerr", 1.0, 2.0)
+
+
 class TestBatchedSolver:
     def test_rows_equal_single_solves(self):
-        assert_rows_equal_single_solves(16)
+        assert_rows_equal_single_solves(16, KERR)
 
     def test_rows_equal_single_solves_in_a_batch_over_256_kib(self):
         # 40 rows of 1024 points hold 640 KiB: past 256 KiB numpy reuses the
         # temporary of ``values * exp(...)`` with the operands swapped
-        assert_rows_equal_single_solves(1024)
+        assert_rows_equal_single_solves(1024, KERR)
+
+    def test_linear_rows_equal_single_solves_in_a_batch_over_256_kib(self):
+        # the closed form over blocks of steps: one step of the batch (640
+        # KiB) passes the 512 KiB block budget, so the batch builds one step
+        # per block and a single solve all 32 in one
+        assert_rows_equal_single_solves(1024, None)
 
     def test_single_replicate_kerr_matches_unbatched_step(self):
         # the R = 1 batch reproduces the plain (N,)-array Strang step on the
