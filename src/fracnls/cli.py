@@ -96,6 +96,8 @@ _hurst = _must(lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0, "H must 
 _flag = _must(lambda v: isinstance(v, bool), "expected true or false")
 _version = _must(lambda v: v == __version__, f"expected {__version__!r}")
 _string = _must(lambda v: isinstance(v, str), "expected a string")
+# The range of T and of grid.L, within which every kind runs free of overflow
+_span = _num(1e-12, 1e12)
 
 
 def _nullable(check):
@@ -176,7 +178,7 @@ def _steps(value, path, scope):
 
 
 def _grid(N: int, when=None) -> _Key:
-    keys = {"d": _Key(_int(1, 2), 1), "N": _Key(_int(8), N), "L": _Key(_num(1e-12, 1e12), math.pi)}
+    keys = {"d": _Key(_int(1, 2), 1), "N": _Key(_int(8), N), "L": _Key(_span, math.pi)}
     return _Key(_section(keys), None, when)
 
 
@@ -217,7 +219,7 @@ def _noisy(scope) -> bool:
     return scope["eps"] > 0.0
 
 
-_T = _Key(_num(1e-12), 1.0)
+_T = _Key(_span, 1.0)
 _MODEL = {
     "T": _T,
     "n": _Key(_steps, lambda s: _DENSE_LIMIT if s["kind"] in _DENSE_USERS else 1000),
@@ -345,6 +347,8 @@ def _resolve(raw: dict) -> dict:
     if kind == "ldp":
         if cfg["event"]["kind"] == "terminal-ball-exit":
             _construct("$.event.kind", lab.terminal_centre)
+            if cfg["nl"] is None:  # the run's pinv rate, which a noise with no reachable direction lacks
+                _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])
         if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
             _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
     if kind == "oracle-suite":
@@ -397,19 +401,12 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_pathset_csv(path: str, tg: TimeGrid, values: np.ndarray) -> None:
-    """A header row of the times of ``tg``, then one row per replicate path of
-    ``values`` (replicates, n + 1), every value %.17g."""
-    table = np.vstack([tg.points, values])
-    row = ",".join([_FLOAT_FMT] * table.shape[1])
-    atomic_write_text(path, "\n".join([row] * table.shape[0]) % tuple(table.reshape(-1).tolist()) + "\n")
+def write_csv(path: str, header: list[str], rows: list) -> None:
+    """A header row, then the nonempty list ``rows`` through one row template:
+    %.17g in the columns where the first row holds a float, str elsewhere."""
+    row = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0])
+    body = "\n".join([row] * len(rows)) % tuple(v for r in rows for v in r)
+    atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
 
 
 _INDEX_COLUMNS = {1: ["index"], 2: ["ix", "iy"]}
@@ -470,7 +467,8 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 
 def _run_fbm(cfg: dict, out_dir: str) -> int:
     paths = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
-    write_pathset_csv(os.path.join(out_dir, "paths.csv"), cfg["_tg"], paths)
+    times = [_FLOAT_FMT % t for t in cfg["_tg"].points.tolist()]
+    write_csv(os.path.join(out_dir, "paths.csv"), times, paths.tolist())
     return 0
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
+from .field import ComplexField, GridSpec, sobolev_norms
 from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
 from .noise import build_L, cheapest_terminal_rate, terminal_covariance_blocks
 from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_stream
@@ -295,10 +295,6 @@ class LdpLab:
     def deterministic(self) -> Trajectory:
         return solve_mild(self.u0, self.nl, None, 0.0, self.cfg)
 
-    @cached_property
-    def _cap(self) -> float:
-        return self.cfg.blowup_cap(sobolev_norm(self.u0, 1.0))
-
     def control_basis(self, n_splines: int) -> np.ndarray:
         """The time design (n, n_splines) of :meth:`minimize_rate`'s controls;
         a ValueError where the tensor basis exceeds the optimizer's limit."""
@@ -355,9 +351,9 @@ class LdpLab:
             return batch.h1_norms[live, start:].max(axis=1)
         return sobolev_norms(self.spec.grid, batch.spectra[live, start:], s).max(axis=1)
 
-    def _target(self, ev: EventSpec) -> float:
-        """The threshold, or the blow-up cap, which no live replicate passes."""
-        return self._cap if ev.kind == "blow-up-before-T" else ev.threshold
+    def _target(self, batch: TrajectoryBatch, ev: EventSpec) -> float:
+        """The threshold, or the blow-up cap of ``batch``, which no live replicate passes."""
+        return batch.cap if ev.kind == "blow-up-before-T" else ev.threshold
 
     def _hits(self, batch: TrajectoryBatch, ev: EventSpec) -> np.ndarray:
         """Whether each replicate of ``batch`` realizes the event, as
@@ -365,7 +361,7 @@ class LdpLab:
         hits = batch.blown_up
         live = ~hits
         if live.any():
-            hits[live] = self._reach(batch, live, ev, 0) > self._target(ev)
+            hits[live] = self._reach(batch, live, ev, 0) > self._target(batch, ev)
         return hits
 
     def estimate_event_probability(
@@ -450,7 +446,8 @@ class LdpLab:
         short = np.zeros(len(cs))
         # steps k >= 1: the state at t = 0 does not depend on the control, so a
         # sup reached there would leave the penalty flat at the zero control
-        short[live] = np.maximum(0.0, self._target(ev) * (1.0 + _MARGIN) - self._reach(batch, live, ev, 1))
+        target = self._target(batch, ev) * (1.0 + _MARGIN)
+        short[live] = np.maximum(0.0, target - self._reach(batch, live, ev, 1))
         return energy + pen * short * short
 
     def minimize_rate(self, ev: EventSpec, n_splines: int, budget: int) -> MinimizeResult:

@@ -26,9 +26,8 @@ consistently with the closed form.  The H^1 norm of a state is a weighted sum
 over its spectrum, with no transform; an unforced linear state keeps the norm
 of U_0, the free flow being an isometry.
 
-Blow-up is a legal outcome, not an error: once the energy-space norm passes
-the configured threshold (or the field stops being finite), the trajectory is
-absorbed in the cemetery state and carries no field values afterwards.
+Blow-up is a legal outcome, not an error: a trajectory is absorbed in the
+cemetery state (:func:`_absorb`) and carries no field values afterwards.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class SolverConfig:
 
     ``tg`` is the run's time grid, of ``n_steps`` cells on [0, ``T``].
     ``blowup_threshold`` caps the energy-space (H^1) norm; ``None`` resolves
-    to 1e3 times the initial norm at solve time (:meth:`blowup_cap`).
+    to 1e3 max(initial norm, 1) at solve time (:meth:`blowup_cap`).
     """
 
     T: float
@@ -134,8 +133,7 @@ class Trajectory:
     the path never blows up; :meth:`field` reads one state back.
 
     Once absorbed, always absorbed: no field values exist from the cemetery
-    index on, and ``h1_norms`` is NaN there; ``blowup_time`` is +inf for
-    global trajectories.
+    index on, and ``h1_norms`` is NaN there.
     """
 
     times: np.ndarray
@@ -144,7 +142,6 @@ class Trajectory:
     spectra: np.ndarray  # (k*, *grid.shape) complex
     h1_norms: np.ndarray  # (n_steps + 1,)
     cemetery_index: int | None = None
-    blowup_time: float = math.inf
 
     @property
     def grid(self) -> GridSpec:
@@ -153,6 +150,10 @@ class Trajectory:
     @property
     def blown_up(self) -> bool:
         return self.cemetery_index is not None
+
+    @property
+    def blowup_time(self) -> float:
+        return math.inf if self.cemetery_index is None else float(self.times[self.cemetery_index])
 
     def field(self, k: int) -> ComplexField:
         """The field at t_k, for k below the cemetery index: ``u0`` as given
@@ -170,11 +171,12 @@ class TrajectoryBatch:
     """Replicates solved together: ``spectra[r, k]`` is the spectrum of
     replicate r at t_k only for k < ``cemetery_index[r]``, which is
     n_steps + 1 when r is never absorbed; ``h1_norms`` is NaN from the
-    cemetery index on."""
+    cemetery index on, the step :func:`_absorb` sets from ``cap``."""
 
     spectra: np.ndarray  # (R, n_steps + 1, *grid.shape) complex
     h1_norms: np.ndarray  # (R, n_steps + 1)
     cemetery_index: np.ndarray  # (R,) int
+    cap: float
 
     @property
     def blown_up(self) -> np.ndarray:
@@ -194,16 +196,13 @@ def solve_mild(
     grid point, zero at t_0, or None; ``eps`` scales the noise amplitude by
     sqrt(eps).  With no nonlinearity every state is the closed form of the
     module docstring, exact up to rounding.  Returns the trajectory, absorbed
-    at the cemetery from the first index whose H^1 norm exceeds the threshold
-    or is not finite.
+    at the cemetery index :func:`_absorb` sets.
     """
     paths = None if mode_paths is None else np.asarray(mode_paths, dtype=complex)[None]
     batch = solve_mild_batch(u0, nl, paths, eps, cfg)
     k_star = int(batch.cemetery_index[0])
-    traj = Trajectory(cfg.tg.points, u0, eps, batch.spectra[0, :k_star], batch.h1_norms[0])
-    if batch.blown_up[0]:
-        traj.cemetery_index, traj.blowup_time = k_star, float(cfg.tg.points[k_star])
-    return traj
+    return Trajectory(cfg.tg.points, u0, eps, batch.spectra[0, :k_star], batch.h1_norms[0],
+                      k_star if batch.blown_up[0] else None)
 
 
 def solve_mild_batch(
@@ -223,7 +222,7 @@ def solve_mild_batch(
     grid = u0.grid
     n = cfg.n_steps
     u0_h1 = sobolev_norm(u0, 1.0)
-    threshold = cfg.blowup_cap(u0_h1)
+    cap = cfg.blowup_cap(u0_h1)
     replicates, coef = 1, None
     if mode_paths is not None:
         replicates = mode_paths.shape[0]
@@ -244,19 +243,32 @@ def solve_mild_batch(
     # overflow and NaN mark the absorbed replicates instead of raising
     with np.errstate(over="ignore", invalid="ignore"):
         if nl is None:
-            cemetery = _linear_states(grid, cfg.tg, paths, coef, threshold, spectra, h1)
+            _linear_states(grid, cfg.tg, paths, coef, spectra, h1)
         else:
-            cemetery = _strang_states(grid, cfg.tg, nl, paths, coef, threshold, spectra, h1)
-    return TrajectoryBatch(spectra, h1, cemetery)
+            _strang_states(grid, cfg.tg, nl, paths, coef, cap, spectra, h1)
+    return TrajectoryBatch(spectra, h1, _absorb(h1, cap), cap)
 
 
-def _linear_states(grid, tg, paths, coef, threshold, spectra, h1) -> np.ndarray:
+def _kept(norms: np.ndarray, cap: float) -> np.ndarray:
+    """Whether each H^1 norm is finite and at most ``cap``."""
+    return np.isfinite(norms) & (norms <= cap)
+
+
+def _absorb(h1: np.ndarray, cap: float) -> np.ndarray:
+    """Each row's cemetery index, the first step k >= 1 whose norm in ``h1`` (R, n + 1)
+    is not :func:`_kept` (n + 1 when none is); NaN-fills ``h1`` from it on."""
+    keep = _kept(h1[:, 1:], cap)
+    cemetery = np.where(keep.all(axis=1), h1.shape[1], keep.argmin(axis=1) + 1)
+    h1[np.arange(h1.shape[1]) >= cemetery[:, None]] = math.nan
+    return cemetery
+
+
+def _linear_states(grid, tg, paths, coef, spectra, h1) -> None:
     """Fill the states from step 1 on in closed form, U_k = M(t_k) U_0 + coef
     Z_k, and their H^1 norms (that of U_0 when unforced), over blocks of
-    steps within the block budget; NaN-fill the norms from each row's
-    cemetery index on and return those indices.  M(t_k) U_0 is built in
-    place in row 0 and each product keeps its operands in one order, so a
-    row's bits do not depend on the batch."""
+    steps within the block budget.  M(t_k) U_0 is built in place in row 0
+    and each product keeps its operands in one order, so a row's bits do not
+    depend on the batch."""
     replicates, n = h1.shape[0], tg.n
     flat = spectra.reshape(replicates, n + 1, grid.mode_count)
     if paths is None:
@@ -276,15 +288,11 @@ def _linear_states(grid, tg, paths, coef, threshold, spectra, h1) -> np.ndarray:
             spectra[1:, ks] += free
             flat[0, ks] += paths[0, ks] * coef
             h1[:, ks] = sobolev_norms(grid, spectra[:, ks], 1.0)
-    keep = np.isfinite(h1[:, 1:]) & (h1[:, 1:] <= threshold)
-    cemetery = np.where(keep.all(axis=1), n + 1, keep.argmin(axis=1) + 1)
-    h1[np.arange(n + 1) >= cemetery[:, None]] = math.nan
-    return cemetery
 
 
-def _strang_states(grid, tg, nl, paths, coef, threshold, spectra, h1) -> np.ndarray:
-    """Step the states and their H^1 norms, a replicate no further once
-    absorbed, and return the cemetery indices."""
+def _strang_states(grid, tg, nl, paths, coef, cap, spectra, h1) -> None:
+    """Step the states and their H^1 norms; a replicate whose norm is not
+    :func:`_kept` records that norm, not its state, and steps no further."""
     replicates, n, dt = h1.shape[0], tg.n, tg.dt
     D = None
     if paths is not None:
@@ -292,7 +300,6 @@ def _strang_states(grid, tg, nl, paths, coef, threshold, spectra, h1) -> np.ndar
         phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
         D = (paths[:, 1:] - phase * paths[:, :-1]) * coef
         D = D.reshape((replicates, n) + grid.shape)
-    cemetery = np.full(replicates, n + 1)
     live = np.arange(replicates)
     spec = spectra[:, 0].copy()
     # the free flow over the half step on each side of the nonlinear flow
@@ -308,16 +315,13 @@ def _strang_states(grid, tg, nl, paths, coef, threshold, spectra, h1) -> np.ndar
         spec *= half
         if D is not None:
             spec += D[live, k]
-        norms = sobolev_norms(grid, spec, 1.0)
-        keep = np.isfinite(norms) & (norms <= threshold)
+        h1[live, k + 1] = norms = sobolev_norms(grid, spec, 1.0)
+        keep = _kept(norms, cap)
         if not keep.all():
-            cemetery[live[~keep]] = k + 1
-            live, spec, norms = live[keep], spec[keep], norms[keep]
+            live, spec = live[keep], spec[keep]
             if live.size == 0:
                 break
         spectra[live, k + 1] = spec
-        h1[live, k + 1] = norms
-    return cemetery
 
 
 def solve_skeleton(

@@ -25,7 +25,6 @@ from fracnls.cli import (
     write_csv,
     write_field_csv,
     write_json,
-    write_pathset_csv,
 )
 from fracnls.errors import ConfigError
 from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream
@@ -474,13 +473,24 @@ class TestArtifacts:
             assert (tmp_path / name).read_bytes() == _field_csv_reference(snapshot)
 
     def test_pathset_csv_matches_row_loop(self, tmp_path):
+        # paths.csv: the times as the header row, then one row per path
         grid = TimeGrid(0.3, 8)
         values = np.random.default_rng(0).normal(size=(3, 9))
         values.reshape(-1)[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
-        write_pathset_csv(str(tmp_path / "paths.csv"), grid, values)
+        write_csv(str(tmp_path / "paths.csv"), ["%.17g" % t for t in grid.points.tolist()], values.tolist())
         rows = [grid.points, *values]
         expected = "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
         assert (tmp_path / "paths.csv").read_text() == expected
+
+    def test_mixed_csv_matches_per_element_format(self, tmp_path):
+        # floats as %.17g and ints as str, column by column, as the
+        # diagnostics' cemetery flag and the support family sizes are written
+        ints = [0, 1, -3, 10**20, 7, 64, 2**53 + 1, 8, 12, 5, 9, 11, 13]
+        rows = [[f, i, -f, i + 1] for f, i in zip(SPECIAL_FLOATS, ints)]
+        write_csv(str(tmp_path / "mixed.csv"), ["a", "n", "b", "m"], rows)
+        expected = ["a,n,b,m"] + [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+                                  for row in rows]
+        assert (tmp_path / "mixed.csv").read_text() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):
@@ -590,6 +600,11 @@ class TestMainExitCodes:
                                 "eps_ladder": [4.0], "replicates": 100}),
              r"^config error: \$\.event\.kind: the deterministic flow is absorbed at step 6, "
              r"so terminal-ball-exit has no centre\n\Z"),
+            # a linear terminal ball under a noise whose terminal covariance is
+            # zero, or underflows to it: the run would have no pinv rate
+            *[("ldp", json.dumps({**README_LDP, "noise": {"eigenvalues": [value] * 8}, "replicates": 100}),
+               r"^config error: \$\.noise: degenerate terminal covariance: no reachable direction\n\Z")
+              for value in (0.0, 1e-200)],
         ],
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
              "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
@@ -597,7 +612,7 @@ class TestMainExitCodes:
              *[f"{kind}-{key}" for kind, key in DELETED_KEYS], "skeleton-control-seed", "fbm-sampler",
              "alpha-outside-window", "decay-too-small",
              "threshold-below-u0", "ldp-threshold-below-u0", "u0-norm-overflows",
-             "terminal-ball-absorbed-flow"],
+             "terminal-ball-absorbed-flow", "ldp-noise-zero", "ldp-noise-underflows"],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, kind, text, message):
         cfg = tmp_path / "c.json"
@@ -652,12 +667,14 @@ class TestMainExitCodes:
         "raw, key",
         [({"grid": {"L": 5.99e306}}, "grid.L"), ({"grid": {"d": 2, "L": 1e200}}, "grid.L"),
          ({"grid": {"N": 16}, "u0": {"type": "plane", "mode": 5.7e307}}, "u0.mode"),
-         ({"grid": {"N": 16}, "u0": {"type": "plane", "mode": -9}}, "u0.mode")],
-        ids=["L-past-coordinates", "L-d2", "mode-huge", "mode-past-nyquist"],
+         ({"grid": {"N": 16}, "u0": {"type": "plane", "mode": -9}}, "u0.mode"),
+         ({"T": 1e308, "grid": {"N": 8}, "u0": {"type": "gaussian"}}, "T")],
+        ids=["L-past-coordinates", "L-d2", "mode-huge", "mode-past-nyquist", "T-past-phases"],
     )
     def test_grid_the_floats_cannot_hold_is_a_config_error(self, tmp_path, capsys, raw, key):
-        # an L whose coordinates overflow, or a plane wave past the grid's
-        # wavenumbers, is refused before any field is built
+        # an L whose coordinates overflow, a plane wave past the grid's
+        # wavenumbers, or a T whose free-flow phases overflow, is refused
+        # before any field is built
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 4, **raw}))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

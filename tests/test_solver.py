@@ -15,6 +15,7 @@ from fracnls.field import (
     hamiltonian,
     l2_norm,
     mass,
+    sobolev_norm,
     sobolev_norms,
     values_from_modes,
 )
@@ -185,6 +186,38 @@ class TestBlowup:
         traj = solve_mild(u0, nl, None, 0.0, cfg)
         assert not traj.blown_up
         assert traj.blowup_time == math.inf
+
+
+class TestAbsorptionRule:
+    """Both writers absorb a replicate at the first step k >= 1 whose H^1 norm
+    passes the cap, also where a later norm falls back below it."""
+
+    @pytest.mark.parametrize("nl", [None, NonlinearitySpec("kerr", 1.0, 1.0)], ids=["closed-form", "strang"])
+    def test_cemetery_is_the_first_crossing(self, nl):
+        g = GridSpec(1, 8, math.pi)
+        u0 = gaussian_cos_field(g, amp=0.3)
+        # a forcing of one mode that peaks at steps 3 and 6 and falls back in between
+        paths = np.zeros((9, 8), dtype=complex)
+        paths[:, 1] = 0.1 * np.array([0, 1, 3, 6, 3, 1, 6, 2, 0])
+        ref = solve_mild(u0, nl, paths, 1.0, SolverConfig(T=1.0, n_steps=8, blowup_threshold=1e6))
+        norms = ref.h1_norms
+        k_star = 3
+        cap = 0.5 * (norms[k_star] + norms[:k_star].max())
+        assert not ref.blown_up and norms[k_star] > cap
+        assert norms[k_star + 1] < cap and norms[k_star + 3] > cap  # below the cap, then past it again
+        traj = solve_mild(u0, nl, paths, 1.0, SolverConfig(T=1.0, n_steps=8, blowup_threshold=cap))
+        assert traj.cemetery_index == k_star and traj.blowup_time == traj.times[k_star]
+        assert np.array_equal(traj.h1_norms[:k_star], norms[:k_star])
+        assert np.isnan(traj.h1_norms[k_star:]).all()
+        assert len(traj.spectra) == k_star and np.array_equal(traj.spectra, ref.spectra[:k_star])
+
+    @pytest.mark.parametrize("threshold", [50.0, None], ids=["given", "default"])
+    @pytest.mark.parametrize("nl", [None, NonlinearitySpec("kerr", 1.0, 1.0)], ids=["closed-form", "strang"])
+    def test_batch_carries_its_cap(self, grid, nl, threshold):
+        u0 = gaussian_cos_field(grid)
+        cfg = SolverConfig(T=1.0, n_steps=4, blowup_threshold=threshold)
+        batch = solve_mild_batch(u0, nl, None, 0.0, cfg)
+        assert batch.cap == cfg.blowup_cap(sobolev_norm(u0, 1.0))
 
 
 class TestNoisySolver:
