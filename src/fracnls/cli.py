@@ -219,6 +219,10 @@ def _noisy(scope) -> bool:
     return scope["eps"] > 0.0
 
 
+def _enabled(scope) -> bool:
+    return scope["enabled"]
+
+
 _T = _Key(_span, 1.0)
 _MODEL = {
     "T": _T,
@@ -228,7 +232,7 @@ _MODEL = {
         "kind": _Key(_choice(*NONLINEARITY_KINDS), "kerr"),
         "lam": _Key(_num(), -1.0),
         "sigma": _Key(_num(1e-12), 1.0),
-        "kappa": _Key(_num(0.0), lambda s: 1.0 if s["kind"] == "saturated" else 0.0),
+        "kappa": _Key(_num(0.0), 1.0, lambda s: s["kind"] == "saturated"),
     })), {}),
     "u0": _Key(_section(_u0_keys), None),
     "threshold": _Key(_nullable(_num(1e-12)), None),
@@ -254,21 +258,21 @@ _TABLES = {
               "noise": _noise(_noisy), "snapshot_every": _Key(_int(0), 0)},
     "skeleton": {**_MODEL, "snapshot_every": _Key(_int(0), 0), "control": _Key(_section({
         "type": _Key(_choice("zero", "random"), "random"),
-        "scale": _Key(_num(), 1.0),
+        "scale": _Key(_num(), 1.0, lambda s: s["type"] == "random"),
     }), None)},
     "ldp": {
         **_MODEL,
         "event": _Key(_section({
             "kind": _Key(_choice(*EVENT_KINDS), "terminal-ball-exit"),
             "threshold": _Key(_num(0.0), 1.0),
-            "sobolev_index": _Key(_num(0.0), 0.0),
+            "sobolev_index": _Key(_num(0.0), 0.0, lambda s: s["kind"] != "blow-up-before-T"),
         }), None),
         "eps_ladder": _Key(_list(_num(1e-12), "expected a nonempty list"), [0.25, 0.16, 0.09, 0.04]),
         "replicates": _Key(_int(100), 2000),
         "optimizer": _Key(_section({
             "enabled": _Key(_flag, False),
-            "n_splines": _Key(_int(4), 8),
-            "budget": _Key(_int(100), 4000),
+            "n_splines": _Key(_int(4), 8, _enabled),
+            "budget": _Key(_int(100), 4000, _enabled),
         }), None),
     },
     "holder": {
@@ -348,7 +352,8 @@ def _resolve(raw: dict) -> dict:
         if cfg["event"]["kind"] == "terminal-ball-exit":
             _construct("$.event.kind", lab.terminal_centre)
             if cfg["nl"] is None:  # the run's pinv rate, which a noise with no reachable direction lacks
-                _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])
+                with np.errstate(over="ignore", invalid="ignore"):  # a rate past float range is refused
+                    cfg["_pinv_rate"] = _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])[0]
         if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
             _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
     if kind == "oracle-suite":
@@ -515,8 +520,7 @@ def _run_ldp(cfg: dict, out_dir: str) -> int:
     lab = cfg["_lab"]
     ev = EventSpec(**cfg["event"])
     report = lab.rate_ladder(ev, cfg["eps_ladder"], cfg["replicates"], cfg["seed"])
-    if ev.kind == "terminal-ball-exit" and cfg["_nl"] is None:
-        report.pinv_rate = lab.pinv_terminal_rate(ev.threshold)[0]
+    report.pinv_rate = cfg.get("_pinv_rate")
     if cfg["optimizer"]["enabled"]:
         res = lab.minimize_rate(ev, cfg["optimizer"]["n_splines"], cfg["optimizer"]["budget"])
         report.variational_bound = res.rate if res.feasible else None

@@ -36,7 +36,6 @@ __all__ = [
     "sample_fbm_exact",
     "sample_fbm_fast",
     "apply_kt_star",
-    "apply_kt_star_grid",
     "duality_pairing",
     "rkhs_inner_product",
     "replicate_stream",
@@ -443,72 +442,50 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.
 # Kernel-adjoint transform on piecewise-constant paths
 # ---------------------------------------------------------------------------
 
-def _cell_index(points: np.ndarray, s: float) -> int:
-    idx = int(np.searchsorted(points, s, side="right")) - 1
-    return min(max(idx, 0), len(points) - 2)
-
-
-def apply_kt_star(kern: HurstKernel, values: np.ndarray, points: np.ndarray, s: float) -> float:
-    """Transform of a piecewise-constant path, evaluated at 0 < s < horizon.
+def apply_kt_star(kern: HurstKernel, values: np.ndarray, points: np.ndarray, s) -> np.ndarray:
+    """Transform of a piecewise-constant path at the points 0 < s < horizon.
 
     ``values[m]`` is the path value on [points[m], points[m+1]); the horizon
     is points[-1].  The jump decomposition makes the formula exact for this
     path class: phi(s) K(T, s) plus telescoped kernel differences over the
-    cells to the right of s.
+    cells to the right of s.  ``s`` is an array of any shape, a scalar giving
+    a 0-d result; every kernel value comes from one :func:`kernel_eval_grid`
+    call over the cell boundaries t_1..t_M and the points.
     """
     points = np.asarray(points, dtype=float)
-    T = points[-1]
-    if not 0.0 < s < T:
-        raise ValueError(f"need 0 < s < horizon={T}, got s={s}")
-    m_s = _cell_index(points, s)
-    phi_s = values[m_s]
-    out = phi_s * kernel_eval(kern, T, s)
-    for m in range(m_s + 1, len(values)):
-        dphi = values[m] - phi_s
-        if dphi != 0.0:
-            out += dphi * (kernel_eval(kern, points[m + 1], s) - kernel_eval(kern, points[m], s))
-    return out
-
-
-def apply_kt_star_grid(
-    kern: HurstKernel, values: np.ndarray, points: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`apply_kt_star` over an array of evaluation points."""
-    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
     T = points[-1]
     if np.any(s <= 0.0) or np.any(s >= T):
-        raise ValueError("evaluation points must lie strictly inside (0, horizon)")
+        raise ValueError(f"evaluation points must lie strictly inside (0, horizon={T})")
     M = len(values)
-    # K(points[m], s_q) for all boundaries; entries with points[m] <= s are 0
-    Kb = np.zeros((M + 1, s.size))
-    for m in range(1, M + 1):
-        Kb[m] = kernel_eval_grid(kern, points[m], s)
-    cell = np.searchsorted(points, s, side="right") - 1
-    cell = np.clip(cell, 0, M - 1)
-    phi_s = np.asarray(values, dtype=float)[cell]
-    out = phi_s * Kb[M]
-    for m in range(1, M):
-        active = cell < m  # cells strictly right of the one containing s
-        if np.any(active):
-            dphi = values[m] - phi_s[active]
-            out[active] += dphi * (Kb[m + 1][active] - Kb[m][active])
-    return out
+    cell = np.clip(np.searchsorted(points, s, side="right") - 1, 0, M - 1)
+    phi_s = values[cell]
+    # K(t_m, s) for m = 1..M; entries with t_m <= s are 0, so the differences
+    # vanish left of the cell holding s, and dphi vanishes on that cell
+    Kb = kernel_eval_grid(kern, points[1:].reshape(-1, *(1,) * s.ndim), s)
+    dK = np.diff(Kb, axis=0, prepend=0.0)
+    dphi = values.reshape(-1, *(1,) * s.ndim) - phi_s
+    return phi_s * Kb[-1] + np.sum(dphi * dK, axis=0)
 
 
-def _cell_quadrature_nodes(a: float, b: float, order: int):
-    """Quadrature nodes/weights on (a, b) graded into both endpoints.
+def _cell_quadrature_nodes(a, b, order: int):
+    """Quadrature nodes/weights on the cells (a, b), graded into both endpoints.
 
-    The cell is split at its midpoint and each half mapped through a
+    Each cell is split at its midpoint and each half mapped through a
     square-root change of variable clustering nodes at the outer endpoint,
-    which absorbs the algebraic kernel behavior at cell boundaries.
+    which absorbs the algebraic kernel behavior at cell boundaries.  ``a`` and
+    ``b`` are arrays of cell ends (or scalars); the nodes and weights of a
+    cell run along the last axis, 2 ``order`` of each.
     """
     y, wy = _unit_rule(order)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     left_nodes = a + half * y * y
     right_nodes = b - half * y * y
     gw = half * 2.0 * y * wy
-    return np.concatenate([left_nodes, right_nodes]), np.concatenate([gw, gw])
+    return np.concatenate([left_nodes, right_nodes], axis=-1), np.concatenate([gw, gw], axis=-1)
 
 
 def duality_pairing(
@@ -523,28 +500,20 @@ def duality_pairing(
     quadrature convergence rather than shared arithmetic.
     """
     pts = tg.points
-    n = tg.n
     phi_values = np.asarray(phi_values, dtype=float)
     h_values = np.asarray(h_values, dtype=float)
 
-    # LHS
-    lhs = 0.0
-    for m in range(n):
-        nodes, weights = _cell_quadrature_nodes(pts[m], pts[m + 1], _DUALITY_ORDER)
-        vals = apply_kt_star_grid(kern, phi_values, pts, nodes)
-        lhs += h_values[m] * float(vals @ weights)
+    # LHS: the transform at every cell's nodes, (n, 2 order)
+    nodes, weights = _cell_quadrature_nodes(pts[:-1], pts[1:], _DUALITY_ORDER)
+    vals = apply_kt_star(kern, phi_values, pts, nodes)
+    lhs = float(np.sum(vals * weights, axis=1) @ h_values)
 
-    # RHS: Kh at every grid point, on an unrelated (coarser odd) node set
-    order_rhs = _DUALITY_ORDER + 7
-    Kh = np.zeros(n + 1)
-    for m in range(1, n + 1):
-        t_m = pts[m]
-        total = 0.0
-        for mp in range(m):
-            nodes, weights = _cell_quadrature_nodes(pts[mp], pts[mp + 1], order_rhs)
-            kv = kernel_eval_grid(kern, t_m, nodes)
-            total += h_values[mp] * float(kv @ weights)
-        Kh[m] = total
+    # RHS: Kh at t_1..t_n on an unrelated (coarser odd) node set; K(t_m, s)
+    # is 0 for nodes s >= t_m, so each row sums over the cells left of t_m
+    nodes, weights = _cell_quadrature_nodes(pts[:-1], pts[1:], _DUALITY_ORDER + 7)
+    kv = kernel_eval_grid(kern, pts[1:, None, None], nodes)
+    Kh = np.zeros(tg.n + 1)
+    Kh[1:] = np.sum(kv * weights, axis=2) @ h_values
     rhs = float(np.sum(phi_values * np.diff(Kh)))
     return lhs, rhs
 

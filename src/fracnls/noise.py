@@ -242,9 +242,16 @@ class DiscreteLOperator:
         out[:, 1:] = np.einsum("jkm,rjm->rkj", self.mats, zeta)
         return out
 
-    def real_factor(self, j: int) -> np.ndarray:
-        """Real 2n x n factor stacking (Re, Im) response rows of mode j."""
-        return np.vstack([self.mats[j].real, self.mats[j].imag])
+    @property
+    def real_factors(self) -> np.ndarray:
+        """Real (n_modes, 2n, n) factors, each stacking the (Re, Im) response
+        rows of its mode."""
+        return _real_stack(self.mats)
+
+
+def _real_stack(mats: np.ndarray) -> np.ndarray:
+    """(Re, Im) of each complex matrix in ``mats`` stacked along its rows."""
+    return np.concatenate([mats.real, mats.imag], axis=-2)
 
 
 def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteLOperator:
@@ -262,43 +269,27 @@ def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteL
     return DiscreteLOperator(mats=A @ B, tg=tg)
 
 
-def _real_sandwich(A_j: np.ndarray, S: np.ndarray) -> np.ndarray:
-    Ar = np.vstack([A_j.real, A_j.imag])
-    return Ar @ S @ Ar.T
-
-
 def build_Q(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> np.ndarray:
     """Covariance of the stacked real response samples, assembled directly.
 
-    Block-diagonal over modes; block j is the covariance of
-    (Re Z_j(t_1..t_n), Im Z_j(t_1..t_n)).  The driving increment covariance
+    Block-diagonal over modes, returned as the (n_modes, 2n, 2n) stack of its
+    blocks; block j is the covariance of (Re Z_j(t_1..t_n), Im Z_j(t_1..t_n)),
+    and the modes are independent.  The driving increment covariance
     is the closed-form weighted double integral, so H > 1/2: independent of
     the second differences that L is built on, which Q = L L^T then checks.
     """
     if tg.n > _DENSE_LIMIT:
         raise ValueError(f"dense covariance assembly is limited to n <= {_DENSE_LIMIT}")
     S = increment_covariance_beta(kern, tg.points)
-    A = _integrand_matrices(spec, tg)
-    n2 = 2 * tg.n
-    n_modes = spec.grid.mode_count
-    Q = np.zeros((n_modes * n2, n_modes * n2))
-    for j in range(n_modes):
-        Q[j * n2 : (j + 1) * n2, j * n2 : (j + 1) * n2] = _real_sandwich(A[j], S)
-    return Q
+    Ar = _real_stack(_integrand_matrices(spec, tg))
+    return Ar @ S @ Ar.transpose(0, 2, 1)
 
 
 def verify_factorization(Q: np.ndarray, L: DiscreteLOperator) -> float:
-    """Max elementwise residual between Q and L L^T (stacked real blocks)."""
-    n2 = 2 * L.tg.n
-    resid = 0.0
-    for j in range(L.n_modes):
-        F = L.real_factor(j)
-        block = Q[j * n2 : (j + 1) * n2, j * n2 : (j + 1) * n2]
-        resid = max(resid, float(np.abs(block - F @ F.T).max()))
-    off = Q.copy()
-    for j in range(L.n_modes):
-        off[j * n2 : (j + 1) * n2, j * n2 : (j + 1) * n2] = 0.0
-    return max(resid, float(np.abs(off).max()))
+    """Max elementwise residual between the blocks of Q and F F^T, F the real
+    factor of each mode of L."""
+    F = L.real_factors
+    return float(np.abs(Q - F @ F.transpose(0, 2, 1)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +320,7 @@ def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResu
     zeta = np.zeros((L.n_modes, n))
     resid_sq = 0.0
     norm_sq = 0.0
-    for j in range(L.n_modes):
-        F = L.real_factor(j)
+    for j, F in enumerate(L.real_factors):
         target = np.concatenate([f_modes[j].real, f_modes[j].imag])
         sol, _, _, _ = np.linalg.lstsq(F, target, rcond=None)
         zeta[j] = sol
@@ -345,31 +335,26 @@ def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResu
 
 
 def terminal_covariance_blocks(L: DiscreteLOperator) -> np.ndarray:
-    """Per-mode 2x2 covariance of (Re Z_j(T), Im Z_j(T))."""
-    rows = L.mats[:, -1, :]  # (modes, n)
-    out = np.empty((L.n_modes, 2, 2))
-    for j in range(L.n_modes):
-        V = np.vstack([rows[j].real, rows[j].imag])
-        out[j] = V @ V.T
-    return out
+    """Per-mode 2x2 covariance of (Re Z_j(T), Im Z_j(T)), as a (modes, 2, 2) stack."""
+    V = _real_stack(L.mats[:, -1:, :])  # (modes, 2, n)
+    return V @ V.transpose(0, 2, 1)
 
 
 def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> tuple[float, np.ndarray]:
     """Minimal energy to push the terminal response onto the sphere of
     radius delta in L2: delta^2 / (2 lambda_max) with lambda_max the top
-    eigenvalue of the terminal covariance, realized along its eigenvector."""
-    blocks = terminal_covariance_blocks(L)
-    best = (-1.0, 0, np.zeros(2))
-    for j in range(L.n_modes):
-        w, V = np.linalg.eigh(blocks[j])
-        if w[-1] > best[0]:
-            best = (float(w[-1]), j, V[:, -1])
-    lam, j_star, direction = best
+    eigenvalue of the terminal covariance, realized along its eigenvector.
+    A rate past float range raises ValueError."""
+    w, V = np.linalg.eigh(terminal_covariance_blocks(L))
+    j_star = int(np.argmax(w[:, -1]))  # the first mode of the top eigenvalue
+    lam, direction = float(w[j_star, -1]), V[j_star, :, -1]
     if lam <= 0.0:
         raise ValueError("degenerate terminal covariance: no reachable direction")
-    row = L.mats[j_star, -1, :]
-    F = np.vstack([row.real, row.imag])
+    F = _real_stack(L.mats[j_star, -1:, :])  # (2, n)
     zeta_j, _, _, _ = np.linalg.lstsq(F, delta * direction, rcond=None)
     zeta = np.zeros((L.n_modes, L.tg.n))
     zeta[j_star] = zeta_j
-    return 0.5 * float(np.sum(zeta**2)), zeta / math.sqrt(L.tg.dt)
+    rate = 0.5 * float(np.sum(zeta**2))
+    if not math.isfinite(rate):
+        raise ValueError(f"terminal rate {rate} is past float range: delta or the covariance overflows")
+    return rate, zeta / math.sqrt(L.tg.dt)

@@ -144,12 +144,10 @@ def restriction_gap(kern: fbm.HurstKernel, values: np.ndarray, tg: fbm.TimeGrid,
     the path zeroed from cell ``cut`` on and K_{t_cut}* of its first cells."""
     restricted = values.copy()
     restricted[cut:] = 0.0
-    err = 0.0
-    for s in tg.midpoints[:cut]:
-        full = fbm.apply_kt_star(kern, restricted, tg.points, float(s))
-        trunc = fbm.apply_kt_star(kern, values[:cut], tg.points[: cut + 1], float(s))
-        err = max(err, abs(full - trunc))
-    return err
+    s = tg.midpoints[:cut]
+    full = fbm.apply_kt_star(kern, restricted, tg.points, s)
+    trunc = fbm.apply_kt_star(kern, values[:cut], tg.points[: cut + 1], s)
+    return float(np.abs(full - trunc).max())
 
 
 def rkhs_covariance_error(kern: fbm.HurstKernel, tg: fbm.TimeGrid, t: float, s: float) -> float:

@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from fracnls import oracles
 from fracnls.cli import parse_config, run
@@ -115,7 +116,7 @@ def test_criterion_05_covariance_factorization():
     # Monte Carlo covariance against Q, elementwise within 5 standard errors
     kern = HurstKernel(0.7)
     sampler = ConvolutionSampler(spec, kern, tg)
-    Q = build_Q(spec, kern, tg)
+    Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
     reps, n, nm = 20000, 8, 8
     X = np.empty((reps, nm * 2 * n))
     for i in range(reps):

@@ -68,6 +68,17 @@ DELETED_KEYS = [("ldp", "eps"), ("ldp", "snapshot_every"), ("support", "eps"), (
                 ("skeleton", "eps")]
 
 
+# Keys that do not apply where a switch of their section turns them off:
+# (kind, section, key, the section given with the key).
+UNREAD_KEYS = [
+    ("solve", "nl", "kappa", {"kind": "kerr", "lam": 1, "kappa": 0.5}),
+    ("ldp", "optimizer", "n_splines", {"enabled": False, "n_splines": 4}),
+    ("ldp", "optimizer", "budget", {"budget": 1000}),
+    ("skeleton", "control", "scale", {"type": "zero", "scale": 0.5}),
+    ("ldp", "event", "sobolev_index", {"kind": "blow-up-before-T", "sobolev_index": 1.0}),
+]
+
+
 def _public(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
 
@@ -278,6 +289,19 @@ class TestRunDeterminism:
         assert (tmp_path / "ldp" / "ladder.csv").read_bytes() == (
             tmp_path / "reference.csv"
         ).read_bytes()
+
+    def test_linear_terminal_ball_computes_its_pinv_rate_once(self, tmp_path, monkeypatch):
+        # the set-up check's rate is the one the report carries
+        calls = []
+        original = fracnls.ldp.cheapest_terminal_rate
+        monkeypatch.setattr(fracnls.ldp, "cheapest_terminal_rate",
+                            lambda *args: calls.append(args) or original(*args))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**README_LDP, "eps_ladder": [0.25], "replicates": 100}))
+        assert main(["ldp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "o" / "rate_report.json").read_text())
+        assert report["pinv_rate"] == original(*calls[0])[0]
 
     def test_blowup_bound_is_finite_when_u0_holds_the_sup(self, tmp_path):
         # the focusing flow's H^1 norm is largest at t = 0, which no control
@@ -578,6 +602,10 @@ class TestMainExitCodes:
             ("skeleton", json.dumps({**KIND_CONFIGS["skeleton"], "control": {"scale": 0.5, "seed": 2}}),
              r"^config error: \$\.control\.seed: unknown key"),
             ("fbm", json.dumps({**KIND_CONFIGS["fbm"], "sampler": "fast"}), r"^config error: \$\.sampler: unknown key"),
+            # keys their run does not read, given where their switch turns them off
+            *[(kind, json.dumps({**KIND_CONFIGS[kind], section: value}),
+               rf"^config error: \$\.{section}\.{key}: does not apply to this config\n\Z")
+              for kind, section, key, value in UNREAD_KEYS],
             # the power law outside its admissible window
             ("convolve", json.dumps({"H": 0.7, "noise": {"alpha": 1.0}}),
              r"^config error: \$\.noise: alpha outside the admissible window \(0\.0, 1\.0\)"),
@@ -605,14 +633,21 @@ class TestMainExitCodes:
             *[("ldp", json.dumps({**README_LDP, "noise": {"eigenvalues": [value] * 8}, "replicates": 100}),
                r"^config error: \$\.noise: degenerate terminal covariance: no reachable direction\n\Z")
               for value in (0.0, 1e-200)],
+            # a ball radius, or a noise gain, whose pinv rate is past float range
+            *[("ldp", json.dumps({**README_LDP, **raw, "replicates": 100}),
+               r"^config error: \$\.noise: terminal rate (inf|nan) is past float range")
+              for raw in ({"event": {"threshold": 1.3e154}},
+                          {"noise": {"eigenvalues": [0.2, 1e300, 0.05, 0.01, 0.005, 0.01, 0.05, 1]}})],
         ],
         ids=["malformed-json", "eigenvalues-not-numbers", "family-sizes-mixed-types",
              "optimizer-enabled-not-boolean", "u0-type-unhashable", "nl-kind-unhashable",
              "n-overflows", "eigenvalue-nan", "grid-too-large",
              *[f"{kind}-{key}" for kind, key in DELETED_KEYS], "skeleton-control-seed", "fbm-sampler",
+             *[f"{kind}-{section}-{key}-unread" for kind, section, key, _ in UNREAD_KEYS],
              "alpha-outside-window", "decay-too-small",
              "threshold-below-u0", "ldp-threshold-below-u0", "u0-norm-overflows",
-             "terminal-ball-absorbed-flow", "ldp-noise-zero", "ldp-noise-underflows"],
+             "terminal-ball-absorbed-flow", "ldp-noise-zero", "ldp-noise-underflows",
+             "ldp-pinv-rate-overflows", "ldp-noise-overflows"],
     )
     def test_malformed_input_is_a_config_error(self, tmp_path, capsys, kind, text, message):
         cfg = tmp_path / "c.json"

@@ -449,19 +449,41 @@ class TestCirculantEigenvalues:
 
 
 class TestKtStar:
+    # the transform reads the kernel of the fixed order-48 rule, which the
+    # adaptive kernel_eval matches to about 2e-8 (kernel-two-rule-agreement)
     def test_indicator_telescopes_to_kernel(self):
         k = HurstKernel(0.7)
         tg = TimeGrid(1.0, 16)
         vals = np.zeros(16)
         vals[:8] = 1.0  # indicator of [0, 1/2)
         out = apply_kt_star(k, vals, tg.points, 0.3)
-        assert out == pytest.approx(kernel_eval(k, 0.5, 0.3), abs=1e-12)
+        assert out.shape == ()
+        assert out == pytest.approx(float(kernel_eval_grid(k, 0.5, 0.3)), abs=1e-12)
 
     def test_constant_path(self):
         k = HurstKernel(0.35)
         tg = TimeGrid(1.0, 10)
         out = apply_kt_star(k, 2.5 * np.ones(10), tg.points, 0.41)
-        assert out == pytest.approx(2.5 * kernel_eval(k, 1.0, 0.41), abs=1e-12)
+        assert out == pytest.approx(2.5 * float(kernel_eval_grid(k, 1.0, 0.41)), abs=1e-12)
+
+    @pytest.mark.parametrize("H", [0.35, 0.5, 0.7])
+    def test_array_of_points_equals_each_point_alone(self, H):
+        k = HurstKernel(H)
+        tg = TimeGrid(1.0, 16)
+        vals = np.random.default_rng(3).normal(size=16)
+        # the first cell, interior cells, a point on the grid time t_5, the last cell
+        s = np.array([[1e-3, 0.03, 0.2], [tg.points[5], 0.61, 0.999]])
+        out = apply_kt_star(k, vals, tg.points, s)
+        assert out.shape == s.shape
+        for idx in np.ndindex(s.shape):
+            alone = apply_kt_star(k, vals, tg.points, s[idx])
+            assert out[idx] == pytest.approx(float(alone), rel=1e-14, abs=0.0)
+
+    def test_points_outside_the_horizon_are_refused(self):
+        tg = TimeGrid(1.0, 4)
+        for s in (0.0, 1.0, np.array([0.5, 1.5])):
+            with pytest.raises(ValueError, match="strictly inside"):
+                apply_kt_star(HurstKernel(0.7), np.ones(4), tg.points, s)
 
     def test_indicator_transform_norm_is_variance(self):
         # ||K_T* 1_[0,t]||^2_{L2(0,T)} = t^{2H}
@@ -483,7 +505,49 @@ class TestKtStar:
         assert oracles.restriction_gap(HurstKernel(H), vals, TimeGrid(1.0, 16), 10) < 1e-8
 
 
+def _duality_loop(kern, phi, h, tg):
+    """The per-cell form of duality_pairing: the transform one cell at a time
+    (as the one-point transform, a loop over the cells right of s), and Kh one
+    grid time and one cell at a time."""
+    from fracnls.fbm import _DUALITY_ORDER, _cell_quadrature_nodes
+
+    pts, n = tg.points, tg.n
+
+    def transform(s):
+        cell = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, n - 1)
+        phi_s = phi[cell]
+        Kb = np.array([kernel_eval_grid(kern, pts[m], s) for m in range(n + 1)])
+        out = phi_s * Kb[n]
+        for m in range(1, n):
+            active = cell < m
+            out[active] += (phi[m] - phi_s[active]) * (Kb[m + 1][active] - Kb[m][active])
+        return out
+
+    lhs = 0.0
+    for m in range(n):
+        nodes, weights = _cell_quadrature_nodes(pts[m], pts[m + 1], _DUALITY_ORDER)
+        lhs += h[m] * float(transform(nodes) @ weights)
+    Kh = np.zeros(n + 1)
+    for m in range(1, n + 1):
+        for mp in range(m):
+            nodes, weights = _cell_quadrature_nodes(pts[mp], pts[mp + 1], _DUALITY_ORDER + 7)
+            Kh[m] += h[mp] * float(kernel_eval_grid(kern, pts[m], nodes) @ weights)
+    return lhs, float(np.sum(phi * np.diff(Kh)))
+
+
 class TestDuality:
+    @pytest.mark.parametrize("H", [0.5, 0.7])
+    def test_equals_the_per_cell_loop(self, H):
+        tg = TimeGrid(1.0, 16)
+        mid = tg.midpoints
+        cases = [(np.where(mid < 0.5, 1.0, 0.0), np.ones(16)),
+                 (1 + 0.5 * mid - 2 * mid**2, 0.3 - mid),
+                 (np.random.default_rng(5).normal(size=16), np.random.default_rng(6).normal(size=16))]
+        for phi, h in cases:
+            got = duality_pairing(HurstKernel(H), phi, h, tg)
+            want = _duality_loop(HurstKernel(H), phi, h, tg)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_zero_path(self):
         k = HurstKernel(0.7)
         tg = TimeGrid(1.0, 8)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import block_diag
 
-from fracnls import oracles
+from fracnls import noise, oracles
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, TimeGrid
+from fracnls.fbm import HurstKernel, TimeGrid, increment_covariance_beta
 from fracnls.field import GridSpec
 from fracnls.ldp import holder_exponent
 from fracnls.noise import (
@@ -24,6 +25,7 @@ from fracnls.noise import (
     n1_window,
     replicate_blocks,
     terminal_covariance_blocks,
+    verify_factorization,
 )
 
 
@@ -213,12 +215,33 @@ class TestFactorization:
         Q = build_Q(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
         assert np.all(Q == 0)
 
+    def test_q_is_one_block_per_mode(self, grid):
+        spec = build_correlation(grid, 4.0, 0.7, 0.2)
+        tg = TimeGrid(1.0, 8)
+        kern = HurstKernel(0.7)
+        Q = build_Q(spec, kern, tg)
+        assert Q.shape == (8, 16, 16)
+        # the stacked product is each mode's own product, float for float
+        S = increment_covariance_beta(kern, tg.points)
+        for j, A in enumerate(noise._integrand_matrices(spec, tg)):
+            Ar = np.vstack([A.real, A.imag])
+            assert np.array_equal(Q[j], Ar @ S @ Ar.T), j
+
+    def test_a_perturbed_block_entry_is_reported(self, grid):
+        spec = build_correlation(grid, 4.0, 0.7, 0.2)
+        kern, tg = HurstKernel(0.7), TimeGrid(1.0, 8)
+        Q = build_Q(spec, kern, tg)
+        L = build_L(spec, kern, tg)
+        assert verify_factorization(Q, L) < 1e-10
+        Q[5, 3, 11] += 1e-6
+        assert verify_factorization(Q, L) == pytest.approx(1e-6, rel=1e-3)
+
     def test_mc_covariance_matches_q(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         kern = HurstKernel(0.7)
         tg = TimeGrid(1.0, 8)
         sampler = ConvolutionSampler(spec, kern, tg)
-        Q = build_Q(spec, kern, tg)
+        Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
         n, nm, reps = tg.n, 8, 8000
         X = np.empty((reps, nm * 2 * n))
         for i in range(reps):
@@ -275,3 +298,14 @@ class TestGaussianRate:
         # the control actually reaches the sphere
         reach = L.apply(h)[-1]
         assert np.sqrt((np.abs(reach) ** 2).sum()) == pytest.approx(delta, rel=1e-8)
+
+    def test_cheapest_terminal_rate_takes_the_first_of_tied_modes(self, grid):
+        # the benchmark noise gives modes 1 and 7 the same gain, so their
+        # terminal blocks tie at the top eigenvalue exactly; mode 1 comes first
+        spec = CorrelationSpec(grid=grid, eigenvalues=np.array([0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]))
+        L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        top = np.linalg.eigvalsh(terminal_covariance_blocks(L))[:, -1]
+        assert top[1] == top[7] == top.max()
+        _, h = cheapest_terminal_rate(L, 0.64)
+        assert np.any(h[1] != 0.0)
+        assert not np.any(np.delete(h, 1, axis=0))
