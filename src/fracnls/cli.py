@@ -165,15 +165,18 @@ def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
     return out
 
 
-# Kinds that build the dense response operator, as their n message names them.
-_DENSE_USERS = {"skeleton": "skeleton runs", "ldp": "rate computations", "support": "support runs"}
+# Kinds that run on one LdpLab, as their n message names them.  They keep the
+# dense limit on n: the pseudo-inverse rate reads the dense response matrices,
+# and the optimizer's skeleton solves (dim + 1 rows at once) are not bounded by
+# a memory rule yet.
+_LAB_KINDS = {"skeleton": "skeleton runs", "ldp": "rate computations", "support": "support runs"}
 
 
 def _steps(value, path, scope):
     n = _int(1)(value, path, scope)
-    user = _DENSE_USERS.get(scope["kind"])
+    user = _LAB_KINDS.get(scope["kind"])
     if user is not None and n > _DENSE_LIMIT:
-        raise ConfigError(f"{path}: {user} use the dense response operator; need n <= {_DENSE_LIMIT}")
+        raise ConfigError(f"{path}: {user} are limited to n <= {_DENSE_LIMIT}")
     return n
 
 
@@ -226,7 +229,7 @@ def _enabled(scope) -> bool:
 _T = _Key(_span, 1.0)
 _MODEL = {
     "T": _T,
-    "n": _Key(_steps, lambda s: _DENSE_LIMIT if s["kind"] in _DENSE_USERS else 1000),
+    "n": _Key(_steps, lambda s: _DENSE_LIMIT if s["kind"] in _LAB_KINDS else 1000),
     "grid": _grid(64),
     "nl": _Key(_nullable(_section({
         "kind": _Key(_choice(*NONLINEARITY_KINDS), "kerr"),
@@ -346,7 +349,7 @@ def _resolve(raw: dict) -> dict:
         cfg["_u0"] = _construct("$.u0", _initial_datum, grid, cfg["u0"])
         with np.errstate(over="ignore", invalid="ignore"):  # an initial norm past float range is refused
             _construct("$.threshold", cfg["_scfg"].blowup_cap, sobolev_norm(cfg["_u0"], 1.0))
-    if kind in _DENSE_USERS:
+    if kind in _LAB_KINDS:
         lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
     if kind == "ldp":
         if cfg["event"]["kind"] == "terminal-ball-exit":

@@ -27,7 +27,7 @@ import numpy as np
 
 from .field import ComplexField, GridSpec, sobolev_norms
 from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
-from .noise import build_L, cheapest_terminal_rate, terminal_covariance_blocks
+from .noise import cheapest_terminal_rate, terminal_covariance_blocks
 from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
 from .solver import solve_mild, solve_mild_batch
@@ -225,8 +225,7 @@ def gaussian_terminal_tail(
     per-mode 2x2 blocks and Monte Carlos the resulting weighted chi-square
     tail (no PDE stepping involved).  Returns (p, standard error).
     """
-    blocks = terminal_covariance_blocks(L)
-    lams = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+    lams = np.linalg.eigvalsh(terminal_covariance_blocks(L)).reshape(-1)
     lams = lams[lams > 1e-300]
     thr = delta * delta / eps
     rng = replicate_stream(seed, 0)
@@ -269,9 +268,11 @@ def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class LdpLab:
-    """The noisy mild solution and the skeleton of one model.  The sampler,
-    the response operator and the deterministic flow are built on first use,
-    so a lab builds only what its run reads."""
+    """The noisy mild solution and the skeleton of one model, forced through
+    one response operator ``L``: seeded normals drive the noisy solutions
+    and control values drive the skeletons.  ``L`` and the deterministic
+    flow are built on first use, and ``L`` assembles its dense matrices only
+    for the pseudo-inverse rate, so a lab builds only what its run reads."""
 
     u0: ComplexField
     nl: NonlinearitySpec | None
@@ -284,12 +285,8 @@ class LdpLab:
         return self.cfg.tg
 
     @cached_property
-    def sampler(self) -> ConvolutionSampler:
+    def L(self) -> ConvolutionSampler:
         return ConvolutionSampler(self.spec, self.kern, self.tg)
-
-    @cached_property
-    def L(self) -> DiscreteLOperator:
-        return build_L(self.spec, self.kern, self.tg)
 
     @cached_property
     def deterministic(self) -> Trajectory:
@@ -308,7 +305,7 @@ class LdpLab:
 
     def trajectory_blocks(self, eps: float, replicates: int, seed: int):
         """Replicates 0..replicates-1 of ``seed`` at intensity ``eps``, a batched solve per block."""
-        for paths in self.sampler.sample_mode_path_blocks(seed, replicates):
+        for paths in self.L.sample_mode_path_blocks(seed, replicates):
             yield solve_mild_batch(self.u0, self.nl, paths, eps, self.cfg)
 
     def skeletons(self, values: np.ndarray) -> TrajectoryBatch:

@@ -11,16 +11,18 @@ convolution is
 
 discretized by sampling the integrand at cell midpoints.  The driving
 fractional increments carry their exact joint law (analytic increment
-covariance), so dense covariances, the response operator, and the sampler
-all describe the same Gaussian vector:
+covariance), and one map computes every response:
 
+  * L: Z = A (B zeta), with B the Cholesky factor of the increment
+    covariance and A the midpoint integrand, applied as phased cumulative
+    sums (:meth:`DiscreteLOperator.response`).  The sampler feeds it
+    standard normals, a control h feeds it zeta = sqrt(dt) h, and the dense
+    per-mode matrices the rate algebra reads are its responses to the unit
+    innovations, built on first read.
   * Q (direct): midpoint integrand samples sandwiched around the analytic
     increment covariance -- for H > 1/2 via the closed-form weighted double
-    integral with the Beta-function constant.
-  * L: the same samples composed with the Cholesky factor of the increment
-    covariance; L maps control samples h (scaled by sqrt(dt)) to response
-    paths, and Q = L L^T holds at machine precision.
-  * Sampler: Z = A (B zeta) with zeta standard normal, exact in law.
+    integral with the Beta-function constant.  It shares no arithmetic with
+    L, so Q = L L^T checks the map the runs use.
 
 At H = 1/2 the increments are independent and L reduces to the plain
 midpoint-rule quadrature of the Ito convolution.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,9 +159,25 @@ def half_energy(values: np.ndarray, tg: TimeGrid) -> float:
     return 0.5 * float(np.sum(values**2) * tg.dt)
 
 
-class ConvolutionSampler:
-    """Reusable sampler: precomputes the increment Cholesky factor and the
-    oscillatory midpoint phases shared by every replicate."""
+# ---------------------------------------------------------------------------
+# Response operator L and covariance Q
+# ---------------------------------------------------------------------------
+
+_DENSE_LIMIT = 64
+
+
+class DiscreteLOperator:
+    """Per-mode causal response map in whitened coordinates.
+
+    :meth:`response` maps standard-normal innovations zeta to the complex
+    response samples at t_1..t_n, Z = A (B zeta); a control h with cell
+    values h_j corresponds to zeta_j = sqrt(dt) h_j, which makes
+
+        (L h)_j(t_k) = (mats[j] @ (sqrt(dt) h_j))_k
+
+    the quadrature of int_0^{t_k} (transformed integrand)(s) phi_j h_j(s) ds
+    and gives rate(f) = min |zeta|^2 / 2 over L zeta = f.
+    """
 
     def __init__(self, spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid):
         self.tg = tg
@@ -170,6 +188,42 @@ class ConvolutionSampler:
         self.phase_t = np.exp(1j * np.outer(tg.points[1:], xi2))  # (n, modes)
         self.phi = spec.eigenvalues
 
+    def response(self, zeta: np.ndarray) -> np.ndarray:
+        """Mode paths (R, n + 1, n_modes) of the C-contiguous innovations
+        (R, n, n_modes); row r depends on row r of ``zeta`` alone."""
+        dbh = self.chol @ zeta  # fractional increments, exact joint law
+        csum = np.cumsum(self.phase_mid * dbh, axis=1)
+        out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
+        out[:, 1:] = self.phi * self.phase_t * csum
+        return out
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Mode paths (n+1, n_modes) of the response to control values h (n_modes, n)."""
+        return self.apply_batch(h[None])[0]
+
+    def apply_batch(self, values: np.ndarray) -> np.ndarray:
+        """Mode paths (R, n+1, n_modes) of the responses to control values (R, n_modes, n)."""
+        # contiguous, as the sampler's normals are: BLAS rounds a transposed view differently
+        return self.response(np.ascontiguousarray(math.sqrt(self.tg.dt) * values.transpose(0, 2, 1)))
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """Dense lower-triangular matrices (n_modes, n, n): ``mats[j, k, m]`` is
+        the response of mode j at t_{k+1} to a unit innovation in cell m."""
+        unit = np.repeat(np.eye(self.tg.n)[:, :, None], self.n_modes, axis=2)
+        return self.response(unit)[:, 1:].transpose(2, 1, 0)
+
+    @property
+    def real_factors(self) -> np.ndarray:
+        """Real (n_modes, 2n, n) factors, each stacking the (Re, Im) response
+        rows of its mode."""
+        return _real_stack(self.mats)
+
+
+class ConvolutionSampler(DiscreteLOperator):
+    """The response map driven by seeded standard normals: exact draws of
+    the stochastic convolution."""
+
     def sample_mode_paths(self, seed: int, replicate: int) -> np.ndarray:
         """Mode paths (n + 1, n_modes): ``[k, j]`` is the coefficient of mode
         j at time t_k, drawn from the stream keyed (seed, replicate)."""
@@ -178,13 +232,7 @@ class ConvolutionSampler:
     def sample_mode_path_batch(self, seed: int, replicates: range) -> np.ndarray:
         """Mode paths (R, n + 1, n_modes); row r draws from the stream keyed
         (seed, replicates[r]), so it does not depend on the batch."""
-        shape = (self.tg.n, self.n_modes)
-        zeta = replicate_normals(seed, replicates, shape)
-        dbh = self.chol @ zeta  # fractional increments, exact joint law
-        csum = np.cumsum(self.phase_mid * dbh, axis=1)
-        out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
-        out[:, 1:] = self.phi * self.phase_t * csum
-        return out
+        return self.response(replicate_normals(seed, replicates, (self.tg.n, self.n_modes)))
 
     def sample_mode_path_blocks(self, seed: int, replicates: int):
         """``sample_mode_path_batch(seed, range(replicates))`` in the
@@ -193,11 +241,22 @@ class ConvolutionSampler:
             yield self.sample_mode_path_batch(seed, rows)
 
 
-# ---------------------------------------------------------------------------
-# Response operator L and covariance Q
-# ---------------------------------------------------------------------------
+def _real_stack(mats: np.ndarray) -> np.ndarray:
+    """(Re, Im) of each complex matrix in ``mats`` stacked along its rows."""
+    return np.concatenate([mats.real, mats.imag], axis=-2)
 
-_DENSE_LIMIT = 64
+
+def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteLOperator:
+    """The response operator at oracle scale, where its dense matrices fit.
+
+    The midpoint integrand and the Cholesky factor of the exact increment
+    covariance are both lower triangular, so causality is preserved and
+    Q = L L^T holds without quadrature error.  At H = 1/2 this is exactly
+    the midpoint-rule Ito quadrature.
+    """
+    if tg.n > _DENSE_LIMIT:
+        raise ValueError(f"dense response assembly is limited to n <= {_DENSE_LIMIT}")
+    return DiscreteLOperator(spec, kern, tg)
 
 
 def _integrand_matrices(spec: CorrelationSpec, tg: TimeGrid) -> np.ndarray:
@@ -208,65 +267,6 @@ def _integrand_matrices(spec: CorrelationSpec, tg: TimeGrid) -> np.ndarray:
     mask = np.tril(np.ones((tg.n, tg.n)))
     A = np.exp(1j * (t[:, None] - s[None, :])[None, :, :] * xi2[:, None, None])
     return spec.eigenvalues[:, None, None] * (A * mask)
-
-
-@dataclass(frozen=True)
-class DiscreteLOperator:
-    """Per-mode lower-triangular response matrices in whitened coordinates.
-
-    ``mats[j]`` maps the standard-normal innovation vector zeta_j to the
-    complex response samples at t_1..t_n; a control h with cell values
-    h_j corresponds to zeta_j = sqrt(dt) h_j, which makes
-
-        (L h)_j(t_k) = (mats[j] @ (sqrt(dt) h_j))_k
-
-    the quadrature of int_0^{t_k} (transformed integrand)(s) phi_j h_j(s) ds
-    and gives rate(f) = min |zeta|^2 / 2 over L zeta = f.
-    """
-
-    mats: np.ndarray  # (n_modes, n, n) complex
-    tg: TimeGrid
-
-    @property
-    def n_modes(self) -> int:
-        return self.mats.shape[0]
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        """Mode paths (n+1, n_modes) of the response to control values h (n_modes, n)."""
-        return self.apply_batch(h[None])[0]
-
-    def apply_batch(self, values: np.ndarray) -> np.ndarray:
-        """Mode paths (R, n+1, n_modes) of the responses to control values (R, n_modes, n)."""
-        zeta = math.sqrt(self.tg.dt) * values
-        out = np.zeros((values.shape[0], self.tg.n + 1, self.n_modes), dtype=complex)
-        out[:, 1:] = np.einsum("jkm,rjm->rkj", self.mats, zeta)
-        return out
-
-    @property
-    def real_factors(self) -> np.ndarray:
-        """Real (n_modes, 2n, n) factors, each stacking the (Re, Im) response
-        rows of its mode."""
-        return _real_stack(self.mats)
-
-
-def _real_stack(mats: np.ndarray) -> np.ndarray:
-    """(Re, Im) of each complex matrix in ``mats`` stacked along its rows."""
-    return np.concatenate([mats.real, mats.imag], axis=-2)
-
-
-def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteLOperator:
-    """Assemble the dense per-mode response operator (oracle scale).
-
-    Composes the midpoint integrand samples with the Cholesky factor of the
-    exact increment covariance, so causality is preserved (both factors are
-    lower triangular) and Q = L L^T holds without quadrature error.  At
-    H = 1/2 this is exactly the midpoint-rule Ito quadrature.
-    """
-    if tg.n > _DENSE_LIMIT:
-        raise ValueError(f"dense response assembly is limited to n <= {_DENSE_LIMIT}")
-    A = _integrand_matrices(spec, tg)
-    B = _increment_chol(kern.H, tg)
-    return DiscreteLOperator(mats=A @ B, tg=tg)
 
 
 def build_Q(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> np.ndarray:

@@ -85,7 +85,7 @@ def _public(cfg: dict) -> dict:
 
 def sample_trajectory(lab: LdpLab, eps: float, seed: int, replicate: int):
     """Reference: replicate ``replicate`` of ``seed`` drawn and solved alone."""
-    return solve_mild(lab.u0, lab.nl, lab.sampler.sample_mode_paths(seed, replicate), eps, lab.cfg)
+    return solve_mild(lab.u0, lab.nl, lab.L.sample_mode_paths(seed, replicate), eps, lab.cfg)
 
 
 def _key_paths(node, prefix=()):
@@ -160,6 +160,8 @@ class TestParseConfig:
     def test_dense_kinds_default_to_the_dense_limit(self, kind):
         assert parse_config(json.dumps({"kind": kind, "H": 0.7, "grid": {"N": 8}}))["n"] == 64
         assert parse_config('{"kind": "solve"}')["n"] == 1000
+        with pytest.raises(ConfigError, match=r"^\$\.n: .* are limited to n <= 64$"):
+            parse_config(json.dumps({"kind": kind, "H": 0.7, "grid": {"N": 8}, "n": 65}))
 
     def test_hurst_domain_message(self):
         with pytest.raises(ConfigError, match=r"H must lie in \(0,1\)"):
@@ -537,6 +539,13 @@ class TestArtifacts:
         run(parse_config(json.dumps(raw)), str(out))
         header = (out / "control.csv").read_text().splitlines()[0]
         assert header.startswith("s,mode_0")
+
+    @pytest.mark.parametrize("kind", ["skeleton", "support"])
+    def test_control_runs_never_assemble_the_dense_operator(self, tmp_path, kind):
+        # their controls go through the response map, as the sampler's normals do
+        cfg = parse_config(json.dumps(KIND_CONFIGS[kind]))
+        assert run(cfg, str(tmp_path)) == 0
+        assert "mats" not in vars(cfg["_lab"].L)
 
     def test_skeleton_control_draws_from_the_seed(self, tmp_path):
         cfg = tmp_path / "c.json"

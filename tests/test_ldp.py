@@ -71,7 +71,7 @@ def absorbed_lab():
 
 def sample_trajectory(lab, eps, seed, replicate):
     """Reference: replicate ``replicate`` of ``seed`` drawn and solved alone."""
-    return solve_mild(lab.u0, lab.nl, lab.sampler.sample_mode_paths(seed, replicate), eps, lab.cfg)
+    return solve_mild(lab.u0, lab.nl, lab.L.sample_mode_paths(seed, replicate), eps, lab.cfg)
 
 
 def loop_hits(lab, ev, eps, replicates, seed):
@@ -420,7 +420,7 @@ class TestBatchedOptimizer:
 
 def sample_batch(lab, seed, rows, eps=1.0):
     """Replicates 0..rows-1 of ``seed`` at intensity ``eps``, in one batch."""
-    paths = lab.sampler.sample_mode_path_batch(seed, range(rows))
+    paths = lab.L.sample_mode_path_batch(seed, range(rows))
     return solve_mild_batch(lab.u0, lab.nl, paths, eps, lab.cfg)
 
 

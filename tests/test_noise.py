@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 
 from fracnls import noise, oracles
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, TimeGrid, increment_covariance_beta
+from fracnls.fbm import HurstKernel, TimeGrid, increment_covariance_beta, replicate_normals
 from fracnls.field import GridSpec
 from fracnls.ldp import holder_exponent
 from fracnls.noise import (
@@ -154,10 +154,43 @@ class TestConvolutionSampler:
 
 class TestResponseOperator:
     def test_causality(self, grid):
+        # a unit innovation in cell m reaches no earlier time: exact zeros
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
         for j in range(L.n_modes):
-            assert np.allclose(np.triu(L.mats[j], 1), 0.0)
+            assert np.all(np.triu(L.mats[j], 1) == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dense_matrices_are_the_integrand_times_the_cholesky_factor(self, d):
+        # the responses to the unit innovations are the product A B of the
+        # midpoint integrand and the increment Cholesky factor, to rounding
+        spec = build_correlation(GridSpec(d, 8, math.pi), 4.0, 0.7, 0.2)
+        tg = TimeGrid(1.0, 16)
+        L = build_L(spec, HurstKernel(0.7), tg)
+        dense = noise._integrand_matrices(spec, tg) @ L.chol
+        assert L.mats.shape == dense.shape == (spec.grid.mode_count, 16, 16)
+        assert np.abs(L.mats - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("rows", [1, 7, 65])
+    @pytest.mark.parametrize("d, N", [(1, 16), (2, 8)])
+    def test_controls_and_normals_share_one_response(self, d, N, rows):
+        # at dt = 1/4 a control of twice the normals is whitened to the
+        # normals exactly, so it drives the sampler's draws bit for bit; the
+        # controls are C-contiguous (modes, n) rows, as the optimizer's are
+        spec = build_correlation(GridSpec(d, N, math.pi), 4.0, 0.7, 0.2)
+        tg = TimeGrid(16.0, 64)
+        L = ConvolutionSampler(spec, HurstKernel(0.7), tg)
+        zeta = replicate_normals(5, range(rows), (tg.n, L.n_modes))
+        values = np.ascontiguousarray(2.0 * zeta.transpose(0, 2, 1))
+        assert np.array_equal(L.apply_batch(values), L.sample_mode_path_batch(5, range(rows)))
+
+    def test_batch_rows_equal_single_applies(self, grid):
+        spec = build_correlation(grid, 4.0, 0.7, 0.2)
+        L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        values = np.random.default_rng(3).normal(size=(9, 8, 16))
+        batch = L.apply_batch(values)
+        for r, h in enumerate(values):
+            assert np.array_equal(batch[r], L.apply(h)), r
 
     def test_zero_control(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
