@@ -25,15 +25,12 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import HurstKernel, TimeGrid, replicate_normals, replicate_stream, sample_fbm_fast
+from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_normals, replicate_stream, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, replicate_blocks
 from .solver import NONLINEARITY_KINDS, NonlinearitySpec, SolverConfig, solve_mild, solve_skeleton
 from .ldp import EVENT_KINDS, EventSpec, LdpLab, holder_exponent, support_distance
-
-_FLOAT_FMT = "%.17g"
-
 
 # ---------------------------------------------------------------------------
 # Config schema: one key table per kind, one walker
@@ -388,15 +385,209 @@ def parse_config(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+#
+# Every float of a CSV is written as its _FLOAT_FMT text, byte for byte, and
+# _float_text computes that text for whole arrays.  The 17 significant digits
+# of |v| are floor(|v| 10**(16 - e)) for its decimal exponent e, rounded half
+# up; Dekker's error-free product (Numer. Math. 1971) with 10**(16 - e) held
+# as a double-double gives that product to about 1e-14.  Near-ties, which
+# round half to even, and the values the table does not reach take
+# _FLOAT_FMT itself, one at a time.
 
-def atomic_write_text(path: str, text: str) -> None:
+_FLOAT_FMT = "%.17g"
+# Dekker's splitter 2**27 + 1: the halves it cuts a float into multiply exactly
+_SPLIT = 134217729.0
+# The power table spans e = -_EXP.._EXP: the magnitudes of (1e-270, 1e270),
+# one step either side, within which no split or product leaves float range
+_EXP = 272
+# The longest text, -d.dddddddddddddddde-ddd
+_WIDTH = 24
+# Bytes per value while it is formatted, which fbm._row_blocks bounds: the
+# kernel's temporaries (about 75 under tracemalloc), or the bytes object and
+# list slot of its text
+_TEXT_BYTES = 80
+
+
+@functools.cache
+def _decimal_tables() -> tuple:
+    """Built on first use: 10**(16 - e) for e = -_EXP.._EXP as a double-double
+    (hi, lo), with hi's two Dekker halves; the groups "0000".."9999" as
+    uint32; and the exponent suffixes ("e-05", "e+123"), NUL-padded to 5 bytes."""
+    powers, suffixes = [], []
+    for e in range(-_EXP, _EXP + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den  # correctly rounded
+        p, q = hi.as_integer_ratio()
+        c = _SPLIT * hi
+        hi1 = c - (c - hi)
+        powers.append((hi, (num * q - p * den) / (den * q), hi1, hi - hi1))
+        suffixes.append(b"e%+03d" % e)
+    quads = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+    return (np.array(powers).T.copy(), quads.reshape(-1, 4).view(np.uint32)[:, 0],
+            np.array(suffixes, "S5").view(np.uint8).reshape(-1, 5))
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """floor(a 10**(16 - e)) as int64, and the fraction left, to about 1e-14."""
+    hi, lo, hi1, hi2 = _decimal_tables()[0]
+    k = e + _EXP
+    p = a * np.take(hi, k)  # an integer whenever it reaches 10**16 > 2**53
+    a1 = _SPLIT * a
+    a1 -= a1 - a
+    a2 = a - a1
+    h1, h2 = np.take(hi1, k), np.take(hi2, k)
+    rest = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * np.take(lo, k)
+    whole = np.floor(rest)
+    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _decimal_digits(a: np.ndarray):
+    """For each value of ``a`` in (1e-270, 1e270): its 17 significant digits as
+    one int64 in [10**16, 10**17), its decimal exponent, and whether both are
+    exact, which a near-tie or an exponent left undecided makes them not."""
+    # The exponent is decided on the digits before rounding: log10's guess
+    # moves while they fall outside [10**16, 10**17].  Deciding it after
+    # rounding would write the float 1e-248 as 1e-248, not as
+    # 9.9999999999999998e-249.
+    e = np.floor(np.log10(a)).astype(np.int16)
+    d, frac = _scaled(a, e)
+    for _ in range(2):
+        redo = np.flatnonzero((d < 10**16) | (d > 10**17))
+        if not redo.size:
+            break
+        e[redo] += np.where(d[redo] > 10**17, 1, -1)
+        d[redo], frac[redo] = _scaled(a[redo], e[redo])
+    exact = (np.abs(frac - 0.5) > 1e-9) & (d >= 10**16) & (d <= 10**17)
+    # 10**17 before rounding is 10**16 at e + 1, which rounding cannot raise
+    d += (frac > 0.5) & (d < 10**17)
+    carry = d == 10**17
+    d[carry] = 10**16
+    return d, e + carry, exact
+
+
+def _digit_groups(d: np.ndarray) -> np.ndarray:
+    """The digits of ``d`` < 10**17 as ASCII: 5 uint32 per value, the lead
+    digit as "000d", then four groups of four."""
+    quads = _decimal_tables()[1]
+    high, low = np.divmod(d, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    groups = np.empty((d.size, 5), np.uint32)
+    for col, group in enumerate((lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4))):
+        groups[:, col] = np.take(quads, group)
+    return groups
+
+
+def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The %.17g text of the signs, exponents and digits as NUL-padded bytes
+    of _WIDTH: fixed point for -4 <= e <= 16, the exponent form beyond."""
+    # In order of sign, then exponent, each run of one sign and one layout is
+    # laid out by slices.  np.take, not fancy indexing: several times faster
+    # on these arrays.
+    order = np.argsort((e + _EXP + 1024 * neg).astype(np.int16), kind="stable")
+    neg, e, d = np.take(neg, order), np.take(e, order), np.take(d, order)
+    groups = _digit_groups(d)
+    digits = groups.view(np.uint8)[:, 3:]  # the 17 digits, after the lead's "000"
+    suffixes = _decimal_tables()[2]
+    out = np.zeros((d.size, _WIDTH), np.uint8)
+    layout = np.where(e < -4, -5, np.where(e > 16, 17, e))
+    first = np.ones(d.size, bool)
+    first[1:] = (layout[1:] != layout[:-1]) | (neg[1:] != neg[:-1])
+    starts = np.flatnonzero(first).tolist()
+    for s, t in zip(starts, [*starts[1:], d.size]):
+        k, sign = int(layout[s]), int(neg[s])
+        if sign:
+            out[s:t, 0] = ord("-")
+        o, g = out[s:t, sign:], digits[s:t]
+        if not -4 <= k <= 16:  # d.dddddddddddddddde+XX
+            o[:, 0] = g[:, 0]
+            o[:, 1] = ord(".")
+            o[:, 2:18] = g[:, 1:]
+            o[:, 18:23] = np.take(suffixes, e[s:t] + _EXP, axis=0)
+        elif k < 0:  # 0.000ddddddddddddddddd
+            o[:, :1 - k] = np.frombuffer(b"0." + b"0" * (-1 - k), np.uint8)
+            o[:, 1 - k:18 - k] = g
+        else:  # ddd.dddddddddddddd, and no point at k = 16
+            o[:, :k + 1] = g[:, :k + 1]
+            if k < 16:
+                o[:, k + 1] = ord(".")
+                o[:, k + 2:18] = g[:, k + 1:]
+    rows = out.view(f"S{_WIDTH}")[:, 0]
+    # The trailing zeros of a fraction are cut, and the point if none is
+    # left; an exponent suffix is written again after them.  About 1 row in 10.
+    z = np.flatnonzero((digits[:, -1] == ord("0")) & (e != 16))
+    if z.size:
+        ez = np.take(e, z)
+        power = (ez < -4) | (ez > 16)
+        places = np.where(power, 16, 16 - ez)  # digits after the point
+        zeros, left = np.zeros(z.size, np.int64), np.take(d, z)
+        # the trailing zeros of the 17 digits, at most 16, by the divmod the
+        # digits already use: a new numpy routine costs peak RSS in code pages
+        for k in (8, 4, 2, 1, 1):
+            quotient, remainder = np.divmod(left, 10**k)
+            zeros += k * (remainder == 0)
+            left = np.where(remainder == 0, quotient, left)
+        cut = np.where(zeros >= places, places + 1, zeros)
+        # where the digits end: after the sign, 17 digits, the point and any
+        # zeros between the point and the digits
+        keep = np.take(neg, z) + 18 + np.where(power | (ez >= 0), 0, -ez) - cut
+        block = np.take(out, z, axis=0)
+        block[np.arange(_WIDTH) >= keep[:, None]] = 0
+        moved = np.flatnonzero(power)
+        at = _WIDTH * moved + keep[moved]
+        block.reshape(-1)[at[:, None] + np.arange(5)] = np.take(suffixes, ez[moved] + _EXP, axis=0)
+        rows[z] = block.view(f"S{_WIDTH}")[:, 0]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return np.take(rows, inverse)
+
+
+def _float_block(x: np.ndarray) -> list[bytes]:
+    """The _FLOAT_FMT text of each value of the 1-D float array ``x``."""
+    a = np.abs(x)
+    idx = np.flatnonzero((a > 1e-270) & (a < 1e270))
+    a = a[idx]
+    d, e, exact = _decimal_digits(a)
+    rows = _lay_out(np.signbit(x[idx]), e, d)
+    text = np.zeros(x.size, f"S{_WIDTH}")
+    text[idx] = rows
+    zero = np.flatnonzero(x == 0)
+    text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
+    text = text.tolist()
+    # non-finite values, magnitudes past the table, and near-ties
+    slow = x != 0
+    slow[idx[exact]] = False
+    for i in np.flatnonzero(slow).tolist():
+        text[i] = (_FLOAT_FMT % x[i]).encode()
+    return text
+
+
+def _float_text(values) -> list[bytes]:
+    """``[(_FLOAT_FMT % v).encode() for v in values.flat]``, a block at a time."""
+    x = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    text = []
+    for rows in _row_blocks(x.size, _TEXT_BYTES):
+        text += _float_block(x[rows.start:rows.stop])
+    return text
+
+
+def _csv_lines(columns: list, floats: list[bool]) -> list[bytes]:
+    """One comma-separated line per position of the equally long ``columns``:
+    the %.17g text where ``floats`` is true, str elsewhere."""
+    text = _float_text([column for column, is_float in zip(columns, floats) if is_float])
+    float_columns = zip(*[iter(text)] * len(columns[0]))  # text is column by column
+    cells = [next(float_columns) if is_float else [str(v).encode() for v in column]
+             for column, is_float in zip(columns, floats)]
+    return list(map(b",".join, zip(*cells)))
+
+
+def atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0)  # the one portable way to read it; artifacts are written from one thread
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600, widened to what open() would give
         os.replace(tmp, path)
     except BaseException:
@@ -406,43 +597,41 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_csv(path: str, header: list[str], rows: list) -> None:
-    """A header row, then the nonempty list ``rows`` through one row template:
-    %.17g in the columns where the first row holds a float, str elsewhere."""
-    row = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0])
-    body = "\n".join([row] * len(rows)) % tuple(v for r in rows for v in r)
-    atomic_write_text(path, ",".join(header) + "\n" + body + "\n")
+    """A header row, then the nonempty list ``rows`` of nonempty rows: the
+    %.17g text in the columns where the first row holds a float, str elsewhere."""
+    floats = [isinstance(v, float) for v in rows[0]]
+    lines = [",".join(header).encode()]
+    for block in _row_blocks(len(rows), _TEXT_BYTES * len(floats)):
+        lines += _csv_lines(list(zip(*rows[block.start:block.stop])), floats)
+    atomic_write(path, b"\n".join(lines) + b"\n")
 
 
 _INDEX_COLUMNS = {1: ["index"], 2: ["ix", "iy"]}
 
 
 @functools.lru_cache(maxsize=4)
-def _field_csv_template(grid: GridSpec) -> str:
-    """The snapshot text of ``grid`` with Re and Im left as %.17g placeholders.
+def _field_csv_template(grid: GridSpec) -> bytes:
+    """The snapshot bytes of ``grid`` with Re and Im left as %s placeholders.
 
     The index and coordinate columns are the same in every snapshot on a grid,
     so they are formatted once here, not once per file.
     """
-    columns = [
-        *np.indices(grid.shape).reshape(grid.d, -1),
-        *np.meshgrid(*grid.coordinates, indexing="ij"),
-    ]
-    table = np.column_stack([c.reshape(-1) for c in columns])
-    row = ",".join(["%d"] * grid.d + [_FLOAT_FMT] * grid.d + ["%" + _FLOAT_FMT] * 2)
+    indices = np.indices(grid.shape).reshape(grid.d, -1).tolist()
+    coordinates = [c.reshape(-1) for c in np.meshgrid(*grid.coordinates, indexing="ij")]
+    lines = _csv_lines([*indices, *coordinates], [False] * grid.d + [True] * grid.d)
     header = _INDEX_COLUMNS[grid.d] + ["x", "y"][: grid.d] + ["re", "im"]
-    body = "\n".join([row] * grid.mode_count) % tuple(table.reshape(-1).tolist())
-    return ",".join(header) + "\n" + body + "\n"
+    return b"%s\n%s,%%s,%%s\n" % (",".join(header).encode(), b",%s,%s\n".join(lines))
 
 
 def write_field_csv(path: str, field: ComplexField) -> None:
     """One row per grid point in C order: grid indices, coordinates, Re, Im."""
     # complex memory interleaves re, im: the order the template's rows want
     values = np.ascontiguousarray(field.values, dtype=complex).reshape(-1).view(float)
-    atomic_write_text(path, _field_csv_template(field.grid) % tuple(values.tolist()))
+    atomic_write(path, _field_csv_template(field.grid) % tuple(_float_text(values)))
 
 
 def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
@@ -475,7 +664,7 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 
 def _run_fbm(cfg: dict, out_dir: str) -> int:
     paths = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
-    times = [_FLOAT_FMT % t for t in cfg["_tg"].points.tolist()]
+    times = [t.decode() for t in _float_text(cfg["_tg"].points)]
     write_csv(os.path.join(out_dir, "paths.csv"), times, paths.tolist())
     return 0
 

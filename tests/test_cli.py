@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 import fracnls
 from fracnls import __version__, fbm
 from fracnls.cli import (
+    _TEXT_BYTES,
     _field_csv_template,
-    atomic_write_text,
+    _float_text,
+    atomic_write,
     main,
     parse_config,
     run,
@@ -118,6 +120,31 @@ ORACLE_NAMES = [
 # values, the smallest subnormal, huge magnitudes and integral floats.
 SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0,
                   1e22, 0.1]
+
+
+def float_edge_values() -> np.ndarray:
+    """Floats whose %.17g text is easy to get wrong, with their negatives:
+    each power of ten from 1e-320 to 1e308 and the two floats either side of
+    it; exact 18-digit ties, odd m / 2**j for m in [8e14, 8e15), j in 3..6;
+    both sides of 1e-5, 1e-4, 1e16 and 1e17, where %g changes layout;
+    subnormals, zeros, nan, inf and the largest float; and the bounds of the
+    formatter's table, 1e-270 and 1e270, with their neighbours."""
+    def neighbours(v, k=2):
+        out = [v]
+        for _ in range(k):
+            out = [np.nextafter(out[0], -np.inf), *out, np.nextafter(out[-1], np.inf)]
+        return out
+
+    values = [w for k in range(-320, 309) for w in neighbours(float(f"1e{k}"))]
+    m = 2 * np.random.default_rng(0).integers(4 * 10**14, 4 * 10**15, 500) + 1
+    values += [float(v) for j in range(3, 7) for v in m / 2.0**j]
+    values += [float(8 * 10**14 + 1) / 8, float(8 * 10**15 - 1) / 64]
+    for v in (1e-5, 1e-4, 1e16, 1e17, 1e-270, 1e270):
+        values += neighbours(v, 1)
+    values += [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, math.nan, math.inf,
+               sys.float_info.max]
+    values = np.array(values)
+    return np.concatenate([values, -values])
 
 
 def _field_csv_reference(field: ComplexField) -> bytes:
@@ -522,7 +549,7 @@ class TestArtifacts:
     def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):
         old = os.umask(umask)
         try:
-            atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+            atomic_write(str(tmp_path / "a.txt"), b"x\n")
         finally:
             os.umask(old)
         assert stat.S_IMODE(os.stat(tmp_path / "a.txt").st_mode) == mode
@@ -563,6 +590,65 @@ class TestArtifacts:
         assert len(rep["reports"]) == 2
         for r in rep["reports"]:
             assert 0.5 < r["exponent"] < 0.9
+
+
+def _percent_text(values: np.ndarray) -> list[bytes]:
+    return [("%.17g" % v).encode() for v in values.tolist()]
+
+
+class TestFloatText:
+    """The CSV float formatter against '%.17g' itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _float_text(values) == _percent_text(values)
+
+    def test_edge_values(self):
+        # deciding the exponent after rounding fails here, on every float just
+        # below a power of ten whose 17 digits round up to it
+        values = float_edge_values()
+        assert _float_text(values) == _percent_text(values)
+
+    def test_shape_and_order(self):
+        values = np.arange(24.0).reshape(2, 3, 4)[:, ::2] * -0.3
+        assert _float_text(values) == _percent_text(values.reshape(-1))
+        assert _float_text(np.array([])) == []
+
+    def test_blocks_join_in_order(self):
+        # three blocks and a part of one
+        values = np.random.default_rng(1).normal(size=3 * (fbm._BLOCK_BYTES // _TEXT_BYTES) + 5)
+        assert _float_text(values) == _percent_text(values)
+
+    @pytest.mark.parametrize("kind", ["fbm", "convolve", "solve", "skeleton", "ldp", "support"])
+    def test_every_csv_cell_is_its_own_percent_text(self, tmp_path, kind):
+        # a number cell re-rendered as '%.17g' % float(cell), or str(int(cell))
+        # when it is an integer, gives the same bytes back, header rows included
+        raw = {**KIND_CONFIGS[kind], "seed": 5}
+        if kind == "skeleton":
+            raw["snapshot_every"] = 4
+        run(parse_config(json.dumps(raw)), str(tmp_path))
+        files = sorted(p for p in os.listdir(tmp_path) if p.endswith(".csv"))
+        assert files
+        for name in files:
+            data = (tmp_path / name).read_bytes()
+            lines = data.decode().split("\n")
+            assert lines[-1] == ""
+            rendered = []
+            for line in lines[:-1]:
+                cells = []
+                for cell in line.split(","):
+                    if re.fullmatch(r"-?[0-9]+", cell) and cell != "-0":  # "-0" is a float's
+                        cell = str(int(cell))
+                    else:
+                        try:
+                            cell = "%.17g" % float(cell)
+                        except ValueError:  # a column name
+                            pass
+                    cells.append(cell)
+                rendered.append(",".join(cells))
+            assert "\n".join(rendered + [""]).encode() == data, name
 
 
 class TestMainExitCodes:
