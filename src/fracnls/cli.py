@@ -570,14 +570,16 @@ def _float_text(values) -> list[bytes]:
     return text
 
 
-def _csv_lines(columns: list, floats: list[bool]) -> list[bytes]:
-    """One comma-separated line per position of the equally long ``columns``:
-    the %.17g text where ``floats`` is true, str elsewhere."""
-    text = _float_text([column for column, is_float in zip(columns, floats) if is_float])
-    float_columns = zip(*[iter(text)] * len(columns[0]))  # text is column by column
-    cells = [next(float_columns) if is_float else [str(v).encode() for v in column]
-             for column, is_float in zip(columns, floats)]
-    return list(map(b",".join, zip(*cells)))
+def _csv_lines(rows, floats: list[bool]) -> list[bytes]:
+    """One comma-separated line per row of ``rows``, equally long rows or a 2-D
+    array: the %.17g text in the columns where ``floats`` is true, str elsewhere."""
+    width = len(floats)
+    # every cell as a float, row by row; the str columns then overwrite theirs
+    cells = _float_text(np.asarray(rows, dtype=float))
+    for j, is_float in enumerate(floats):
+        if not is_float:
+            cells[j::width] = [str(row[j]).encode() for row in rows]
+    return list(map(b",".join, zip(*[iter(cells)] * width)))
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -600,13 +602,14 @@ def write_json(path: str, obj) -> None:
     atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def write_csv(path: str, header: list[str], rows: list) -> None:
-    """A header row, then the nonempty list ``rows`` of nonempty rows: the
-    %.17g text in the columns where the first row holds a float, str elsewhere."""
-    floats = [isinstance(v, float) for v in rows[0]]
+def write_csv(path: str, header: list[str], rows) -> None:
+    """A header row, then ``rows``, a nonempty list of nonempty rows or a 2-D
+    float array: the %.17g text in the columns where the first row holds a
+    float, str elsewhere."""
+    floats = [isinstance(v, float) for v in rows[0]]  # numpy's float64 is a float
     lines = [",".join(header).encode()]
     for block in _row_blocks(len(rows), _TEXT_BYTES * len(floats)):
-        lines += _csv_lines(list(zip(*rows[block.start:block.stop])), floats)
+        lines += _csv_lines(rows[block.start:block.stop], floats)
     atomic_write(path, b"\n".join(lines) + b"\n")
 
 
@@ -620,9 +623,10 @@ def _field_csv_template(grid: GridSpec) -> bytes:
     The index and coordinate columns are the same in every snapshot on a grid,
     so they are formatted once here, not once per file.
     """
-    indices = np.indices(grid.shape).reshape(grid.d, -1).tolist()
+    indices = np.indices(grid.shape).reshape(grid.d, -1)
     coordinates = [c.reshape(-1) for c in np.meshgrid(*grid.coordinates, indexing="ij")]
-    lines = _csv_lines([*indices, *coordinates], [False] * grid.d + [True] * grid.d)
+    # an index as a float has the %.17g text of its str
+    lines = _csv_lines(np.column_stack([*indices, *coordinates]), [True] * 2 * grid.d)
     header = _INDEX_COLUMNS[grid.d] + ["x", "y"][: grid.d] + ["re", "im"]
     return b"%s\n%s,%%s,%%s\n" % (",".join(header).encode(), b",%s,%s\n".join(lines))
 
@@ -665,7 +669,7 @@ def _trajectory_outputs(traj, nl, out_dir: str, snapshot_every: int) -> None:
 def _run_fbm(cfg: dict, out_dir: str) -> int:
     paths = sample_fbm_fast(cfg["H"], cfg["_tg"], cfg["replicates"], cfg["seed"])
     times = [t.decode() for t in _float_text(cfg["_tg"].points)]
-    write_csv(os.path.join(out_dir, "paths.csv"), times, paths.tolist())
+    write_csv(os.path.join(out_dir, "paths.csv"), times, paths)
     return 0
 
 
@@ -704,7 +708,7 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
     traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
     write_csv(os.path.join(out_dir, "control.csv"), ["s"] + [f"mode_{j}" for j in range(n_modes)],
-              np.column_stack([tg.midpoints, h.T]).tolist())
+              np.column_stack([tg.midpoints, h.T]))
     return 0
 
 

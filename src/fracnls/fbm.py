@@ -78,10 +78,15 @@ def _stream_key(seed: int, index: int) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows in one block: as many as ``_BLOCK_BYTES`` holds, one at the least."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def _row_blocks(rows: int, row_bytes: int):
-    """``range(rows)`` in consecutive blocks of at most ``_BLOCK_BYTES`` bytes
-    of rows each, one row at the least: the block rule of every batched path."""
-    block = max(1, _BLOCK_BYTES // row_bytes)
+    """``range(rows)`` in consecutive blocks of ``_block_rows(row_bytes)`` rows,
+    the last one shorter: the block rule of every batched path."""
+    block = _block_rows(row_bytes)
     for start in range(0, rows, block):
         yield range(start, min(start + block, rows))
 
@@ -378,7 +383,10 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np
     zero, from the Cholesky factor of the analytic covariance matrix.
 
     This is the distributional oracle the fast sampler is tested against.
-    Replicate i draws from the counter-based stream keyed (seed, i).
+    Replicate i draws from the counter-based stream keyed (seed, i).  The
+    factor multiplies blocks of replicates, the last one zero-padded to the
+    same row count, so replicate i always sits at row i mod block of a product
+    of one shape: its bits depend on (H, n, seed, i), not on ``replicates``.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -389,10 +397,14 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np
         raise InvariantViolation(
             f"covariance Cholesky failed for H={H}, n={grid.n}: {exc}"
         ) from exc
-    values = np.zeros((replicates, grid.n + 1))
-    rows = (z for Z in _normal_blocks(seed, replicates, grid.n) for z in Z)
-    for i, z in enumerate(rows):
-        values[i, 1:] = C @ z
+    n = grid.n
+    block = _block_rows(8 * n)
+    values = np.zeros((replicates, n + 1))
+    for rows in _row_blocks(replicates, 8 * n):
+        Z = np.zeros((block, n))  # a short last block stays zero-padded to the full shape
+        Z[: len(rows)] = replicate_normals(seed, rows, n)
+        # C.T is a view: BLAS reads it transposed, with no n x n copy
+        values[rows.start : rows.stop, 1:] = (Z @ C.T)[: len(rows)]
     return values
 
 

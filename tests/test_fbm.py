@@ -334,6 +334,26 @@ class TestExactSampler:
         part = sample_fbm_exact(0.7, g, 3, seed=3)
         assert np.array_equal(full[:3], part)
 
+    @pytest.mark.parametrize("n, replicates, runs", [(64, 1100, (1, 3, 17, 40)), (1024, 128, (65,))])
+    def test_rows_do_not_depend_on_the_replicate_count(self, n, replicates, runs):
+        # one block holds 1024 rows at n 64 and 64 at n 1024, where a run of
+        # 65 ends in a 1-row block: the padding keeps every product one shape
+        block = fbm._block_rows(8 * n)
+        assert block == {64: 1024, 1024: 64}[n] and replicates > block
+        g = TimeGrid(1.0, n)
+        full = sample_fbm_exact(0.7, g, replicates, seed=5)
+        for r in runs:
+            assert np.array_equal(sample_fbm_exact(0.7, g, r, seed=5), full[:r]), r
+
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_matches_row_at_a_time_reference(self, H):
+        g = TimeGrid(1.0, 64)
+        C = np.linalg.cholesky(build_covariance_matrix(H, g))
+        reference = np.array([C @ replicate_stream(8, i).standard_normal(g.n) for i in range(40)])
+        paths = sample_fbm_exact(H, g, 40, seed=8)
+        assert np.all(paths[:, 0] == 0.0)
+        assert np.abs(paths[:, 1:] - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_starts_at_zero(self):
         g = TimeGrid(1.0, 8)
         paths = sample_fbm_exact(0.3, g, 10, seed=0)
