@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_normals, replicate_stream, sample_fbm_fast
+from .fbm import TimeGrid, _row_blocks, replicate_normals, replicate_stream, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, replicate_blocks
@@ -337,8 +337,6 @@ def _resolve(raw: dict) -> dict:
         cfg["_spec"] = _construct("$.noise.eigenvalues", CorrelationSpec, grid, cfg["noise"]["eigenvalues"])
     elif "noise" in cfg:
         cfg["_spec"] = _construct("$.noise", build_correlation, grid, H=cfg["H"], **cfg["noise"])
-    if "noise" in cfg:
-        cfg["_kern"] = _construct("$.H", HurstKernel, cfg["H"])
     if "u0" in cfg:
         cfg["_scfg"] = _construct("$.threshold", SolverConfig, cfg["T"], cfg["n"], cfg["threshold"])
         cfg["_tg"] = cfg["_scfg"].tg
@@ -347,7 +345,7 @@ def _resolve(raw: dict) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):  # an initial norm past float range is refused
             _construct("$.threshold", cfg["_scfg"].blowup_cap, sobolev_norm(cfg["_u0"], 1.0))
     if kind in _LAB_KINDS:
-        lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["_kern"], cfg["_scfg"])
+        lab = cfg["_lab"] = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["H"], cfg["_scfg"])
     if kind == "ldp":
         if cfg["event"]["kind"] == "terminal-ball-exit":
             _construct("$.event.kind", lab.terminal_centre)
@@ -674,7 +672,7 @@ def _run_fbm(cfg: dict, out_dir: str) -> int:
 
 
 def _sampler(cfg: dict) -> ConvolutionSampler:
-    return ConvolutionSampler(cfg["_spec"], cfg["_kern"], cfg["_tg"])
+    return ConvolutionSampler(cfg["_spec"], cfg["H"], cfg["_tg"])
 
 
 def _run_convolve(cfg: dict, out_dir: str) -> int:

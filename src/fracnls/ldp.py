@@ -28,7 +28,7 @@ import numpy as np
 from .field import ComplexField, GridSpec, sobolev_norms
 from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
 from .noise import cheapest_terminal_rate, terminal_covariance_blocks
-from .fbm import HurstKernel, TimeGrid, _row_blocks, replicate_stream
+from .fbm import TimeGrid, _row_blocks, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
 from .solver import solve_mild, solve_mild_batch
 
@@ -277,7 +277,7 @@ class LdpLab:
     u0: ComplexField
     nl: NonlinearitySpec | None
     spec: CorrelationSpec
-    kern: HurstKernel
+    H: float
     cfg: SolverConfig
 
     @property
@@ -286,7 +286,7 @@ class LdpLab:
 
     @cached_property
     def L(self) -> ConvolutionSampler:
-        return ConvolutionSampler(self.spec, self.kern, self.tg)
+        return ConvolutionSampler(self.spec, self.H, self.tg)
 
     @cached_property
     def deterministic(self) -> Trajectory:

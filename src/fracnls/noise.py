@@ -179,10 +179,10 @@ class DiscreteLOperator:
     and gives rate(f) = min |zeta|^2 / 2 over L zeta = f.
     """
 
-    def __init__(self, spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid):
+    def __init__(self, spec: CorrelationSpec, H: float, tg: TimeGrid):
         self.tg = tg
         self.n_modes = spec.grid.mode_count
-        self.chol = _increment_chol(kern.H, tg)
+        self.chol = _increment_chol(H, tg)
         xi2 = spec.xi_squared_flat
         self.phase_mid = np.exp(-1j * np.outer(tg.midpoints, xi2))  # (n, modes)
         self.phase_t = np.exp(1j * np.outer(tg.points[1:], xi2))  # (n, modes)
@@ -246,7 +246,7 @@ def _real_stack(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([mats.real, mats.imag], axis=-2)
 
 
-def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteLOperator:
+def build_L(spec: CorrelationSpec, H: float, tg: TimeGrid) -> DiscreteLOperator:
     """The response operator at oracle scale, where its dense matrices fit.
 
     The midpoint integrand and the Cholesky factor of the exact increment
@@ -256,7 +256,7 @@ def build_L(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> DiscreteL
     """
     if tg.n > _DENSE_LIMIT:
         raise ValueError(f"dense response assembly is limited to n <= {_DENSE_LIMIT}")
-    return DiscreteLOperator(spec, kern, tg)
+    return DiscreteLOperator(spec, H, tg)
 
 
 def _integrand_matrices(spec: CorrelationSpec, tg: TimeGrid) -> np.ndarray:

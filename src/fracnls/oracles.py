@@ -186,7 +186,7 @@ def plane_wave_error(
 
 def q_ll_residual(spec: noise.CorrelationSpec, kern: fbm.HurstKernel, tg: fbm.TimeGrid) -> float:
     """Max residual of Q = L L* with Q from the Beta-weighted double integral."""
-    L = noise.build_L(spec, kern, tg)
+    L = noise.build_L(spec, kern.H, tg)
     return noise.verify_factorization(noise.build_Q(spec, kern, tg), L)
 
 
@@ -249,7 +249,7 @@ def records(seed: int) -> list[dict]:
     tg8 = fbm.TimeGrid(1.0, 8)
     add("q-ll-factorization", q_ll_residual(spec, kern7, tg8), 1e-10)
     # drawn after the restriction-identity path, from the same generator
-    gap = rate_projection_gap(noise.build_L(spec, kern7, tg8), rng.normal(size=(8, 8)))
+    gap = rate_projection_gap(noise.build_L(spec, kern7.H, tg8), rng.normal(size=(8, 8)))
     add("rate-projection-bound", gap, 1e-9)
     add("holder-line-path", holder_line_error(2048), 0.02)
     return out

@@ -115,7 +115,7 @@ def test_criterion_05_covariance_factorization():
         resid = max(resid, oracles.q_ll_residual(spec, HurstKernel(H), tg))
     # Monte Carlo covariance against Q, elementwise within 5 standard errors
     kern = HurstKernel(0.7)
-    sampler = ConvolutionSampler(spec, kern, tg)
+    sampler = ConvolutionSampler(spec, kern.H, tg)
     Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
     reps, n, nm = 20000, 8, 8
     X = np.empty((reps, nm * 2 * n))
@@ -165,11 +165,10 @@ def test_criterion_06_deterministic_solver():
 
 def test_criterion_07_linear_ldp_triangle():
     g = GridSpec(1, 8, math.pi)
-    kern = HurstKernel(0.7)
     phis = np.array([0.2, 1.0, 0.05, 0.01, 0.005, 0.01, 0.05, 1.0])
     spec = CorrelationSpec(grid=g, eigenvalues=phis)
     cfg = SolverConfig(T=1.0, n_steps=16)
-    lab = LdpLab(ComplexField.zero(g), None, spec, kern, cfg)
+    lab = LdpLab(ComplexField.zero(g), None, spec, 0.7, cfg)
 
     blocks = terminal_covariance_blocks(lab.L)
     lmax = max(np.linalg.eigvalsh(b)[-1] for b in blocks)
@@ -208,7 +207,7 @@ def test_criterion_08_holder_regularity():
     # estimated over 20 paths (single-path fits carry ~0.05 sampling noise)
     g = GridSpec(1, 8, math.pi)
     spec = build_correlation(g, 4.0, 0.7, 0.2)
-    sampler = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 2**10))
+    sampler = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 2**10))
     w = 1.0 + g.xi_squared.reshape(-1)
     exps = [holder_exponent(sampler.sample_mode_paths(7, i), weights=w).exponent for i in range(20)]
     z_mean = float(np.mean(exps))
@@ -220,17 +219,16 @@ def test_criterion_08_holder_regularity():
 
 def test_criterion_09_support_proximity():
     g = GridSpec(1, 8, math.pi)
-    kern = HurstKernel(0.7)
     spec = build_correlation(g, 4.0, 0.7, 0.2)
     cfg = SolverConfig(T=1.0, n_steps=16)
     x = g.coordinates[0]
     u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
     nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
     tg = TimeGrid(1.0, 16)
-    paths = ConvolutionSampler(spec, kern, tg).sample_mode_path_batch(900, range(50))
+    paths = ConvolutionSampler(spec, 0.7, tg).sample_mode_path_batch(900, range(50))
     samples = solve_mild_batch(u0, nl, paths, 1.0, cfg)
     z = np.stack([replicate_stream(1234, i).standard_normal((8, 16)) for i in range(64)])
-    family = solve_mild_batch(u0, nl, build_L(spec, kern, tg).apply_batch(z), 1.0, cfg)
+    family = solve_mild_batch(u0, nl, build_L(spec, 0.7, tg).apply_batch(z), 1.0, cfg)
     D = support_distance(g, samples, family)
     med8, med64 = np.median(D[:, :8].min(axis=1)), np.median(D.min(axis=1))
     ok = med64 <= med8

@@ -29,7 +29,7 @@ from fracnls.cli import (
     write_json,
 )
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream
+from fracnls.fbm import TimeGrid, replicate_stream
 from fracnls.field import ComplexField, GridSpec, field_from_modes, sobolev_norm, sobolev_norms
 from fracnls.ldp import EventSpec, LdpLab, holder_exponent, wilson_interval
 from fracnls.noise import ConvolutionSampler
@@ -301,7 +301,7 @@ class TestRunDeterminism:
         run(cfg, str(tmp_path / "ldp"))
         # reference: rung idx keyed seed + idx, one trajectory per replicate
         scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], HurstKernel(cfg["H"]), scfg)
+        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["H"], scfg)
         ev = EventSpec(**cfg["event"])
         reps = cfg["replicates"]
         rows = []
@@ -388,7 +388,7 @@ class TestRunDeterminism:
         # reference: one solve per sample and per family member, and one
         # distance per pair, as the max over the steps of the H^1 norm
         scfg = SolverConfig(T=cfg["T"], n_steps=cfg["n"], blowup_threshold=cfg["threshold"])
-        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], HurstKernel(cfg["H"]), scfg)
+        lab = LdpLab(cfg["_u0"], cfg["_nl"], cfg["_spec"], cfg["H"], scfg)
         samples = [sample_trajectory(lab, 1.0, cfg["seed"], i) for i in range(cfg["samples"])]
         assert {s.cemetery_index for s in samples} == cemeteries
         family = []
@@ -418,7 +418,7 @@ class TestRunDeterminism:
         # a replicate's mode paths are 1025 x 8 complex: 10 replicates span four blocks
         assert cfg["replicates"] > 3 * (fbm._BLOCK_BYTES // (1025 * 8 * 16))
         # reference: one sample_mode_paths draw per replicate
-        sampler = ConvolutionSampler(cfg["_spec"], HurstKernel(cfg["H"]), TimeGrid(cfg["T"], cfg["n"]))
+        sampler = ConvolutionSampler(cfg["_spec"], cfg["H"], TimeGrid(cfg["T"], cfg["n"]))
         w = 1.0 + cfg["_grid"].xi_squared.reshape(-1)
         reports = [
             asdict(holder_exponent(sampler.sample_mode_paths(cfg["seed"], i), weights=w))
@@ -517,7 +517,7 @@ class TestArtifacts:
                "snapshot_every": 3, "seed": 5}
         cfg = parse_config(json.dumps(raw))
         run(cfg, str(tmp_path))
-        sampler = ConvolutionSampler(cfg["_spec"], HurstKernel(cfg["H"]), TimeGrid(cfg["T"], cfg["n"]))
+        sampler = ConvolutionSampler(cfg["_spec"], cfg["H"], TimeGrid(cfg["T"], cfg["n"]))
         paths = sampler.sample_mode_paths(cfg["seed"], 0)
         names = sorted(p for p in os.listdir(tmp_path) if p.startswith("field_"))
         assert names == ["field_000000.csv", "field_000003.csv", "field_000006.csv"]
@@ -904,10 +904,14 @@ for i, raw in enumerate(json.loads(sys.argv[1])):
 print(json.dumps(seen))
 """
 
+# The noisy kinds among them draw their increments from H alone: the kernel
+# constant c_H, whose gamma values are scipy's, is read only by the oracles.
 NUMPY_ONLY_CONFIGS = [
     KIND_CONFIGS["fbm"],
     {"kind": "holder", "H": 0.6, "source": "fbm", "n": 1024, "replicates": 2},
     {"kind": "solve", "T": 0.25, "n": 16, "grid": {"N": 16}, "u0": {"type": "plane", "mode": 2}},
+    *(KIND_CONFIGS[kind] for kind in ("convolve", "solve", "skeleton", "support", "holder")),
+    {**README_LDP, "replicates": 200},
 ]
 
 
@@ -924,7 +928,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                              env=env, capture_output=True, text=True, check=True)
         return json.loads(out.stdout.splitlines()[-1])
 
-    assert probe("numpy-only", NUMPY_ONLY_CONFIGS) == [[]] * 7
+    assert probe("numpy-only", NUMPY_ONLY_CONFIGS) == [[]] * (1 + 2 * len(NUMPY_ONLY_CONFIGS))
     ldp_optimizer = {**README_LDP, "replicates": 200,
                      "optimizer": {"enabled": True, "n_splines": 4, "budget": 100}}
     for kind, raw in {**KIND_CONFIGS, "ldp": ldp_optimizer}.items():

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
 from fracnls import fbm, ldp, oracles
-from fracnls.fbm import HurstKernel, TimeGrid, replicate_stream, sample_fbm_fast
+from fracnls.fbm import TimeGrid, replicate_stream, sample_fbm_fast
 from fracnls.field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from fracnls.ldp import (
     EventSpec,
@@ -26,11 +26,10 @@ from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mil
 @pytest.fixture
 def linear_lab():
     g = GridSpec(1, 8, math.pi)
-    kern = HurstKernel(0.7)
     phis = np.array([0.2, 1.0, 0.05, 0.01, 0.005, 0.01, 0.05, 1.0])
     spec = CorrelationSpec(grid=g, eigenvalues=phis)
     cfg = SolverConfig(T=1.0, n_steps=16)
-    return LdpLab(ComplexField.zero(g), None, spec, kern, cfg)
+    return LdpLab(ComplexField.zero(g), None, spec, 0.7, cfg)
 
 
 @pytest.fixture
@@ -42,7 +41,7 @@ def focusing_lab():
     x = g.coordinates[0]
     u0 = ComplexField(g, (np.exp(-(x**2)) * (1 + 0.3 * np.cos(x))).astype(complex))
     cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
-    return LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, HurstKernel(0.7), cfg)
+    return LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, 0.7, cfg)
 
 
 @pytest.fixture
@@ -52,7 +51,7 @@ def saturated_lab():
     x = g.coordinates[0]
     u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
     nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
-    return LdpLab(u0, nl, spec, HurstKernel(0.7), SolverConfig(T=1.0, n_steps=16))
+    return LdpLab(u0, nl, spec, 0.7, SolverConfig(T=1.0, n_steps=16))
 
 
 @pytest.fixture
@@ -64,7 +63,7 @@ def absorbed_lab():
     u0 = ComplexField(g, (2.0 * np.exp(-(x**2))).astype(complex))
     cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=6.0)
     spec = build_correlation(g, 4.0, 0.7, 0.2)
-    lab = LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, HurstKernel(0.7), cfg)
+    lab = LdpLab(u0, NonlinearitySpec("kerr", 1.0, 2.0), spec, 0.7, cfg)
     assert lab.deterministic.blown_up
     return lab
 
@@ -246,12 +245,11 @@ class TestMinimizeRate:
         # nonzero initial datum: its free flow already exceeds half its own
         # sup norm, so the zero control realizes the event at zero cost
         g = GridSpec(1, 8, math.pi)
-        kern = HurstKernel(0.7)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
         cfg = SolverConfig(T=1.0, n_steps=16)
         x = g.coordinates[0]
         u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
-        lab = LdpLab(u0, None, spec, kern, cfg)
+        lab = LdpLab(u0, None, spec, 0.7, cfg)
         det_sup = max(np.nanmax(lab.deterministic.h1_norms), 0.0)
         ev = EventSpec("sup-norm-exceed", threshold=0.5 * det_sup, sobolev_index=1.0)
         res = lab.minimize_rate(ev, n_splines=4, budget=200)
@@ -432,13 +430,12 @@ class TestSupport:
     @pytest.fixture
     def nonlinear_lab(self):
         g = GridSpec(1, 8, math.pi)
-        kern = HurstKernel(0.7)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
         cfg = SolverConfig(T=1.0, n_steps=16)
         x = g.coordinates[0]
         u0 = ComplexField(g, (0.5 * np.exp(1j * x)).astype(complex))
         nl = NonlinearitySpec("saturated", 1.0, 1.0, kappa=0.5)
-        return LdpLab(u0, nl, spec, kern, cfg)
+        return LdpLab(u0, nl, spec, 0.7, cfg)
 
     def test_distance_to_self_is_zero(self, nonlinear_lab):
         lab = nonlinear_lab

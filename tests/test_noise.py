@@ -72,20 +72,20 @@ class TestCorrelationSpec:
 class TestConvolutionSampler:
     def test_zero_spec_gives_zero_path(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
-        paths = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(1, 0)
+        paths = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 8)).sample_mode_paths(1, 0)
         assert np.all(paths == 0)
 
     def test_starts_at_zero_and_deterministic(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        a = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
-        b = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
+        a = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
+        b = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 8)).sample_mode_paths(5, 2)
         assert np.all(a[0] == 0)
         assert np.array_equal(a, b)
 
     def test_batch_rows_equal_single_draws(self, grid):
         # each row comes from its own (seed, i) stream, whatever the range
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        sampler = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        sampler = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 16))
         batch = sampler.sample_mode_path_batch(11, range(3, 10))
         assert batch.shape == (7, 17, 8)
         for r, i in enumerate(range(3, 10)):
@@ -95,7 +95,7 @@ class TestConvolutionSampler:
         # a replicate's 17 x 8 complex mode paths take 2176 bytes, so the
         # 512 KiB budget holds 240 of them: 500 replicates come as 240, 240, 20
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        sampler = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        sampler = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 16))
         blocks = list(sampler.sample_mode_path_blocks(11, 500))
         assert [len(b) for b in blocks] == [240, 240, 20]
         assert np.array_equal(np.concatenate(blocks), sampler.sample_mode_path_batch(11, range(500)))
@@ -107,9 +107,8 @@ class TestConvolutionSampler:
     def test_ito_variance_at_half_hurst(self, grid):
         # kernel is 1 and the group is unitary: E|Z_j(t)|^2 = phi_j^2 t
         spec = build_correlation(grid, 4.0, 0.5, 0.3)
-        kern = HurstKernel(0.5)
         tg = TimeGrid(1.0, 8)
-        sampler = ConvolutionSampler(spec, kern, tg)
+        sampler = ConvolutionSampler(spec, 0.5, tg)
         reps = 4000
         zt = np.stack([sampler.sample_mode_paths(77, i)[-1] for i in range(reps)])
         var = (np.abs(zt) ** 2).mean(axis=0)
@@ -121,7 +120,7 @@ class TestConvolutionSampler:
         # E||Z(t)||^2 grows like t^{2H} for small t
         H = 0.7
         spec = build_correlation(grid, 4.0, H, 0.2)
-        sampler = ConvolutionSampler(spec, HurstKernel(H), TimeGrid(1.0, 16))
+        sampler = ConvolutionSampler(spec, H, TimeGrid(1.0, 16))
         reps = 2000
         z = np.stack([sampler.sample_mode_paths(9, i) for i in range(reps)])
         second_moment = (np.abs(z) ** 2).sum(axis=2).mean(axis=0)
@@ -132,7 +131,7 @@ class TestConvolutionSampler:
     def test_gaussian_marginals(self, grid):
         # Anderson-Darling normality of Re Z_j(T) for three modes, level 0.01
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        sampler = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
+        sampler = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 8))
         reps = 1500
         zt = np.stack([sampler.sample_mode_paths(31, i)[-1] for i in range(reps)])
         for j in (0, 1, 2):
@@ -143,7 +142,7 @@ class TestConvolutionSampler:
         # energy-norm path regularity approaches the Hurst exponent
         for H in (0.5, 0.7):
             spec = build_correlation(grid, 4.0, H, 0.2)
-            sampler = ConvolutionSampler(spec, HurstKernel(H), TimeGrid(1.0, 1024))
+            sampler = ConvolutionSampler(spec, H, TimeGrid(1.0, 1024))
             w = 1.0 + grid.xi_squared.reshape(-1)
             exps = [
                 holder_exponent(sampler.sample_mode_paths(7, i), weights=w).exponent
@@ -156,7 +155,7 @@ class TestResponseOperator:
     def test_causality(self, grid):
         # a unit innovation in cell m reaches no earlier time: exact zeros
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
+        L = build_L(spec, 0.7, TimeGrid(1.0, 8))
         for j in range(L.n_modes):
             assert np.all(np.triu(L.mats[j], 1) == 0.0)
 
@@ -166,7 +165,7 @@ class TestResponseOperator:
         # midpoint integrand and the increment Cholesky factor, to rounding
         spec = build_correlation(GridSpec(d, 8, math.pi), 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 16)
-        L = build_L(spec, HurstKernel(0.7), tg)
+        L = build_L(spec, 0.7, tg)
         dense = noise._integrand_matrices(spec, tg) @ L.chol
         assert L.mats.shape == dense.shape == (spec.grid.mode_count, 16, 16)
         assert np.abs(L.mats - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -179,14 +178,14 @@ class TestResponseOperator:
         # controls are C-contiguous (modes, n) rows, as the optimizer's are
         spec = build_correlation(GridSpec(d, N, math.pi), 4.0, 0.7, 0.2)
         tg = TimeGrid(16.0, 64)
-        L = ConvolutionSampler(spec, HurstKernel(0.7), tg)
+        L = ConvolutionSampler(spec, 0.7, tg)
         zeta = replicate_normals(5, range(rows), (tg.n, L.n_modes))
         values = np.ascontiguousarray(2.0 * zeta.transpose(0, 2, 1))
         assert np.array_equal(L.apply_batch(values), L.sample_mode_path_batch(5, range(rows)))
 
     def test_batch_rows_equal_single_applies(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        L = build_L(spec, 0.7, TimeGrid(1.0, 16))
         values = np.random.default_rng(3).normal(size=(9, 8, 16))
         batch = L.apply_batch(values)
         for r, h in enumerate(values):
@@ -195,14 +194,14 @@ class TestResponseOperator:
     def test_zero_control(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 8)
-        L = build_L(spec, HurstKernel(0.7), tg)
+        L = build_L(spec, 0.7, tg)
         out = L.apply(np.zeros((8, tg.n)))
         assert np.all(out == 0)
 
     def test_linearity(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 8)
-        L = build_L(spec, HurstKernel(0.7), tg)
+        L = build_L(spec, 0.7, tg)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(8, 8))
         g = rng.normal(size=(8, 8))
@@ -215,7 +214,7 @@ class TestResponseOperator:
         g = GridSpec(1, 8, math.pi)
         spec = CorrelationSpec(grid=g, eigenvalues=np.eye(8)[0] * 0 + 1.0)
         tg = TimeGrid(1.0, 8)
-        L = build_L(spec, HurstKernel(0.5), tg)
+        L = build_L(spec, 0.5, tg)
         h = np.zeros((8, tg.n))
         h[0] = np.arange(1.0, 9.0)
         out = L.apply(h)
@@ -226,7 +225,7 @@ class TestResponseOperator:
     def test_dense_limit_guard(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         with pytest.raises(ValueError):
-            build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 128))
+            build_L(spec, 0.7, TimeGrid(1.0, 128))
 
 
 class TestFactorization:
@@ -264,7 +263,7 @@ class TestFactorization:
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         kern, tg = HurstKernel(0.7), TimeGrid(1.0, 8)
         Q = build_Q(spec, kern, tg)
-        L = build_L(spec, kern, tg)
+        L = build_L(spec, kern.H, tg)
         assert verify_factorization(Q, L) < 1e-10
         Q[5, 3, 11] += 1e-6
         assert verify_factorization(Q, L) == pytest.approx(1e-6, rel=1e-3)
@@ -273,7 +272,7 @@ class TestFactorization:
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         kern = HurstKernel(0.7)
         tg = TimeGrid(1.0, 8)
-        sampler = ConvolutionSampler(spec, kern, tg)
+        sampler = ConvolutionSampler(spec, kern.H, tg)
         Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
         n, nm, reps = tg.n, 8, 8000
         X = np.empty((reps, nm * 2 * n))
@@ -290,7 +289,7 @@ class TestGaussianRate:
     def model(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 8)
-        return build_L(spec, HurstKernel(0.7), tg), tg
+        return build_L(spec, 0.7, tg), tg
 
     def test_zero_target(self, model):
         L, tg = model
@@ -315,7 +314,7 @@ class TestGaussianRate:
         ev[0] = 1.0
         spec = CorrelationSpec(grid=grid, eigenvalues=ev)
         tg = TimeGrid(1.0, 8)
-        L = build_L(spec, HurstKernel(0.7), tg)
+        L = build_L(spec, 0.7, tg)
         target = np.zeros((8, 8), dtype=complex)
         target[3] = 1.0  # supported on a silent mode
         res = gaussian_rate(L, target)
@@ -336,7 +335,7 @@ class TestGaussianRate:
         # the benchmark noise gives modes 1 and 7 the same gain, so their
         # terminal blocks tie at the top eigenvalue exactly; mode 1 comes first
         spec = CorrelationSpec(grid=grid, eigenvalues=np.array([0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]))
-        L = build_L(spec, HurstKernel(0.7), TimeGrid(1.0, 16))
+        L = build_L(spec, 0.7, TimeGrid(1.0, 16))
         top = np.linalg.eigvalsh(terminal_covariance_blocks(L))[:, -1]
         assert top[1] == top[7] == top.max()
         _, h = cheapest_terminal_rate(L, 0.64)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracnls import oracles
-from fracnls.fbm import HurstKernel, TimeGrid
+from fracnls.fbm import TimeGrid
 from fracnls.field import (
     ComplexField,
     GridSpec,
@@ -224,14 +224,13 @@ class TestNoisySolver:
     @pytest.fixture
     def model(self):
         g = GridSpec(1, 8, math.pi)
-        kern = HurstKernel(0.7)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 16)
-        return g, kern, spec, tg
+        return g, 0.7, spec, tg
 
     def test_linear_solution_is_minus_i_convolution(self, model):
-        g, kern, spec, tg = model
-        sampler = ConvolutionSampler(spec, kern, tg)
+        g, H, spec, tg = model
+        sampler = ConvolutionSampler(spec, H, tg)
         paths = sampler.sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=16)
         traj = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
@@ -240,16 +239,16 @@ class TestNoisySolver:
             assert np.abs(traj.field(k).values + 1j * fields[k]).max() < 1e-10
 
     def test_eps_scaling(self, model):
-        g, kern, spec, tg = model
-        paths = ConvolutionSampler(spec, kern, tg).sample_mode_paths(seed=3, replicate=0)
+        g, H, spec, tg = model
+        paths = ConvolutionSampler(spec, H, tg).sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=16)
         t1 = solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
         t4 = solve_mild(ComplexField.zero(g), None, paths, 4.0, cfg)
         assert np.abs(t4.terminal_field().values - 2 * t1.terminal_field().values).max() < 1e-10
 
     def test_grid_mismatch_rejected(self, model):
-        g, kern, spec, tg = model
-        paths = ConvolutionSampler(spec, kern, tg).sample_mode_paths(seed=3, replicate=0)
+        g, H, spec, tg = model
+        paths = ConvolutionSampler(spec, H, tg).sample_mode_paths(seed=3, replicate=0)
         cfg = SolverConfig(T=1.0, n_steps=32)
         with pytest.raises(ValueError):
             solve_mild(ComplexField.zero(g), None, paths, 1.0, cfg)
@@ -277,7 +276,7 @@ class TestClosedForm:
         g = GridSpec(d, 16, 2.0)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
         cfg = SolverConfig(T=0.5, n_steps=64)
-        paths = ConvolutionSampler(spec, HurstKernel(0.7), cfg.tg).sample_mode_paths(4, 0)
+        paths = ConvolutionSampler(spec, 0.7, cfg.tg).sample_mode_paths(4, 0)
         mesh = np.meshgrid(*g.coordinates, indexing="ij")
         u0 = ComplexField(g, np.exp(-sum(x * x for x in mesh) + 1j * mesh[0]))
         traj = solve_mild(u0, None, paths, eps, cfg)
@@ -301,9 +300,8 @@ def assert_rows_equal_single_solves(N, nl):
     row still matches its own solve, and its norms are NaN from its cemetery
     index on."""
     g = GridSpec(1, N, math.pi)
-    kern = HurstKernel(0.7)
     spec = build_correlation(g, 4.0, 0.7, 0.2)
-    sampler = ConvolutionSampler(spec, kern, TimeGrid(1.0, 32))
+    sampler = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, 32))
     u0 = gaussian_cos_field(g, amp=1.0)
     cfg = SolverConfig(T=1.0, n_steps=32, blowup_threshold=3.0)
     paths = sampler.sample_mode_path_batch(5, range(40))
@@ -379,7 +377,7 @@ class TestTransformBudget:
     def test_linear_steps_make_no_transform(self, monkeypatch, d, n):
         g = GridSpec(d, 8, math.pi)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
-        paths = ConvolutionSampler(spec, HurstKernel(0.7), TimeGrid(1.0, n)).sample_mode_paths(3, 0)
+        paths = ConvolutionSampler(spec, 0.7, TimeGrid(1.0, n)).sample_mode_paths(3, 0)
         u0 = ComplexField(g, np.full(g.shape, 0.5 + 0j))
         calls = count_transforms(monkeypatch)
         traj = solve_mild(u0, None, paths, 0.5, SolverConfig(T=1.0, n_steps=n))
@@ -421,10 +419,9 @@ class TestSkeleton:
     @pytest.fixture
     def model(self):
         g = GridSpec(1, 8, math.pi)
-        kern = HurstKernel(0.7)
         spec = build_correlation(g, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 16)
-        return g, spec, build_L(spec, kern, tg), tg
+        return g, spec, build_L(spec, 0.7, tg), tg
 
     def test_zero_control_is_deterministic_flow(self, model):
         g, spec, L, tg = model
