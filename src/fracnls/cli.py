@@ -568,16 +568,9 @@ def _float_text(values) -> list[bytes]:
     return text
 
 
-def _csv_lines(rows, floats: list[bool]) -> list[bytes]:
-    """One comma-separated line per row of ``rows``, equally long rows or a 2-D
-    array: the %.17g text in the columns where ``floats`` is true, str elsewhere."""
-    width = len(floats)
-    # every cell as a float, row by row; the str columns then overwrite theirs
-    cells = _float_text(np.asarray(rows, dtype=float))
-    for j, is_float in enumerate(floats):
-        if not is_float:
-            cells[j::width] = [str(row[j]).encode() for row in rows]
-    return list(map(b",".join, zip(*[iter(cells)] * width)))
+def _csv_lines(rows: np.ndarray) -> list[bytes]:
+    """One comma-separated line of %.17g text per row of the 2-D float array ``rows``."""
+    return list(map(b",".join, zip(*[iter(_float_text(rows))] * rows.shape[1])))
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -601,13 +594,13 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """A header row, then ``rows``, a nonempty list of nonempty rows or a 2-D
-    float array: the %.17g text in the columns where the first row holds a
-    float, str elsewhere."""
-    floats = [isinstance(v, float) for v in rows[0]]  # numpy's float64 is a float
+    """A header row, then one line per row of ``rows``, a nonempty 2-D float
+    array (or equally long rows of numbers): every cell the %.17g text of a
+    float, so an integer below 2**53 reads as its str."""
+    rows = np.asarray(rows, dtype=float)
     lines = [",".join(header).encode()]
-    for block in _row_blocks(len(rows), _TEXT_BYTES * len(floats)):
-        lines += _csv_lines(rows[block.start:block.stop], floats)
+    for block in _row_blocks(len(rows), _TEXT_BYTES * rows.shape[1]):
+        lines += _csv_lines(rows[block.start:block.stop])
     atomic_write(path, b"\n".join(lines) + b"\n")
 
 
@@ -624,7 +617,7 @@ def _field_csv_template(grid: GridSpec) -> bytes:
     indices = np.indices(grid.shape).reshape(grid.d, -1)
     coordinates = [c.reshape(-1) for c in np.meshgrid(*grid.coordinates, indexing="ij")]
     # an index as a float has the %.17g text of its str
-    lines = _csv_lines(np.column_stack([*indices, *coordinates]), [True] * 2 * grid.d)
+    lines = _csv_lines(np.column_stack([*indices, *coordinates]))
     header = _INDEX_COLUMNS[grid.d] + ["x", "y"][: grid.d] + ["re", "im"]
     return b"%s\n%s,%%s,%%s\n" % (",".join(header).encode(), b",%s,%s\n".join(lines))
 

@@ -13,7 +13,7 @@ integral giving the energy-space inner product of step functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,7 +22,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import InvariantViolation
 
 __all__ = [
-    "HurstKernel",
     "TimeGrid",
     "normalization_constant",
     "kernel_eval",
@@ -91,13 +90,6 @@ def _row_blocks(rows: int, row_bytes: int):
         yield range(start, min(start + block, rows))
 
 
-def _normal_blocks(seed: int, replicates: int, size: int):
-    """``replicate_normals(seed, range(replicates), size)`` in consecutive
-    blocks of rows, each within the byte budget."""
-    for rows in _row_blocks(replicates, 8 * size):
-        yield replicate_normals(seed, rows, size)
-
-
 def _check_hurst(H: float) -> None:
     if not (0.0 < float(H) < 1.0):
         raise ValueError(f"Hurst parameter must lie in (0, 1), got {H!r}")
@@ -114,18 +106,6 @@ def normalization_constant(H: float) -> float:
     num = 2.0 * H * gamma_fn(1.5 - H)
     den = gamma_fn(H + 0.5) * gamma_fn(2.0 - 2.0 * H)
     return float(math.sqrt(num / den))
-
-
-@dataclass(frozen=True)
-class HurstKernel:
-    """Hurst parameter bundled with the kernel normalization constant."""
-
-    H: float
-    cH: float = dc_field(init=False)
-
-    def __post_init__(self):
-        _check_hurst(self.H)
-        object.__setattr__(self, "cH", normalization_constant(self.H))
 
 
 @dataclass(frozen=True)
@@ -204,14 +184,14 @@ def _kernel_integral_quad(H: float, t: float, s: float) -> float:
     return val
 
 
-def kernel_eval(kern: HurstKernel, t: float, s: float) -> float:
+def kernel_eval(H: float, t: float, s: float) -> float:
     """Triangular kernel K(t, s); zero whenever s > t.
 
     The correction integral is evaluated by adaptive quadrature in the
     square-root substituted variable.  At H = 1/2 the kernel is identically
     1 on {0 < s < t}.
     """
-    H, cH = kern.H, kern.cH
+    cH = normalization_constant(H)
     if s <= 0.0:
         raise ValueError(f"kernel requires s > 0, got s={s}")
     if s > t:
@@ -226,14 +206,14 @@ def kernel_eval(kern: HurstKernel, t: float, s: float) -> float:
     return core + cH * (0.5 - H) * _kernel_integral_quad(H, t, s)
 
 
-def kernel_eval_grid(kern: HurstKernel, t, s, order: int = 48) -> np.ndarray:
+def kernel_eval_grid(H: float, t, s, order: int = 48) -> np.ndarray:
     """Vectorized K(t, s) over broadcast arrays, fixed Gauss-Legendre order.
 
     Entries with s >= t evaluate to 0; entries require s > 0.  Used for bulk
     kernel evaluation (covariance quadrature, transform telescoping); the
     scalar :func:`kernel_eval` is the adaptive high-accuracy reference.
     """
-    H, cH = kern.H, kern.cH
+    cH = normalization_constant(H)
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
@@ -257,7 +237,7 @@ def kernel_eval_grid(kern: HurstKernel, t, s, order: int = 48) -> np.ndarray:
     return out
 
 
-def kernel_time_derivative(kern: HurstKernel, t: float, s: float) -> float:
+def kernel_time_derivative(H: float, t: float, s: float) -> float:
     """dK/dt (t, s) = cH (H - 1/2) (t-s)^{H-3/2} (s/t)^{1/2-H} for 0 < s < t.
 
     Sign equals sign(H - 1/2): the kernel decreases in t for H < 1/2 and
@@ -266,7 +246,7 @@ def kernel_time_derivative(kern: HurstKernel, t: float, s: float) -> float:
     """
     if not (0.0 < s < t):
         raise ValueError(f"time derivative needs 0 < s < t, got s={s}, t={t}")
-    H, cH = kern.H, kern.cH
+    cH = normalization_constant(H)
     return cH * (H - 0.5) * (t - s) ** (H - 1.5) * (s / t) ** (0.5 - H)
 
 
@@ -295,7 +275,7 @@ def build_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
     return fbm_covariance(H, t[:, None], t[None, :])
 
 
-def covariance_from_kernel(kern: HurstKernel, grid: TimeGrid) -> np.ndarray:
+def covariance_from_kernel(H: float, grid: TimeGrid) -> np.ndarray:
     """Covariance reconstructed as the quadrature of int_0^{t ^ s} K(t,r) K(s,r) dr.
 
     Independent of :func:`build_covariance_matrix`; uses shared composite
@@ -320,7 +300,7 @@ def covariance_from_kernel(kern: HurstKernel, grid: TimeGrid) -> np.ndarray:
     Kmat = np.empty((t.size, r.size))
     for lo in range(0, t.size, _KERNEL_CHUNK):
         hi = min(lo + _KERNEL_CHUNK, t.size)
-        Kmat[lo:hi] = kernel_eval_grid(kern, t[lo:hi, None], r[None, :])
+        Kmat[lo:hi] = kernel_eval_grid(H, t[lo:hi, None], r[None, :])
     return (Kmat * wq) @ Kmat.T
 
 
@@ -346,17 +326,17 @@ def increment_covariance(H: float, points: np.ndarray) -> np.ndarray:
     )
 
 
-def increment_covariance_beta(kern: HurstKernel, points: np.ndarray) -> np.ndarray:
+def increment_covariance_beta(H: float, points: np.ndarray) -> np.ndarray:
     """Same matrix as :func:`increment_covariance`, via the weighted double
     integral c^2 (H-1/2)^2 B(2-2H, H-1/2) int int |u-v|^{2H-2} du dv over cell
     pairs, with the cell integrals in closed form.  Requires H > 1/2.
     """
     from scipy.special import beta as beta_fn
 
-    H = kern.H
+    cH = normalization_constant(H)
     if H <= 0.5:
         raise ValueError("beta-weighted covariance requires H > 1/2")
-    alpha = kern.cH**2 * (H - 0.5) ** 2 * beta_fn(2.0 - 2.0 * H, H - 0.5)
+    alpha = cH**2 * (H - 0.5) ** 2 * beta_fn(2.0 - 2.0 * H, H - 0.5)
     points = np.asarray(points, dtype=float)
     a = points[:-1]
     b = points[1:]
@@ -434,9 +414,9 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.
     scale = grid.dt**H  # unit-spacing increments rescaled by self-similarity
     coeff = np.sqrt(np.clip(eigs, 0.0, None))
     values = np.zeros((replicates, n + 1))
-    start = 0
     # one transform per block of rows; each row is computed exactly as alone
-    for Z in _normal_blocks(seed, replicates, 2 * n):
+    for rows in _row_blocks(replicates, 16 * n):
+        Z = replicate_normals(seed, rows, 2 * n)
         xi = np.empty(Z.shape, dtype=complex)
         xi[:, 0] = Z[:, 0]
         xi[:, n] = Z[:, 1]
@@ -445,8 +425,7 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.
         xi[:, 1:n] = (re + 1j * im) / math.sqrt(2.0)
         xi[:, n + 1 :] = np.conj(xi[:, n - 1 : 0 : -1])
         fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi, axis=-1).real[:, :n]
-        values[start : start + len(Z), 1:] = scale * np.cumsum(fgn, axis=1)
-        start += len(Z)
+        values[rows.start : rows.stop, 1:] = scale * np.cumsum(fgn, axis=1)
     return values
 
 
@@ -454,7 +433,7 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.
 # Kernel-adjoint transform on piecewise-constant paths
 # ---------------------------------------------------------------------------
 
-def apply_kt_star(kern: HurstKernel, values: np.ndarray, points: np.ndarray, s) -> np.ndarray:
+def apply_kt_star(H: float, values: np.ndarray, points: np.ndarray, s) -> np.ndarray:
     """Transform of a piecewise-constant path at the points 0 < s < horizon.
 
     ``values[m]`` is the path value on [points[m], points[m+1]); the horizon
@@ -475,7 +454,7 @@ def apply_kt_star(kern: HurstKernel, values: np.ndarray, points: np.ndarray, s) 
     phi_s = values[cell]
     # K(t_m, s) for m = 1..M; entries with t_m <= s are 0, so the differences
     # vanish left of the cell holding s, and dphi vanishes on that cell
-    Kb = kernel_eval_grid(kern, points[1:].reshape(-1, *(1,) * s.ndim), s)
+    Kb = kernel_eval_grid(H, points[1:].reshape(-1, *(1,) * s.ndim), s)
     dK = np.diff(Kb, axis=0, prepend=0.0)
     dphi = values.reshape(-1, *(1,) * s.ndim) - phi_s
     return phi_s * Kb[-1] + np.sum(dphi * dK, axis=0)
@@ -500,9 +479,7 @@ def _cell_quadrature_nodes(a, b, order: int):
     return np.concatenate([left_nodes, right_nodes], axis=-1), np.concatenate([gw, gw], axis=-1)
 
 
-def duality_pairing(
-    kern: HurstKernel, phi_values: np.ndarray, h_values: np.ndarray, tg: TimeGrid
-) -> tuple[float, float]:
+def duality_pairing(H: float, phi_values: np.ndarray, h_values: np.ndarray, tg: TimeGrid) -> tuple[float, float]:
     """Both sides of the transform duality for piecewise-constant phi and h.
 
     Left side: int_0^T (K_T* phi)(t) h(t) dt by graded cell quadrature.
@@ -517,33 +494,27 @@ def duality_pairing(
 
     # LHS: the transform at every cell's nodes, (n, 2 order)
     nodes, weights = _cell_quadrature_nodes(pts[:-1], pts[1:], _DUALITY_ORDER)
-    vals = apply_kt_star(kern, phi_values, pts, nodes)
+    vals = apply_kt_star(H, phi_values, pts, nodes)
     lhs = float(np.sum(vals * weights, axis=1) @ h_values)
 
     # RHS: Kh at t_1..t_n on an unrelated (coarser odd) node set; K(t_m, s)
     # is 0 for nodes s >= t_m, so each row sums over the cells left of t_m
     nodes, weights = _cell_quadrature_nodes(pts[:-1], pts[1:], _DUALITY_ORDER + 7)
-    kv = kernel_eval_grid(kern, pts[1:, None, None], nodes)
+    kv = kernel_eval_grid(H, pts[1:, None, None], nodes)
     Kh = np.zeros(tg.n + 1)
     Kh[1:] = np.sum(kv * weights, axis=2) @ h_values
     rhs = float(np.sum(phi_values * np.diff(Kh)))
     return lhs, rhs
 
 
-def rkhs_inner_product(
-    kern: HurstKernel,
-    phi_values: np.ndarray,
-    psi_values: np.ndarray,
-    tg: TimeGrid,
-) -> float:
+def rkhs_inner_product(H: float, phi_values: np.ndarray, psi_values: np.ndarray, tg: TimeGrid) -> float:
     """Energy-space inner product of piecewise-constant paths for H > 1/2.
 
     The weight |u-v|^{2H-2} is integrated in closed form over every cell
-    pair, so the result is exact for this path class.
+    pair, so the result is exact for this path class; H <= 1/2 is refused
+    by :func:`increment_covariance_beta`.
     """
-    if kern.H <= 0.5:
-        raise ValueError("inner product in this form requires H > 1/2")
-    S = increment_covariance_beta(kern, tg.points)
+    S = increment_covariance_beta(H, tg.points)
     phi = np.asarray(phi_values, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
     return float(phi @ S @ psi)

@@ -438,7 +438,7 @@ class LdpLab:
         energy plus ``pen`` times the squared distance-to-event, which is
         zero once the event is realized."""
         values, batch = self._skeletons(cs, design)
-        energy = 0.5 * (np.sum(values**2, axis=(1, 2)) * self.tg.dt)
+        energy = half_energy(values, self.tg)
         live = ~batch.blown_up
         short = np.zeros(len(cs))
         # steps k >= 1: the state at t = 0 does not depend on the control, so a
@@ -493,5 +493,5 @@ class LdpLab:
         if feasible:
             c = self._shrink_along_ray(c, design, ev) * c
         control = c.reshape(n_modes, n_splines) @ design.T
-        rate = half_energy(control, self.tg) if feasible else math.inf
+        rate = float(half_energy(control, self.tg)) if feasible else math.inf
         return MinimizeResult(control, rate, feasible, nfev, pen)

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .fbm import HurstKernel, TimeGrid, _row_blocks, increment_covariance, increment_covariance_beta
+from .fbm import TimeGrid, _row_blocks, increment_covariance, increment_covariance_beta
 from .fbm import replicate_normals
 from .field import GridSpec
 
@@ -150,13 +150,14 @@ def _increment_chol(H: float, tg: TimeGrid) -> np.ndarray:
     return np.linalg.cholesky(increment_covariance(H, tg.points))
 
 
-def half_energy(values: np.ndarray, tg: TimeGrid) -> float:
-    """Half the squared L2(0,T; L2) norm of a control on ``tg``.
+def half_energy(values: np.ndarray, tg: TimeGrid) -> np.ndarray:
+    """Half the squared L2(0,T; L2) norm of each control on ``tg``.
 
     A control h is a real array (n_modes, n): ``values[j, m]`` is its value
-    on time cell m for mode j, so ||h||^2 = sum values^2 * dt.
+    on time cell m for mode j, so ||h||^2 = sum values^2 * dt.  Controls
+    stacked on leading axes give one value each (a 0-d array for one).
     """
-    return 0.5 * float(np.sum(values**2) * tg.dt)
+    return 0.5 * (np.sum(values**2, axis=(-2, -1)) * tg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def _integrand_matrices(spec: CorrelationSpec, tg: TimeGrid) -> np.ndarray:
     return spec.eigenvalues[:, None, None] * (A * mask)
 
 
-def build_Q(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> np.ndarray:
+def build_Q(spec: CorrelationSpec, H: float, tg: TimeGrid) -> np.ndarray:
     """Covariance of the stacked real response samples, assembled directly.
 
     Block-diagonal over modes, returned as the (n_modes, 2n, 2n) stack of its
@@ -280,7 +281,7 @@ def build_Q(spec: CorrelationSpec, kern: HurstKernel, tg: TimeGrid) -> np.ndarra
     """
     if tg.n > _DENSE_LIMIT:
         raise ValueError(f"dense covariance assembly is limited to n <= {_DENSE_LIMIT}")
-    S = increment_covariance_beta(kern, tg.points)
+    S = increment_covariance_beta(H, tg.points)
     Ar = _real_stack(_integrand_matrices(spec, tg))
     return Ar @ S @ Ar.transpose(0, 2, 1)
 

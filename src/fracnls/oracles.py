@@ -46,26 +46,26 @@ def normalization_constant_error(H: float) -> float:
     return abs(fbm.normalization_constant(H) - oracle)
 
 
-def kernel_rule_gap(kern: fbm.HurstKernel, t: float, s: float, order: int) -> float:
+def kernel_rule_gap(H: float, t: float, s: float, order: int) -> float:
     """Larger of |K_order - K_2order| (fixed Gauss-Legendre rules) and
     |K_2order - K_adaptive| at one point (t, s)."""
-    a = fbm.kernel_eval_grid(kern, t, s, order=order)
-    b = fbm.kernel_eval_grid(kern, t, s, order=2 * order)
-    c = fbm.kernel_eval(kern, t, s)
+    a = fbm.kernel_eval_grid(H, t, s, order=order)
+    b = fbm.kernel_eval_grid(H, t, s, order=2 * order)
+    c = fbm.kernel_eval(H, t, s)
     return max(abs(float(a) - float(b)), abs(float(b) - c))
 
 
-def kernel_derivative_fd_error(kern: fbm.HurstKernel, t: float, s: float, h: float) -> float:
+def kernel_derivative_fd_error(H: float, t: float, s: float, h: float) -> float:
     """Relative gap between dK/dt (t, s) and the central difference of step h."""
-    d = fbm.kernel_time_derivative(kern, t, s)
-    fd = (fbm.kernel_eval(kern, t + h, s) - fbm.kernel_eval(kern, t - h, s)) / (2 * h)
+    d = fbm.kernel_time_derivative(H, t, s)
+    fd = (fbm.kernel_eval(H, t + h, s) - fbm.kernel_eval(H, t - h, s)) / (2 * h)
     return abs(d - fd) / abs(fd)
 
 
-def covariance_quadrature_error(kern: fbm.HurstKernel, tg: fbm.TimeGrid) -> float:
+def covariance_quadrature_error(H: float, tg: fbm.TimeGrid) -> float:
     """Max entrywise gap between the kernel-quadrature and analytic covariances."""
-    quad = fbm.covariance_from_kernel(kern, tg)
-    return float(np.abs(quad - fbm.build_covariance_matrix(kern.H, tg)).max())
+    quad = fbm.covariance_from_kernel(H, tg)
+    return float(np.abs(quad - fbm.build_covariance_matrix(H, tg)).max())
 
 
 def exact_sampler_variance_deviation(
@@ -133,30 +133,30 @@ def ks_pvalue(H: float, tg: fbm.TimeGrid, replicates: int, seed_exact: int, seed
     return ks_2samp_pvalue(pe[:, -1], pf[:, -1])
 
 
-def duality_gap(kern: fbm.HurstKernel, phi: np.ndarray, h: np.ndarray, tg: fbm.TimeGrid) -> float:
+def duality_gap(H: float, phi: np.ndarray, h: np.ndarray, tg: fbm.TimeGrid) -> float:
     """|lhs - rhs| of the transform duality for step functions phi and h."""
-    lhs, rhs = fbm.duality_pairing(kern, phi, h, tg)
+    lhs, rhs = fbm.duality_pairing(H, phi, h, tg)
     return abs(lhs - rhs)
 
 
-def restriction_gap(kern: fbm.HurstKernel, values: np.ndarray, tg: fbm.TimeGrid, cut: int) -> float:
+def restriction_gap(H: float, values: np.ndarray, tg: fbm.TimeGrid, cut: int) -> float:
     """Max over the first ``cut`` cell midpoints of the gap between K_T* of
     the path zeroed from cell ``cut`` on and K_{t_cut}* of its first cells."""
     restricted = values.copy()
     restricted[cut:] = 0.0
     s = tg.midpoints[:cut]
-    full = fbm.apply_kt_star(kern, restricted, tg.points, s)
-    trunc = fbm.apply_kt_star(kern, values[:cut], tg.points[: cut + 1], s)
+    full = fbm.apply_kt_star(H, restricted, tg.points, s)
+    trunc = fbm.apply_kt_star(H, values[:cut], tg.points[: cut + 1], s)
     return float(np.abs(full - trunc).max())
 
 
-def rkhs_covariance_error(kern: fbm.HurstKernel, tg: fbm.TimeGrid, t: float, s: float) -> float:
+def rkhs_covariance_error(H: float, tg: fbm.TimeGrid, t: float, s: float) -> float:
     """|<1_[0,t], 1_[0,s]> - R(t, s)|: the energy-space inner product of two
     indicators (t and s on the grid) against the fBm covariance."""
     ind_t = (tg.points[1:] <= t).astype(float)
     ind_s = (tg.points[1:] <= s).astype(float)
-    ip = fbm.rkhs_inner_product(kern, ind_t, ind_s, tg)
-    return abs(ip - fbm.fbm_covariance(kern.H, t, s))
+    ip = fbm.rkhs_inner_product(H, ind_t, ind_s, tg)
+    return abs(ip - fbm.fbm_covariance(H, t, s))
 
 
 def group_deviation_margin(grid: field.GridSpec, gammas, times) -> float:
@@ -184,17 +184,17 @@ def plane_wave_error(
     return field.l2_norm(traj.terminal_field() - exact)
 
 
-def q_ll_residual(spec: noise.CorrelationSpec, kern: fbm.HurstKernel, tg: fbm.TimeGrid) -> float:
+def q_ll_residual(spec: noise.CorrelationSpec, H: float, tg: fbm.TimeGrid) -> float:
     """Max residual of Q = L L* with Q from the Beta-weighted double integral."""
-    L = noise.build_L(spec, kern.H, tg)
-    return noise.verify_factorization(noise.build_Q(spec, kern, tg), L)
+    L = noise.build_L(spec, H, tg)
+    return noise.verify_factorization(noise.build_Q(spec, H, tg), L)
 
 
 def rate_projection_gap(L: noise.DiscreteLOperator, values: np.ndarray) -> float:
     """Rate of the response to the control ``values`` less the control's half
     energy; at most 0 (infinite when the response is found unreachable)."""
     res = noise.gaussian_rate(L, L.apply(values)[1:].T)
-    return res.rate - noise.half_energy(values, L.tg)
+    return res.rate - float(noise.half_energy(values, L.tg))
 
 
 def holder_line_error(n: int) -> float:
@@ -215,14 +215,12 @@ def records(seed: int) -> list[dict]:
 
     for H in (0.25, 0.5, 0.75):
         add(f"normalization-constant-H{H}", normalization_constant_error(H), 1e-12)
-    add("kernel-two-rule-agreement", kernel_rule_gap(fbm.HurstKernel(0.7), 1.0, 0.5, 64), 1e-8)
+    add("kernel-two-rule-agreement", kernel_rule_gap(0.7, 1.0, 0.5, 64), 1e-8)
     for H in (0.25, 0.75):
-        add(f"kernel-derivative-fd-H{H}",
-            kernel_derivative_fd_error(fbm.HurstKernel(H), 1.0, 0.5, 1e-6), 1e-4)
+        add(f"kernel-derivative-fd-H{H}", kernel_derivative_fd_error(H, 1.0, 0.5, 1e-6), 1e-4)
 
-    kern7 = fbm.HurstKernel(0.7)
     tg64 = fbm.TimeGrid(1.0, 64)
-    add("covariance-kernel-quadrature", covariance_quadrature_error(kern7, tg64), 1e-3)
+    add("covariance-kernel-quadrature", covariance_quadrature_error(0.7, tg64), 1e-3)
     dev, se = exact_sampler_variance_deviation(0.7, tg64, 3000, seed, 32)
     add("exact-sampler-variance", dev, 4 * se)
     pval = ks_pvalue(0.7, fbm.TimeGrid(1.0, 1024), 1000, seed + 1, seed + 2)
@@ -231,12 +229,12 @@ def records(seed: int) -> list[dict]:
     tg16 = fbm.TimeGrid(1.0, 16)
     phi = np.zeros(16)
     phi[:8] = 1.0
-    add("duality-indicator", duality_gap(kern7, phi, np.ones(16), tg16), 1e-6)
+    add("duality-indicator", duality_gap(0.7, phi, np.ones(16), tg16), 1e-6)
     mid = tg16.midpoints
-    add("duality-polynomial", duality_gap(kern7, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid, tg16), 1e-5)
+    add("duality-polynomial", duality_gap(0.7, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid, tg16), 1e-5)
     rng = np.random.default_rng(seed)
-    add("restriction-identity", restriction_gap(kern7, rng.normal(size=16), tg16, 10), 1e-8)
-    add("rkhs-vs-covariance", rkhs_covariance_error(kern7, fbm.TimeGrid(1.0, 32), 0.5, 0.25), 1e-4)
+    add("restriction-identity", restriction_gap(0.7, rng.normal(size=16), tg16, 10), 1e-8)
+    add("rkhs-vs-covariance", rkhs_covariance_error(0.7, fbm.TimeGrid(1.0, 32), 0.5, 0.25), 1e-4)
 
     grid = field.GridSpec(1, 64, math.pi)
     scan = (np.linspace(0.0, 0.95, 20), np.logspace(-2, 0, 20))
@@ -247,9 +245,9 @@ def records(seed: int) -> list[dict]:
     ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]
     spec = noise.CorrelationSpec(grid=field.GridSpec(1, 8, math.pi), eigenvalues=ev)
     tg8 = fbm.TimeGrid(1.0, 8)
-    add("q-ll-factorization", q_ll_residual(spec, kern7, tg8), 1e-10)
+    add("q-ll-factorization", q_ll_residual(spec, 0.7, tg8), 1e-10)
     # drawn after the restriction-identity path, from the same generator
-    gap = rate_projection_gap(noise.build_L(spec, kern7.H, tg8), rng.normal(size=(8, 8)))
+    gap = rate_projection_gap(noise.build_L(spec, 0.7, tg8), rng.normal(size=(8, 8)))
     add("rate-projection-bound", gap, 1e-9)
     add("holder-line-path", holder_line_error(2048), 0.02)
     return out

@@ -14,7 +14,6 @@ from scipy.linalg import block_diag
 from fracnls import oracles
 from fracnls.cli import parse_config, run
 from fracnls.fbm import (
-    HurstKernel,
     TimeGrid,
     kernel_eval,
     normalization_constant,
@@ -69,7 +68,7 @@ def test_criterion_01_fbm_increment_law():
 def test_criterion_02_kernel_factorization():
     results = []
     for H, tol in ((0.5, 1e-3), (0.7, 1e-3), (0.3, 1e-2)):
-        err = oracles.covariance_quadrature_error(HurstKernel(H), TimeGrid(1.0, 256))
+        err = oracles.covariance_quadrature_error(H, TimeGrid(1.0, 256))
         results.append((H, err, tol))
     ok = all(err < tol for _, err, tol in results)
     detail = "; ".join(f"H={H}: {err:.2e} (tol {tol:g})" for H, err, tol in results)
@@ -78,13 +77,13 @@ def test_criterion_02_kernel_factorization():
 
 def test_criterion_03_half_hurst_degeneracy():
     c_half = normalization_constant(0.5)
-    k = HurstKernel(0.5)
+    H = 0.5
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(200):
         s = rng.uniform(1e-6, 1.0)
         t = rng.uniform(s + 1e-9, 2.0)
-        worst = max(worst, abs(kernel_eval(k, t, s) - 1.0))
+        worst = max(worst, abs(kernel_eval(H, t, s) - 1.0))
     ok = c_half == 1.0 and worst == 0.0
     _report(3, "H=1/2 degeneracy", ok, f"c(1/2)={c_half!r}, max |K-1| = {worst:.1e}")
 
@@ -112,11 +111,11 @@ def test_criterion_05_covariance_factorization():
     spec = CorrelationSpec(grid=g, eigenvalues=ev)
     resid = 0.0
     for H in (0.55, 0.7):
-        resid = max(resid, oracles.q_ll_residual(spec, HurstKernel(H), tg))
+        resid = max(resid, oracles.q_ll_residual(spec, H, tg))
     # Monte Carlo covariance against Q, elementwise within 5 standard errors
-    kern = HurstKernel(0.7)
-    sampler = ConvolutionSampler(spec, kern.H, tg)
-    Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
+    H = 0.7
+    sampler = ConvolutionSampler(spec, H, tg)
+    Q = block_diag(*build_Q(spec, H, tg))  # the modes' blocks, zero across modes
     reps, n, nm = 20000, 8, 8
     X = np.empty((reps, nm * 2 * n))
     for i in range(reps):
@@ -268,17 +267,17 @@ def test_criterion_10_cemetery_semantics(tmp_path):
 
 
 def test_criterion_11_duality_and_restriction():
-    k = HurstKernel(0.7)
+    H = 0.7
     tg = TimeGrid(1.0, 16)
     phi = np.zeros(16)
     phi[:8] = 1.0
-    dual_err = oracles.duality_gap(k, phi, np.ones(16), tg)
+    dual_err = oracles.duality_gap(H, phi, np.ones(16), tg)
     mid = tg.midpoints
-    dual_err = max(dual_err, oracles.duality_gap(k, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid + 0.2 * mid**2, tg))
+    dual_err = max(dual_err, oracles.duality_gap(H, 1 + 0.5 * mid - 2 * mid**2, 0.3 - mid + 0.2 * mid**2, tg))
     rest_err = 0.0
     rng = np.random.default_rng(0)
     for H in (0.35, 0.7):
-        rest_err = max(rest_err, oracles.restriction_gap(HurstKernel(H), rng.normal(size=16), tg, 10))
+        rest_err = max(rest_err, oracles.restriction_gap(H, rng.normal(size=16), tg, 10))
     ok = dual_err < 1e-5 and rest_err < 1e-8
     _report(11, "duality and restriction", ok,
             f"duality gap {dual_err:.1e} (< 1e-5), restriction gap {rest_err:.1e} (< 1e-8)")

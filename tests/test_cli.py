@@ -1,5 +1,7 @@
 """Configuration validation, artifact determinism, and exit-code tests."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -31,7 +34,7 @@ from fracnls.cli import (
 from fracnls.errors import ConfigError
 from fracnls.fbm import TimeGrid, replicate_stream
 from fracnls.field import ComplexField, GridSpec, field_from_modes, sobolev_norm, sobolev_norms
-from fracnls.ldp import EventSpec, LdpLab, holder_exponent, wilson_interval
+from fracnls.ldp import EVENT_KINDS, EventSpec, LdpLab, holder_exponent, wilson_interval
 from fracnls.noise import ConvolutionSampler
 from fracnls.solver import SolverConfig, solve_mild, solve_skeleton
 
@@ -265,6 +268,125 @@ class TestParseConfig:
                 parse_config(json.dumps(cfg))
             except ConfigError:
                 pass
+
+
+# Valid configs of every kind that runs a model, within small bounds.
+_HURST = st.floats(0.01, 0.99)
+_HORIZON = st.floats(0.05, 2.0)
+_SMALL = st.floats(-2.0, 2.0)
+_STEPS = st.integers(1, 32)
+
+
+@st.composite
+def _noise_section(draw, H: float, grid: dict):
+    if draw(st.booleans()):
+        modes = grid["N"] ** grid["d"]
+        return {"eigenvalues": draw(st.lists(st.floats(0.0, 2.0), min_size=modes, max_size=modes))}
+    lo, hi = (0.5 - H, 1.0 - H) if H < 0.5 else (0.0, 1.0)
+    alpha = lo + (hi - lo) * draw(st.floats(0.05, 0.95))
+    return {"alpha": alpha, "r": 1.0 + 2.0 * (H + alpha) + draw(st.floats(0.1, 4.0))}
+
+
+def _grid_section(draw) -> dict:
+    return {"d": draw(st.sampled_from([1, 2])), "N": draw(st.sampled_from([8, 16])),
+            "L": draw(st.floats(0.5, 10.0))}
+
+
+def _model_keys(draw) -> dict:
+    H, grid = draw(_HURST), _grid_section(draw)
+    nl = draw(st.none() | st.builds(dict, kind=st.just("kerr"), lam=st.sampled_from([-1, 1]),
+                                    sigma=st.floats(0.5, 3.0))
+              | st.builds(dict, kind=st.just("saturated"), lam=st.sampled_from([-1, 1]),
+                          sigma=st.floats(0.5, 3.0), kappa=st.floats(0.1, 3.0)))
+    u0 = draw(st.just({"type": "zero"})
+              | st.builds(dict, type=st.just("gaussian"), amplitude=_SMALL, width=st.floats(0.1, 2.0))
+              | st.builds(dict, type=st.just("plane"), amplitude=_SMALL,
+                          mode=st.integers(-grid["N"] // 2, grid["N"] // 2)))
+    return {"H": H, "T": draw(_HORIZON), "n": draw(_STEPS), "grid": grid,
+            "nl": nl, "u0": u0, "threshold": draw(st.none() | st.floats(0.5, 20.0)),
+            "noise": draw(_noise_section(H, grid))}
+
+
+@st.composite
+def valid_configs(draw):
+    kind = draw(st.sampled_from(["fbm", "convolve", "solve", "skeleton", "ldp", "holder", "support"]))
+    cfg = {"kind": kind, "seed": draw(st.integers(0, 2**32))}
+    if kind == "fbm":
+        cfg.update(H=draw(_HURST), T=draw(_HORIZON), n=draw(_STEPS), replicates=draw(st.integers(1, 200)))
+    elif kind == "convolve":
+        H, grid, n = draw(_HURST), _grid_section(draw), draw(_STEPS)
+        cfg.update(H=H, T=draw(_HORIZON), n=n, grid=grid, noise=draw(_noise_section(H, grid)),
+                   snapshot_every=draw(st.integers(1, n)))
+    elif kind == "holder":
+        # n is at least 2**10 for this kind, so a few replicates keep it small
+        cfg.update(H=draw(_HURST), T=draw(_HORIZON), n=1024, replicates=draw(st.integers(1, 4)))
+        if draw(st.booleans()):
+            grid = _grid_section(draw)
+            cfg.update(source="convolution", grid=grid, noise=draw(_noise_section(cfg["H"], grid)))
+    else:
+        cfg.update(_model_keys(draw))
+        snapshots = st.integers(0, cfg["n"])
+        if kind == "solve":
+            cfg["eps"] = draw(st.just(0.0) | st.floats(0.01, 1.0))
+            cfg["snapshot_every"] = draw(snapshots)
+            if cfg["eps"] == 0.0:
+                del cfg["H"], cfg["noise"]
+        elif kind == "skeleton":
+            cfg["snapshot_every"] = draw(snapshots)
+            cfg["control"] = draw(st.just({"type": "zero"})
+                                  | st.builds(dict, type=st.just("random"), scale=_SMALL))
+        elif kind == "ldp":
+            event = {"kind": draw(st.sampled_from(EVENT_KINDS)), "threshold": draw(st.floats(0.0, 5.0))}
+            if event["kind"] != "blow-up-before-T":
+                event["sobolev_index"] = draw(st.floats(0.0, 2.0))
+            optimizer = {"enabled": draw(st.booleans())}
+            if optimizer["enabled"]:
+                optimizer.update(n_splines=draw(st.integers(4, 8)), budget=draw(st.integers(100, 300)))
+            cfg.update(event=event, optimizer=optimizer, replicates=draw(st.integers(100, 200)),
+                       eps_ladder=draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4)))
+        else:
+            sizes = draw(st.lists(st.integers(1, 16), min_size=2, max_size=3))
+            cfg.update(samples=draw(st.integers(2, 10)), family_sizes=sorted(sizes), control_scale=draw(_SMALL))
+    return cfg
+
+
+# The resolver's refusals of a config that every key check accepts.
+RUN_REFUSALS = [
+    "must exceed the initial H^1 norm",
+    "the deterministic flow is absorbed at step",
+    "degenerate terminal covariance",
+    "exceeds the optimizer's limit",
+]
+
+
+def _run_main(raw: dict, tmp: str, out: str) -> tuple:
+    """Exit code, stdout, stderr and the files written of ``raw`` run through ``main``."""
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([raw["kind"], "--config", path, "--out", os.path.join(tmp, out)])
+    files = {}
+    if os.path.isdir(os.path.join(tmp, out)):
+        for name in sorted(os.listdir(os.path.join(tmp, out))):
+            with open(os.path.join(tmp, out, name), "rb") as fh:
+                files[name] = fh.read()
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+class TestEndToEndFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(raw=valid_configs())
+    def test_valid_configs_run_and_rerun_byte_identical(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            first = _run_main(raw, tmp, "a")
+            second = _run_main(raw, tmp, "b")
+        code, _, err, _ = first
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert any(refusal in err for refusal in RUN_REFUSALS), err
+        assert second == first
 
 
 class TestRunDeterminism:
@@ -536,14 +658,17 @@ class TestArtifacts:
         assert (tmp_path / "paths.csv").read_text() == expected
 
     def test_mixed_csv_matches_per_element_format(self, tmp_path):
-        # floats as %.17g and ints as str, column by column, as the
-        # diagnostics' cemetery flag and the support family sizes are written
-        ints = [0, 1, -3, 10**20, 7, 64, 2**53 + 1, 8, 12, 5, 9, 11, 13]
+        # every cell is the %.17g text of a float, so an integer column, as
+        # the diagnostics' cemetery flag and the support family sizes, reads
+        # as the str of its integers below 2**53
+        ints = [0, 1, -3, 2**53 - 1, 7, 64, 1 - 2**53, 8, 12, 5, 9, 11, 13]
         rows = [[f, i, -f, i + 1] for f, i in zip(SPECIAL_FLOATS, ints)]
         write_csv(str(tmp_path / "mixed.csv"), ["a", "n", "b", "m"], rows)
-        expected = ["a,n,b,m"] + [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
-                                  for row in rows]
+        expected = ["a,n,b,m"] + [",".join("%.17g" % float(v) for v in row) for row in rows]
         assert (tmp_path / "mixed.csv").read_text() == "\n".join(expected) + "\n"
+        for row, line in zip(rows, expected[1:]):
+            cells = line.split(",")
+            assert [cells[1], cells[3]] == [str(row[1]), str(row[3])]
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):

@@ -19,7 +19,6 @@ from scipy.stats._stats_py import _compute_prob_outside_square
 from fracnls import fbm, oracles
 from fracnls.errors import InvariantViolation
 from fracnls.fbm import (
-    HurstKernel,
     TimeGrid,
     apply_kt_star,
     build_covariance_matrix,
@@ -57,32 +56,32 @@ class TestNormalizationConstant:
 
 class TestKernelEval:
     def test_half_kernel_is_one(self):
-        k = HurstKernel(0.5)
+        H = 0.5
         for t, s in [(0.8, 0.3), (1.0, 0.999), (2.0, 0.001)]:
-            assert kernel_eval(k, t, s) == 1.0
+            assert kernel_eval(H, t, s) == 1.0
 
     def test_zero_above_diagonal(self):
         for H in (0.3, 0.5, 0.7):
-            assert kernel_eval(HurstKernel(H), 0.4, 0.7) == 0.0
+            assert kernel_eval(H, 0.4, 0.7) == 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            kernel_eval(HurstKernel(0.7), 1.0, 0.0)
+            kernel_eval(0.7, 1.0, 0.0)
         with pytest.raises(ValueError):
-            kernel_eval(HurstKernel(0.7), 1.0, -0.5)
+            kernel_eval(0.7, 1.0, -0.5)
 
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_two_quadrature_rules_agree(self, H):
         # doubled-resolution rule pair as oracle, adaptive value must match
-        assert oracles.kernel_rule_gap(HurstKernel(H), 1.0, 0.5, 96) < 1e-8
+        assert oracles.kernel_rule_gap(H, 1.0, 0.5, 96) < 1e-8
 
     def test_grid_matches_scalar(self):
-        k = HurstKernel(0.65)
+        H = 0.65
         t = np.array([0.5, 1.0, 1.5])
         s = np.array([0.2, 0.4, 1.6])
-        grid_vals = kernel_eval_grid(k, t, s)
+        grid_vals = kernel_eval_grid(H, t, s)
         for i in range(3):
-            want = kernel_eval(k, float(t[i]), float(s[i]))
+            want = kernel_eval(H, float(t[i]), float(s[i]))
             assert grid_vals[i] == pytest.approx(want, abs=1e-10)
 
 
@@ -104,17 +103,16 @@ class TestUnitRule:
 
 class TestKernelTimeDerivative:
     def test_half_vanishes(self):
-        assert kernel_time_derivative(HurstKernel(0.5), 1.0, 0.3) == 0.0
+        assert kernel_time_derivative(0.5, 1.0, 0.3) == 0.0
 
     @pytest.mark.parametrize("H,sign", [(0.25, -1.0), (0.75, 1.0)])
     def test_sign_and_finite_difference(self, H, sign):
-        k = HurstKernel(H)
-        assert math.copysign(1.0, kernel_time_derivative(k, 1.0, 0.5)) == sign
-        assert oracles.kernel_derivative_fd_error(k, 1.0, 0.5, 1e-6) <= 1e-4
+        assert math.copysign(1.0, kernel_time_derivative(H, 1.0, 0.5)) == sign
+        assert oracles.kernel_derivative_fd_error(H, 1.0, 0.5, 1e-6) <= 1e-4
 
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            kernel_time_derivative(HurstKernel(0.3), 1.0, 1.0)
+            kernel_time_derivative(0.3, 1.0, 1.0)
 
 
 class TestCovariance:
@@ -157,21 +155,20 @@ class TestCovariance:
         assert np.allclose(R, np.minimum(t[:, None], t[None, :]))
 
     def test_kernel_quadrature_reconstruction(self):
-        assert oracles.covariance_quadrature_error(HurstKernel(0.7), TimeGrid(1.0, 64)) < 1e-3
+        assert oracles.covariance_quadrature_error(0.7, TimeGrid(1.0, 64)) < 1e-3
 
 
 class TestIncrementCovariance:
     def test_beta_form_matches_difference_form(self):
         pts = np.linspace(0.0, 1.0, 17)
         for H in (0.55, 0.7, 0.9):
-            k = HurstKernel(H)
             a = increment_covariance(H, pts)
-            b = increment_covariance_beta(k, pts)
+            b = increment_covariance_beta(H, pts)
             assert np.abs(a - b).max() < 1e-12
 
     def test_beta_form_requires_large_hurst(self):
         with pytest.raises(ValueError):
-            increment_covariance_beta(HurstKernel(0.4), np.linspace(0, 1, 5))
+            increment_covariance_beta(0.4, np.linspace(0, 1, 5))
 
     def test_diagonal_is_increment_variance(self):
         pts = np.linspace(0.0, 2.0, 9)
@@ -472,60 +469,59 @@ class TestKtStar:
     # the transform reads the kernel of the fixed order-48 rule, which the
     # adaptive kernel_eval matches to about 2e-8 (kernel-two-rule-agreement)
     def test_indicator_telescopes_to_kernel(self):
-        k = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 16)
         vals = np.zeros(16)
         vals[:8] = 1.0  # indicator of [0, 1/2)
-        out = apply_kt_star(k, vals, tg.points, 0.3)
+        out = apply_kt_star(H, vals, tg.points, 0.3)
         assert out.shape == ()
-        assert out == pytest.approx(float(kernel_eval_grid(k, 0.5, 0.3)), abs=1e-12)
+        assert out == pytest.approx(float(kernel_eval_grid(H, 0.5, 0.3)), abs=1e-12)
 
     def test_constant_path(self):
-        k = HurstKernel(0.35)
+        H = 0.35
         tg = TimeGrid(1.0, 10)
-        out = apply_kt_star(k, 2.5 * np.ones(10), tg.points, 0.41)
-        assert out == pytest.approx(2.5 * float(kernel_eval_grid(k, 1.0, 0.41)), abs=1e-12)
+        out = apply_kt_star(H, 2.5 * np.ones(10), tg.points, 0.41)
+        assert out == pytest.approx(2.5 * float(kernel_eval_grid(H, 1.0, 0.41)), abs=1e-12)
 
     @pytest.mark.parametrize("H", [0.35, 0.5, 0.7])
     def test_array_of_points_equals_each_point_alone(self, H):
-        k = HurstKernel(H)
         tg = TimeGrid(1.0, 16)
         vals = np.random.default_rng(3).normal(size=16)
         # the first cell, interior cells, a point on the grid time t_5, the last cell
         s = np.array([[1e-3, 0.03, 0.2], [tg.points[5], 0.61, 0.999]])
-        out = apply_kt_star(k, vals, tg.points, s)
+        out = apply_kt_star(H, vals, tg.points, s)
         assert out.shape == s.shape
         for idx in np.ndindex(s.shape):
-            alone = apply_kt_star(k, vals, tg.points, s[idx])
+            alone = apply_kt_star(H, vals, tg.points, s[idx])
             assert out[idx] == pytest.approx(float(alone), rel=1e-14, abs=0.0)
 
     def test_points_outside_the_horizon_are_refused(self):
         tg = TimeGrid(1.0, 4)
         for s in (0.0, 1.0, np.array([0.5, 1.5])):
             with pytest.raises(ValueError, match="strictly inside"):
-                apply_kt_star(HurstKernel(0.7), np.ones(4), tg.points, s)
+                apply_kt_star(0.7, np.ones(4), tg.points, s)
 
     def test_indicator_transform_norm_is_variance(self):
         # ||K_T* 1_[0,t]||^2_{L2(0,T)} = t^{2H}
         from fracnls.fbm import _cell_quadrature_nodes
 
-        k = HurstKernel(0.7)
+        H = 0.7
         t_cut = 0.5
         total = 0.0
         cells = np.linspace(0.0, t_cut, 9)
         for a, b in zip(cells[:-1], cells[1:]):
             nodes, w = _cell_quadrature_nodes(a, b, 48)
-            vals = kernel_eval_grid(k, t_cut, nodes)
+            vals = kernel_eval_grid(H, t_cut, nodes)
             total += float((vals**2) @ w)
         assert total == pytest.approx(t_cut**1.4, abs=1e-5)
 
     @pytest.mark.parametrize("H", [0.35, 0.7])
     def test_restriction_identity(self, H):
         vals = np.random.default_rng(0).normal(size=16)
-        assert oracles.restriction_gap(HurstKernel(H), vals, TimeGrid(1.0, 16), 10) < 1e-8
+        assert oracles.restriction_gap(H, vals, TimeGrid(1.0, 16), 10) < 1e-8
 
 
-def _duality_loop(kern, phi, h, tg):
+def _duality_loop(H, phi, h, tg):
     """The per-cell form of duality_pairing: the transform one cell at a time
     (as the one-point transform, a loop over the cells right of s), and Kh one
     grid time and one cell at a time."""
@@ -536,7 +532,7 @@ def _duality_loop(kern, phi, h, tg):
     def transform(s):
         cell = np.clip(np.searchsorted(pts, s, side="right") - 1, 0, n - 1)
         phi_s = phi[cell]
-        Kb = np.array([kernel_eval_grid(kern, pts[m], s) for m in range(n + 1)])
+        Kb = np.array([kernel_eval_grid(H, pts[m], s) for m in range(n + 1)])
         out = phi_s * Kb[n]
         for m in range(1, n):
             active = cell < m
@@ -551,7 +547,7 @@ def _duality_loop(kern, phi, h, tg):
     for m in range(1, n + 1):
         for mp in range(m):
             nodes, weights = _cell_quadrature_nodes(pts[mp], pts[mp + 1], _DUALITY_ORDER + 7)
-            Kh[m] += h[mp] * float(kernel_eval_grid(kern, pts[m], nodes) @ weights)
+            Kh[m] += h[mp] * float(kernel_eval_grid(H, pts[m], nodes) @ weights)
     return lhs, float(np.sum(phi * np.diff(Kh)))
 
 
@@ -564,56 +560,56 @@ class TestDuality:
                  (1 + 0.5 * mid - 2 * mid**2, 0.3 - mid),
                  (np.random.default_rng(5).normal(size=16), np.random.default_rng(6).normal(size=16))]
         for phi, h in cases:
-            got = duality_pairing(HurstKernel(H), phi, h, tg)
-            want = _duality_loop(HurstKernel(H), phi, h, tg)
+            got = duality_pairing(H, phi, h, tg)
+            want = _duality_loop(H, phi, h, tg)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_zero_path(self):
-        k = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 8)
-        lhs, rhs = duality_pairing(k, np.zeros(8), np.ones(8), tg)
+        lhs, rhs = duality_pairing(H, np.zeros(8), np.ones(8), tg)
         assert lhs == 0.0 and rhs == 0.0
 
     @pytest.mark.parametrize("H", [0.5, 0.7])
     def test_indicator_unit_h(self, H):
         phi = np.zeros(16)
         phi[:8] = 1.0
-        assert oracles.duality_gap(HurstKernel(H), phi, np.ones(16), TimeGrid(1.0, 16)) < 1e-6
+        assert oracles.duality_gap(H, phi, np.ones(16), TimeGrid(1.0, 16)) < 1e-6
 
     def test_polynomial_paths(self):
-        k = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 16)
         mid = tg.midpoints
         phi = 1.0 + 0.5 * mid - 2.0 * mid**2 + mid**3
         h = 0.3 - mid + 0.2 * mid**2
-        assert oracles.duality_gap(k, phi, h, tg) < 1e-5
+        assert oracles.duality_gap(H, phi, h, tg) < 1e-5
 
 
 class TestRkhsInnerProduct:
     def test_indicator_variance(self):
-        k = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 32)
         ind = np.zeros(32)
         ind[:16] = 1.0
-        ip = rkhs_inner_product(k, ind, ind, tg)
+        ip = rkhs_inner_product(H, ind, ind, tg)
         assert ip == pytest.approx(0.5**1.4, abs=1e-4)
 
     def test_indicator_cross_covariance(self):
         # indicators of [0, 3/4) and [0, 1/4) on 32 cells
-        assert oracles.rkhs_covariance_error(HurstKernel(0.8), TimeGrid(1.0, 32), 0.75, 0.25) <= 1e-4
+        assert oracles.rkhs_covariance_error(0.8, TimeGrid(1.0, 32), 0.75, 0.25) <= 1e-4
 
     def test_bilinearity(self):
-        k = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 8)
         rng = np.random.default_rng(1)
         phi, psi = rng.normal(size=8), rng.normal(size=8)
-        assert rkhs_inner_product(k, 2 * phi, psi, tg) == pytest.approx(
-            2 * rkhs_inner_product(k, phi, psi, tg)
+        assert rkhs_inner_product(H, 2 * phi, psi, tg) == pytest.approx(
+            2 * rkhs_inner_product(H, phi, psi, tg)
         )
 
     def test_small_hurst_rejected(self):
         with pytest.raises(ValueError):
-            rkhs_inner_product(HurstKernel(0.5), np.ones(4), np.ones(4), TimeGrid(1.0, 4))
+            rkhs_inner_product(0.5, np.ones(4), np.ones(4), TimeGrid(1.0, 4))
 
 
 def test_indefinite_covariance_flagged(monkeypatch):

@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 
 from fracnls import noise, oracles
 from fracnls.errors import ConfigError
-from fracnls.fbm import HurstKernel, TimeGrid, increment_covariance_beta, replicate_normals
+from fracnls.fbm import TimeGrid, increment_covariance_beta, replicate_normals
 from fracnls.field import GridSpec
 from fracnls.ldp import holder_exponent
 from fracnls.noise import (
@@ -234,46 +234,46 @@ class TestFactorization:
         ev = np.zeros(8)
         ev[[0, 1, 2, 7]] = [1.0, 0.7, 0.4, 0.7]  # four active modes
         spec = CorrelationSpec(grid=grid, eigenvalues=ev)
-        assert oracles.q_ll_residual(spec, HurstKernel(H), TimeGrid(1.0, 8)) < 1e-10
+        assert oracles.q_ll_residual(spec, H, TimeGrid(1.0, 8)) < 1e-10
 
     def test_q_requires_large_hurst(self, grid):
         # Q is assembled from the Beta-weighted increment covariance only
         spec = build_correlation(grid, 4.0, 0.4, 0.2)
         with pytest.raises(ValueError, match="requires H > 1/2"):
-            build_Q(spec, HurstKernel(0.4), TimeGrid(1.0, 8))
+            build_Q(spec, 0.4, TimeGrid(1.0, 8))
 
     def test_zero_spec_q_is_zero(self, grid):
         spec = CorrelationSpec(grid=grid, eigenvalues=np.zeros(8))
-        Q = build_Q(spec, HurstKernel(0.7), TimeGrid(1.0, 8))
+        Q = build_Q(spec, 0.7, TimeGrid(1.0, 8))
         assert np.all(Q == 0)
 
     def test_q_is_one_block_per_mode(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         tg = TimeGrid(1.0, 8)
-        kern = HurstKernel(0.7)
-        Q = build_Q(spec, kern, tg)
+        H = 0.7
+        Q = build_Q(spec, H, tg)
         assert Q.shape == (8, 16, 16)
         # the stacked product is each mode's own product, float for float
-        S = increment_covariance_beta(kern, tg.points)
+        S = increment_covariance_beta(H, tg.points)
         for j, A in enumerate(noise._integrand_matrices(spec, tg)):
             Ar = np.vstack([A.real, A.imag])
             assert np.array_equal(Q[j], Ar @ S @ Ar.T), j
 
     def test_a_perturbed_block_entry_is_reported(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        kern, tg = HurstKernel(0.7), TimeGrid(1.0, 8)
-        Q = build_Q(spec, kern, tg)
-        L = build_L(spec, kern.H, tg)
+        H, tg = 0.7, TimeGrid(1.0, 8)
+        Q = build_Q(spec, H, tg)
+        L = build_L(spec, H, tg)
         assert verify_factorization(Q, L) < 1e-10
         Q[5, 3, 11] += 1e-6
         assert verify_factorization(Q, L) == pytest.approx(1e-6, rel=1e-3)
 
     def test_mc_covariance_matches_q(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
-        kern = HurstKernel(0.7)
+        H = 0.7
         tg = TimeGrid(1.0, 8)
-        sampler = ConvolutionSampler(spec, kern.H, tg)
-        Q = block_diag(*build_Q(spec, kern, tg))  # the modes' blocks, zero across modes
+        sampler = ConvolutionSampler(spec, H, tg)
+        Q = block_diag(*build_Q(spec, H, tg))  # the modes' blocks, zero across modes
         n, nm, reps = tg.n, 8, 8000
         X = np.empty((reps, nm * 2 * n))
         for i in range(reps):
