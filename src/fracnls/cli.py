@@ -355,9 +355,10 @@ def _resolve(raw: dict) -> dict:
         if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
             _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
     if kind == "oracle-suite":
-        # the suite's scipy references, loaded at set-up so that its run imports nothing
-        import scipy.integrate
-        import scipy.special
+        # numpy's lazily loaded submodules the suite's samplers call, loaded at
+        # set-up so that its run imports nothing
+        import numpy.fft
+        import numpy.random
     return cfg
 
 

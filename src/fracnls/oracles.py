@@ -40,15 +40,17 @@ __all__ = [
 
 
 def normalization_constant_error(H: float) -> float:
-    """|c(H) - sqrt(2H G(3/2-H) / (G(H+1/2) G(2-2H)))| with the stdlib gamma."""
+    """|c(H) - sqrt(2H sqrt(pi) 2^{2H-1} / (G(H+1/2) G(1-H)))|: the reference
+    rewrites G(2-2H) by Legendre's duplication formula and cancels G(3/2-H),
+    so it does not repeat the formula c(H) computes."""
     g = math.gamma
-    oracle = math.sqrt(2 * H * g(1.5 - H) / (g(H + 0.5) * g(2 - 2 * H)))
+    oracle = math.sqrt(2 * H * math.sqrt(math.pi) * 2 ** (2 * H - 1) / (g(H + 0.5) * g(1 - H)))
     return abs(fbm.normalization_constant(H) - oracle)
 
 
 def kernel_rule_gap(H: float, t: float, s: float, order: int) -> float:
     """Larger of |K_order - K_2order| (fixed Gauss-Legendre rules) and
-    |K_2order - K_adaptive| at one point (t, s)."""
+    |K_2order - K_closed| (the closed-form kernel) at one point (t, s)."""
     a = fbm.kernel_eval_grid(H, t, s, order=order)
     b = fbm.kernel_eval_grid(H, t, s, order=2 * order)
     c = fbm.kernel_eval(H, t, s)

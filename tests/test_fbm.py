@@ -1,8 +1,9 @@
 """Kernel, covariance, sampler, and transform tests.
 
 Derived expected values are recomputed here from independent oracles
-(stdlib gamma, finite differences, doubled-resolution quadrature, Monte
-Carlo statistics) rather than copied from the implementation.
+(Legendre's duplication formula, scipy's special functions and adaptive
+quadrature, finite differences, doubled-resolution quadrature, Monte Carlo
+statistics) rather than copied from the implementation.
 """
 
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy import stats
+from scipy import special, stats
+from scipy.integrate import quad
 from scipy.stats._stats_py import _compute_prob_outside_square
 
 from fracnls import fbm, oracles
@@ -44,7 +46,7 @@ class TestNormalizationConstant:
 
     @pytest.mark.parametrize("H,approx", [(0.75, 1.0697), (0.25, 0.6460)])
     def test_reference_values(self, H, approx):
-        # independent oracle: stdlib gamma
+        # independent oracle: Legendre's duplication formula
         assert oracles.normalization_constant_error(H) <= 1e-14
         assert normalization_constant(H) == pytest.approx(approx, abs=5e-4)
 
@@ -52,6 +54,27 @@ class TestNormalizationConstant:
     def test_domain(self, H):
         with pytest.raises(ValueError):
             normalization_constant(H)
+
+
+def kernel_by_quad(H: float, t: float, s: float) -> float:
+    """K(t, s) = c_H (t-s)^{H-1/2} + c_H (1/2-H) int_s^t (u-s)^{H-3/2}
+    (1-(s/u)^{1/2-H}) du, the integral by adaptive quadrature after
+    u = s + v^2, which removes the endpoint singularity."""
+    def f(v):
+        if v <= 0.0:
+            return 0.0
+        return 2.0 * v ** (2.0 * H - 2.0) * -math.expm1(-(0.5 - H) * math.log1p(v * v / s))
+
+    integral, _ = quad(f, 0.0, math.sqrt(t - s), epsabs=1e-14, epsrel=1e-11, limit=200)
+    cH = normalization_constant(H)
+    return cH * (t - s) ** (H - 0.5) + cH * (0.5 - H) * integral
+
+
+# The closed-form kernel's test grid: s/t from the series' floor 0.01 (at
+# most 3651 of its 4096 terms) up to 1 - 1e-6.
+KERNEL_HURST = [0.05, 0.25, 0.3, 0.7, 0.75, 0.95]
+KERNEL_POINTS = [(t, r * t) for t in (1.0, 1.0 + 1e-6, 3.7)
+                 for r in (0.01, 0.05, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6)]
 
 
 class TestKernelEval:
@@ -72,8 +95,27 @@ class TestKernelEval:
 
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_two_quadrature_rules_agree(self, H):
-        # doubled-resolution rule pair as oracle, adaptive value must match
+        # doubled-resolution rule pair as oracle, closed-form value must match
         assert oracles.kernel_rule_gap(H, 1.0, 0.5, 96) < 1e-8
+
+    @pytest.mark.parametrize("H", KERNEL_HURST)
+    def test_closed_form_equals_scipy_hypergeometric(self, H):
+        # the untransformed form c_H (t-s)^{H-1/2} 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)
+        cH = normalization_constant(H)
+        for t, s in KERNEL_POINTS:
+            want = cH * (t - s) ** (H - 0.5) * special.hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s)
+            assert kernel_eval(H, t, s) == pytest.approx(want, rel=1e-13, abs=0.0), (t, s)
+
+    @pytest.mark.parametrize("H", KERNEL_HURST)
+    def test_closed_form_equals_adaptive_quadrature(self, H):
+        for t, s in KERNEL_POINTS:
+            assert kernel_eval(H, t, s) == pytest.approx(kernel_by_quad(H, t, s), rel=1e-13, abs=0.0), (t, s)
+
+    @pytest.mark.parametrize("H", [0.05, 0.7, 0.95])
+    def test_series_past_its_term_bound_raises(self, H):
+        # s/t 1e-3 needs more terms than the bound at every H
+        with pytest.raises(ValueError, match=r"terms at s/t = 0\.001"):
+            kernel_eval(H, 2.0, 2e-3)
 
     def test_grid_matches_scalar(self):
         H = 0.65
@@ -165,6 +207,16 @@ class TestIncrementCovariance:
             a = increment_covariance(H, pts)
             b = increment_covariance_beta(H, pts)
             assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9, 0.99])
+    def test_beta_weight_equals_scipy_beta(self, H):
+        # one cell [0, 1]: the double integral of |u-v|^{2H-2} is 1/(H(2H-1)),
+        # so the entry is c_H^2 (H-1/2)^2 B(2-2H, H-1/2) / (H(2H-1))
+        cH = normalization_constant(H)
+        want = cH**2 * (H - 0.5) ** 2 * special.beta(2.0 - 2.0 * H, H - 0.5) / (H * (2.0 * H - 1.0))
+        got = increment_covariance_beta(H, np.array([0.0, 1.0]))
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_beta_form_requires_large_hurst(self):
         with pytest.raises(ValueError):
@@ -467,7 +519,7 @@ class TestCirculantEigenvalues:
 
 class TestKtStar:
     # the transform reads the kernel of the fixed order-48 rule, which the
-    # adaptive kernel_eval matches to about 2e-8 (kernel-two-rule-agreement)
+    # closed-form kernel_eval matches to about 2e-8 (kernel-two-rule-agreement)
     def test_indicator_telescopes_to_kernel(self):
         H = 0.7
         tg = TimeGrid(1.0, 16)
