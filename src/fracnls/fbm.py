@@ -3,11 +3,16 @@
 A fractional Brownian motion (fBm) with Hurst parameter H in (0,1) can be
 represented as an integral of a triangular kernel K(t, s) against a standard
 Brownian motion.  This module evaluates that kernel and its time derivative,
-builds fBm covariance matrices two independent ways, samples paths (dense
-Cholesky oracle, plus an FFT circulant-embedding fast path), and implements
-the kernel-adjoint transform that maps fBm integrands to Brownian integrands,
+builds fBm covariance matrices two independent ways, samples paths (an exact
+oracle, plus an FFT circulant-embedding fast path), and implements the
+kernel-adjoint transform that maps fBm integrands to Brownian integrands,
 together with its duality pairing and, for H > 1/2, the weighted double
 integral giving the energy-space inner product of step functions.
+
+The increments' law on a uniform grid lives in one place: the fGn lags
+(:func:`_fgn_autocovariance`), which the circulant embedding reads, and their
+Toeplitz factor (:func:`_increment_factor`), which the exact sampler and the
+response map of ``noise`` read.
 """
 
 from __future__ import annotations
@@ -278,8 +283,9 @@ def fbm_covariance(H: float, t, s):
 def build_covariance_matrix(H: float, grid: TimeGrid) -> np.ndarray:
     """Covariance matrix on the grid points t_1..t_n (t_0 = 0 excluded).
 
-    Definiteness is not checked here: :func:`sample_fbm_exact` factors the
-    matrix, and a failed Cholesky factorization raises there.
+    The oracles' and tests' reference for the exact sampler, which does not
+    read it: its Cholesky factor is the row-wise cumulative sum of
+    :func:`_increment_factor`, times dt^H.  Definiteness is not checked here.
     """
     t = grid.points[1:]
     return fbm_covariance(H, t[:, None], t[None, :])
@@ -370,7 +376,8 @@ def increment_covariance_beta(H: float, points: np.ndarray) -> np.ndarray:
 
 def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
     """Exact sampler: paths (replicates, n + 1) on ``grid``, each starting at
-    zero, from the Cholesky factor of the analytic covariance matrix.
+    zero, from the lower Cholesky factor of the analytic path covariance: the
+    row-wise cumulative sum of :func:`_increment_factor`, times dt^H.
 
     This is the distributional oracle the fast sampler is tested against.
     Replicate i draws from the counter-based stream keyed (seed, i).  The
@@ -380,14 +387,10 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    R = build_covariance_matrix(H, grid)
-    try:
-        C = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolation(
-            f"covariance Cholesky failed for H={H}, n={grid.n}: {exc}"
-        ) from exc
     n = grid.n
+    C = _increment_factor(H, n)
+    np.cumsum(C, axis=0, out=C)  # a path value is the running sum of its increments
+    C *= grid.dt**H  # unit-spacing increments rescaled by self-similarity
     block = _block_rows(8 * n)
     values = np.zeros((replicates, n + 1))
     for rows in _row_blocks(replicates, 8 * n):
@@ -398,13 +401,58 @@ def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np
     return values
 
 
+def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
+    """Lags 0..n-1 of unit-step fractional Gaussian noise, the first column of
+    its Toeplitz covariance: gamma(k) = ((k+1)^{2H} - 2 k^{2H} + (k-1)^{2H}) / 2,
+    which expm1 and log1p keep from cancelling.  At H = 1/2 the increments are
+    independent and the lags are (1, 0, ..., 0) exactly, where the expression
+    would leave rounding of about 1e-16.
+    """
+    _check_hurst(H)
+    lags = np.zeros(n)
+    lags[0] = 1.0
+    if H != 0.5:
+        k = np.arange(1, n, dtype=float)
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1, where expm1 gives -1
+            lags[1:] = 0.5 * k ** (2 * H) * (np.expm1(2 * H * np.log1p(1 / k)) + np.expm1(2 * H * np.log1p(-1 / k)))
+    return lags
+
+
+def _increment_factor(H: float, n: int) -> np.ndarray:
+    """Lower Cholesky factor F (n, n) of the Toeplitz covariance of n unit-step
+    fGn increments, F F^T = (gamma(|i - j|)), by the Schur algorithm.
+
+    The generators start as a = the lags and b = the lags with b[0] = 0.  Each
+    step takes a as the next column of F, shifts it one row down, and applies
+    the hyperbolic rotation that zeroes b[0], in the mixed form that is stable
+    for positive-definite Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet,
+    SIAM J. Matrix Anal. Appl. 16, 1995).  The updates are elementwise, with no
+    BLAS call, so the bits do not depend on the BLAS thread count.  A pivot
+    |rho| >= 1 (the covariance is not positive definite in floating point)
+    raises :class:`InvariantViolation`.
+    """
+    a = _fgn_autocovariance(H, n)
+    b = a.copy()
+    b[0] = 0.0
+    upper = np.zeros((n, n))  # F^T, written one contiguous row at a time
+    upper[0] = a
+    for k in range(1, n):
+        a, b = a[:-1], b[1:]
+        rho = b[0] / a[0]
+        if not abs(rho) < 1.0:
+            raise InvariantViolation(f"fGn covariance of H={H}, n={n} is not positive definite: "
+                                     f"Schur pivot {rho:.17g} at step {k}")
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        a = (a - rho * b) / s
+        b = s * b - rho * a
+        upper[k, k:] = a
+    return upper.T
+
+
 def _circulant_eigenvalues(H: float, n: int) -> np.ndarray:
-    """Minimal circulant embedding of unit-step fGn; expm1 and log1p keep its lags from cancelling."""
-    k = np.arange(1, n + 1, dtype=float)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1, where expm1 gives -1
-        gamma = 0.5 * k ** (2 * H) * (np.expm1(2 * H * np.log1p(1 / k)) + np.expm1(2 * H * np.log1p(-1 / k)))
-    first_row = np.concatenate([[1.0], gamma, gamma[-2::-1]])  # lags 0..n..1, length 2n
-    return np.fft.fft(first_row).real
+    """Minimal circulant embedding of unit-step fGn, from its lags 0..n."""
+    lags = _fgn_autocovariance(H, n + 1)
+    return np.fft.fft(np.concatenate([lags, lags[-2:0:-1]])).real  # lags 0..n..1, length 2n
 
 
 def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:

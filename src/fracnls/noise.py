@@ -13,9 +13,11 @@ discretized by sampling the integrand at cell midpoints.  The driving
 fractional increments carry their exact joint law (analytic increment
 covariance), and one map computes every response:
 
-  * L: Z = A (B zeta), with B the Cholesky factor of the increment
-    covariance and A the midpoint integrand, applied as phased cumulative
-    sums (:meth:`DiscreteLOperator.response`).  The sampler feeds it
+  * L: Z = A (B zeta), with B = dt^H F, F the lower factor of the
+    unit-step increment covariance that the exact fBm sampler reads too
+    (``fbm._increment_factor``, a Schur recursion with no BLAS call), and A
+    the midpoint integrand, applied as phased cumulative sums
+    (:meth:`DiscreteLOperator.response`).  The sampler feeds it
     standard normals, a control h feeds it zeta = sqrt(dt) h, and the dense
     per-mode matrices the rate algebra reads are its responses to the unit
     innovations, built on first read.
@@ -24,21 +26,21 @@ covariance), and one map computes every response:
     integral with the Beta-function constant.  It shares no arithmetic with
     L, so Q = L L^T checks the map the runs use.
 
-At H = 1/2 the increments are independent and L reduces to the plain
-midpoint-rule quadrature of the Ito convolution.
+At H = 1/2 the increments are independent, B is sqrt(dt) times the
+identity exactly, and L reduces to the plain midpoint-rule quadrature of the
+Ito convolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .fbm import TimeGrid, _row_blocks, increment_covariance, increment_covariance_beta
-from .fbm import replicate_normals
+from .fbm import TimeGrid, _increment_factor, _row_blocks, increment_covariance_beta, replicate_normals
 from .field import GridSpec
 
 __all__ = [
@@ -145,11 +147,6 @@ def replicate_blocks(tg: TimeGrid, n_modes: int, replicates: int):
     return _row_blocks(replicates, (tg.n + 1) * n_modes * np.dtype(complex).itemsize)
 
 
-@lru_cache(maxsize=32)
-def _increment_chol(H: float, tg: TimeGrid) -> np.ndarray:
-    return np.linalg.cholesky(increment_covariance(H, tg.points))
-
-
 def half_energy(values: np.ndarray, tg: TimeGrid) -> np.ndarray:
     """Half the squared L2(0,T; L2) norm of each control on ``tg``.
 
@@ -183,7 +180,8 @@ class DiscreteLOperator:
     def __init__(self, spec: CorrelationSpec, H: float, tg: TimeGrid):
         self.tg = tg
         self.n_modes = spec.grid.mode_count
-        self.chol = _increment_chol(H, tg)
+        self.chol = _increment_factor(H, tg.n)  # B: the increments' lower factor
+        self.chol *= tg.dt**H  # unit-step increments rescaled by self-similarity
         xi2 = spec.xi_squared_flat
         self.phase_mid = np.exp(-1j * np.outer(tg.midpoints, xi2))  # (n, modes)
         self.phase_t = np.exp(1j * np.outer(tg.points[1:], xi2))  # (n, modes)
@@ -250,7 +248,7 @@ def _real_stack(mats: np.ndarray) -> np.ndarray:
 def build_L(spec: CorrelationSpec, H: float, tg: TimeGrid) -> DiscreteLOperator:
     """The response operator at oracle scale, where its dense matrices fit.
 
-    The midpoint integrand and the Cholesky factor of the exact increment
+    The midpoint integrand and the lower factor of the exact increment
     covariance are both lower triangular, so causality is preserved and
     Q = L L^T holds without quadrature error.  At H = 1/2 this is exactly
     the midpoint-rule Ito quadrature.

@@ -52,12 +52,10 @@ _VERSION_LINE = re.compile(rb'\n  "version": "[^"]*",?')
 
 
 def environment() -> dict:
-    """What artifact bits may depend on besides the code.  LAPACK's Cholesky
-    factor at n 1024 differs in its last bits between one BLAS thread and two,
-    so the thread count OpenBLAS starts with is part of it."""
+    """What artifact bits may depend on besides the code.  The BLAS thread
+    count is not part of it: every ledger config gives the same bits at one
+    OpenBLAS thread and at two."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpu = ""
     with contextlib.suppress(OSError):
         with open("/proc/cpuinfo") as fh:
@@ -66,7 +64,6 @@ def environment() -> dict:
         "numpy": np.__version__,
         "scipy": importlib.metadata.version("scipy"),
         "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
-        "blas_threads": int(threads) if threads else cores,
         "machine": f"{platform.machine()} {cpu}".strip(),
     }
 

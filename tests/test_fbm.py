@@ -517,6 +517,53 @@ class TestCirculantEigenvalues:
             assert np.abs(got - direct).max() <= 1e-11 * direct.max(), n
 
 
+FACTOR_HURST = [0.05, 0.3, 0.5, 0.7, 0.95]
+EPS = np.finfo(float).eps
+
+
+class TestIncrementFactor:
+    # The references are the dense matrices on the unit grid 0..n and LAPACK's
+    # factor of them.  They are second differences of k^{2H}, which round by
+    # about eps n^{2H} against the unit variance, and the errors measured at
+    # these H and n follow that: F F^T against the increment covariance read at
+    # most 5.3 eps n^{2H} (H 0.05; 0.7-0.8 for H >= 0.3), F against LAPACK at
+    # most 11.3 eps n^{2H} (H 0.05, n 1024; 0.8-2.4 for H >= 0.3), and the path
+    # covariance of cumsum F, whose entries are sums of up to n terms, at most
+    # 0.40 eps n of its largest entry.  Each bound is about 6-10x the worst reading.
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("H", FACTOR_HURST)
+    def test_reproduces_the_increment_covariance(self, H, n):
+        F = fbm._increment_factor(H, n)
+        S = increment_covariance(H, np.arange(n + 1.0))
+        assert np.abs(F @ F.T - S).max() <= 32 * EPS * n ** (2 * H)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("H", FACTOR_HURST)
+    def test_equals_the_lapack_cholesky_factor(self, H, n):
+        F = fbm._increment_factor(H, n)
+        C = np.linalg.cholesky(increment_covariance(H, np.arange(n + 1.0)))
+        assert np.array_equal(F, np.tril(F))
+        assert np.abs(F - C).max() <= 64 * EPS * n ** (2 * H)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("H", FACTOR_HURST)
+    def test_path_factor_reproduces_the_path_covariance(self, H, n):
+        P = np.cumsum(fbm._increment_factor(H, n), axis=0)
+        R = build_covariance_matrix(H, TimeGrid(float(n), n))
+        assert np.abs(P @ P.T - R).max() <= 4 * EPS * n * np.abs(R).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 1024])
+    def test_half_hurst_is_the_identity(self, n):
+        # independent increments: the lags are exactly (1, 0, ..., 0), and
+        # every Schur rotation is the identity
+        assert np.array_equal(fbm._increment_factor(0.5, n), np.eye(n))
+
+    @pytest.mark.parametrize("H", [0.001, 0.999999])
+    def test_extreme_hurst_keeps_positive_pivots(self, H):
+        F = fbm._increment_factor(H, 1024)
+        assert np.isfinite(F).all() and (np.diag(F) > 0.0).all()
+
+
 class TestKtStar:
     # the transform reads the kernel of the fixed order-48 rule, which the
     # closed-form kernel_eval matches to about 2e-8 (kernel-two-rule-agreement)
@@ -665,11 +712,9 @@ class TestRkhsInnerProduct:
 
 
 def test_indefinite_covariance_flagged(monkeypatch):
-    # a covariance that is not positive definite fails the exact sampler's
-    # Cholesky factorization, which must surface as an invariant violation
-    import fracnls.fbm as fbm_mod
-
-    indefinite = np.diag([1.0, -1e-3, 1.0, 1.0])
-    monkeypatch.setattr(fbm_mod, "build_covariance_matrix", lambda H, grid: indefinite)
-    with pytest.raises(InvariantViolation, match="Cholesky"):
+    # lags whose Toeplitz matrix is not positive definite stop the Schur
+    # recursion at its first pivot (rho = 1.5), which must surface as an
+    # invariant violation naming H and n, with no fallback factorization
+    monkeypatch.setattr(fbm, "_fgn_autocovariance", lambda H, n: np.array([1.0, 1.5, 0.0, 0.0]))
+    with pytest.raises(InvariantViolation, match="H=0.7, n=4"):
         sample_fbm_exact(0.7, TimeGrid(1.0, 4), 2, seed=0)
