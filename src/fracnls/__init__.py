@@ -12,6 +12,6 @@ Subpackages:
 
 from .errors import ConfigError, InvariantViolation
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = ["ConfigError", "InvariantViolation", "__version__"]

@@ -163,9 +163,7 @@ def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
 
 
 # Kinds that run on one LdpLab, as their n message names them.  They keep the
-# dense limit on n: the pseudo-inverse rate reads the dense response matrices,
-# and the optimizer's skeleton solves (dim + 1 rows at once) are not bounded by
-# a memory rule yet.
+# dense limit on n: the pseudo-inverse rate reads the dense response matrices.
 _LAB_KINDS = {"skeleton": "skeleton runs", "ldp": "rate computations", "support": "support runs"}
 
 
@@ -352,7 +350,7 @@ def _resolve(raw: dict) -> dict:
             if cfg["nl"] is None:  # the run's pinv rate, which a noise with no reachable direction lacks
                 with np.errstate(over="ignore", invalid="ignore"):  # a rate past float range is refused
                     cfg["_pinv_rate"] = _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])[0]
-        if cfg["optimizer"]["enabled"]:  # also loads the scipy modules minimize_rate calls
+        if cfg["optimizer"]["enabled"]:
             _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
     if kind == "oracle-suite":
         # numpy's lazily loaded submodules the suite's samplers call, loaded at

@@ -11,7 +11,8 @@ The three legs of the verification triangle for an avoidance event:
     Gaussian model (linear dynamics);
   * a penalty optimizer over spline-parametrized controls drives the
     skeleton into the event and returns half the control energy, an upper
-    bound on the infimum.
+    bound on the infimum: L-BFGS on the exact gradient of the discrete
+    objective, one skeleton solve and one reverse sweep a call.
 
 Agreement is bracketing, not equality: the optimizer only bounds from
 above, the Monte Carlo slope carries prefactor drift across the ladder.
@@ -30,7 +31,7 @@ from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_
 from .noise import cheapest_terminal_rate, terminal_covariance_blocks
 from .fbm import TimeGrid, _row_blocks, replicate_stream
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
-from .solver import solve_mild, solve_mild_batch
+from .solver import mode_path_gradient, solve_mild, solve_mild_batch
 
 __all__ = [
     "EventSpec",
@@ -48,11 +49,6 @@ __all__ = [
 
 EVENT_KINDS = ("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T")
 
-# L-BFGS-B's default forward-difference step, and the fallback scipy's 2-point
-# rule takes where it vanishes against the coordinate.
-_FD_STEP = 1e-8
-_FD_FALLBACK = np.finfo(float).eps ** 0.5
-
 # Normal quantile of the two-sided 95% Wilson interval.
 _WILSON_Z = 1.959963984540054
 
@@ -63,6 +59,20 @@ _MAX_CONTROL_DIM = 64 * 8
 
 # The optimizer aims past the event's target (:meth:`LdpLab._target`) by this relative margin.
 _MARGIN = 1e-3
+
+# Every event's search starts from this value in each spline coefficient,
+# off the zero control: there the terminal distance is a norm at its kink,
+# whose gradient is 0, so a search from zero would stop at once.
+_START = 1e-3
+
+# L-BFGS (:func:`_lbfgs`): the pairs kept, the stopping rules (relative
+# decrease of the objective and largest gradient entry, L-BFGS-B's ftol and
+# gtol), and the strong-Wolfe line search's constants and trial limit.
+_MEMORY = 10
+_FTOL = 1e-12
+_GTOL = 1e-10
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9
+_MAX_TRIALS = 20
 
 # The ray shrink halves the scaling interval 25 times (resolution 2^-25),
 # walking five levels of the bisection tree per batched solve.
@@ -238,32 +248,150 @@ def gaussian_terminal_tail(
     return p, se
 
 
-def _forward_difference(f, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(x) and its forward-difference gradient from one call of the batched
-    objective ``f`` on x and the dim shifted points.  The steps, the points
-    and the quotients are scipy's 2-point rule at L-BFGS-B's default absolute
-    step, float for float: 1e-8, or sqrt(machine eps) * sign(x) * max(1, |x|)
-    where 1e-8 vanishes against x, with sign(0) = +1."""
-    sign = (x >= 0).astype(float) * 2 - 1
-    h = np.where((x + _FD_STEP) - x == 0, _FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), _FD_STEP)
-    points = np.tile(x, (x.size + 1, 1))
-    points[np.arange(1, x.size + 1), np.arange(x.size)] = x + h
-    values = f(points)
-    return float(values[0]), (values[1:] - values[0]) / ((x + h) - x)
-
-
 def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:
-    """Clamped B-spline design matrix on cell midpoints, (n_cells, n_splines)."""
-    from scipy.interpolate import BSpline
-
+    """Clamped cubic B-spline design matrix on cell midpoints, (n_cells,
+    n_splines), by the Cox-de Boor recursion: B_{i,p} = w_{i,p} B_{i,p-1} +
+    (1 - w_{i+1,p}) B_{i+1,p-1}, w_{i,p}(x) = (x - t_i) / (t_{i+p} - t_i),
+    and w = 0 where a repeated knot makes that span empty."""
     degree = _SPLINE_DEGREE
     if n_splines < degree + 1:
         raise ValueError(f"need at least {degree + 1} splines for degree {degree}")
     n_internal = n_splines - degree - 1
     internal = np.linspace(0.0, T, n_internal + 2)[1:-1]
     knots = np.concatenate([[0.0] * (degree + 1), internal, [T] * (degree + 1)])
-    mids = (np.arange(n_cells) + 0.5) * (T / n_cells)
-    return BSpline.design_matrix(mids, knots, degree).toarray()
+    mids = ((np.arange(n_cells) + 0.5) * (T / n_cells))[:, None]
+    basis = ((knots[:-1] <= mids) & (mids < knots[1:])).astype(float)
+    for p in range(1, degree + 1):
+        span = knots[p:] - knots[:-p]
+        w = np.divide(mids - knots[:-p], span, out=np.zeros((n_cells, span.size)), where=span > 0)
+        basis = w[:, :-1] * basis[:, :-1] + (1.0 - w[:, 1:]) * basis[:, 1:]
+    return basis
+
+
+def _cubic_minimizer(a: float, fa: float, da: float, b: float, fb: float, db: float) -> float:
+    """Minimizer of the cubic through the values and slopes at a and b
+    (Nocedal & Wright, eq. 3.59), or NaN where that cubic has none."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denom = db - da + 2.0 * d2
+    return b - (b - a) * (db + d2 - d1) / denom if denom != 0.0 else math.nan
+
+
+def _lbfgs(fun, x: np.ndarray, max_calls: int) -> np.ndarray:
+    """Minimize ``fun`` from ``x`` by L-BFGS: the two-loop recursion over the
+    last ``_MEMORY`` step pairs, scaled by s.y / y.y, and a strong-Wolfe line
+    search by bracketing and cubic zoom (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., Algorithms 7.4, 3.5 and 3.6).  ``fun(x)``
+    returns the value and the gradient.  The first trial step is 1 / |g|
+    on a steepest-descent direction and 1 after.  Stops, as L-BFGS-B does,
+    when an accepted step lowers the value by at most ``_FTOL`` relative,
+    when the largest gradient entry is at most ``_GTOL``, when a line search
+    fails, or before a call past ``max_calls``.  Returns the last accepted
+    iterate."""
+    calls = 0
+
+    def evaluate(y: np.ndarray):
+        nonlocal calls
+        calls += 1
+        return fun(y)
+
+    f, g = evaluate(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    while calls < max_calls and np.abs(g).max() > _GTOL:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if not slope < 0.0:  # not a descent direction: drop the memory
+            pairs, d = [], -g
+            slope = float(g @ d)
+        step = 1.0 / math.sqrt(-slope) if not pairs else 1.0
+        found = _wolfe_search(evaluate, lambda: max_calls - calls, x, f, slope, d, step)
+        if found is None:
+            break
+        x_new, f_new, g_new = found
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > np.finfo(float).eps * float(y @ y):
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-_MEMORY:]
+        done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return x
+
+
+def _wolfe_search(evaluate, calls_left, x, f0, d0, d, step):
+    """A step along ``d`` from ``x`` (value ``f0``, slope ``d0`` < 0) that
+    meets the strong Wolfe conditions, as (point, value, gradient); None when
+    ``_MAX_TRIALS`` trials or the calls left (``calls_left()``) run out first."""
+    trials = 0
+
+    def phi(a: float):
+        nonlocal trials
+        if trials == _MAX_TRIALS or calls_left() <= 0:
+            return None
+        trials += 1
+        point = x + a * d
+        fa, ga = evaluate(point)
+        return point, fa, ga, float(ga @ d)
+
+    def armijo(a: float, fa: float) -> bool:
+        return fa <= f0 + _WOLFE_C1 * a * d0
+
+    def curvature(da: float) -> bool:
+        return abs(da) <= -_WOLFE_C2 * d0
+
+    def zoom(lo, hi):
+        # lo: (step, value, slope) of the lowest value that meets the
+        # sufficient decrease, the minimizer bracketed between lo and hi
+        while True:
+            width = hi[0] - lo[0]
+            a = _cubic_minimizer(*lo, *hi)
+            if not abs(a - lo[0] - 0.5 * width) <= 0.4 * abs(width):  # NaN, or near an end
+                a = lo[0] + 0.5 * width
+            if a in (lo[0], hi[0]):
+                return None  # the bracket is below resolution
+            got = phi(a)
+            if got is None:
+                return None
+            point, fa, ga, da = got
+            if not armijo(a, fa) or fa >= lo[1]:
+                hi = (a, fa, da)
+                continue
+            if curvature(da):
+                return point, fa, ga
+            if da * width >= 0.0:
+                hi = lo
+            lo = (a, fa, da)
+
+    prev = (0.0, f0, d0)
+    a = step
+    while True:
+        got = phi(a)
+        if got is None:
+            return None
+        point, fa, ga, da = got
+        if not armijo(a, fa) or fa >= prev[1]:
+            return zoom(prev, (a, fa, da))
+        if curvature(da):
+            return point, fa, ga
+        if da >= 0.0:
+            return zoom((a, fa, da), prev)
+        # extrapolate: the cubic's step, kept within [1.1, 4] times the last increase
+        low, high = a + 1.1 * (a - prev[0]), a + 4.0 * (a - prev[0])
+        guess = _cubic_minimizer(*prev, a, fa, da)
+        prev, a = (a, fa, da), (min(max(guess, low), high) if guess == guess else high)
 
 
 @dataclass(eq=False)
@@ -347,6 +475,30 @@ class LdpLab:
         if ev.kind == "blow-up-before-T" or s == 1.0:
             return batch.h1_norms[live, start:].max(axis=1)
         return sobolev_norms(self.spec.grid, batch.spectra[live, start:], s).max(axis=1)
+
+    def _reach_gradient(self, batch: TrajectoryBatch, weights: np.ndarray, ev: EventSpec, start: int) -> np.ndarray:
+        """Gradient with respect to the spectra of ``batch`` of the sum of
+        :meth:`_reach` over the replicates, each times its entry of
+        ``weights``, as a complex array; a replicate of weight 0 is not read
+        (it may be absorbed).  A replicate's term is the gradient cv^2
+        (1 + |xi|^2)^s U / (volume |U|_s) of the H^s norm (cv the cell
+        volume) at the state U the functional reads, the first arg max step
+        for a sup (a subgradient), and 0 where that norm is 0."""
+        grid = self.spec.grid
+        grad = np.zeros(batch.spectra.shape, dtype=complex)
+        idx = np.flatnonzero(weights)
+        if ev.kind == "terminal-ball-exit":
+            s, steps = ev.sobolev_index, np.full(idx.size, batch.spectra.shape[1] - 1)
+            states = batch.spectra[idx, -1] - self.terminal_centre()
+        else:
+            s = 1.0 if ev.kind == "blow-up-before-T" else ev.sobolev_index
+            norms = batch.h1_norms[idx, start:] if s == 1.0 else sobolev_norms(grid, batch.spectra[idx, start:], s)
+            steps = start + norms.argmax(axis=1)
+            states = batch.spectra[idx, steps]
+        r = sobolev_norms(grid, states, s)
+        scale = np.divide(weights[idx] * (grid.cell_volume**2 / grid.volume), r, out=np.zeros_like(r), where=r > 0.0)
+        grad[idx, steps] = (1.0 + grid.xi_squared) ** s * states * scale.reshape((-1,) + (1,) * grid.d)
+        return grad
 
     def _target(self, batch: TrajectoryBatch, ev: EventSpec) -> float:
         """The threshold, or the blow-up cap of ``batch``, which no live replicate passes."""
@@ -432,11 +584,15 @@ class LdpLab:
 
     def _penalized_energies(
         self, cs: np.ndarray, design: np.ndarray, ev: EventSpec, pen: float
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Objective of :meth:`minimize_rate` for the spline coefficients in
-        the rows of ``cs``, from one batched skeleton solve: half the control
-        energy plus ``pen`` times the squared distance-to-event, which is
-        zero once the event is realized."""
+        the rows of ``cs``, and its gradients (R, dim) with respect to them,
+        from one batched skeleton solve and one reverse sweep.  The objective
+        is half the control energy plus ``pen`` times the squared
+        distance-to-event, which is zero once the event is realized, and on
+        an absorbed row.  The energy's gradient is closed-form; the
+        distance's runs from the state it reads back through the skeleton
+        (:func:`~fracnls.solver.mode_path_gradient`) and the response map."""
         values, batch = self._skeletons(cs, design)
         energy = half_energy(values, self.tg)
         live = ~batch.blown_up
@@ -445,7 +601,10 @@ class LdpLab:
         # sup reached there would leave the penalty flat at the zero control
         target = self._target(batch, ev) * (1.0 + _MARGIN)
         short[live] = np.maximum(0.0, target - self._reach(batch, live, ev, 1))
-        return energy + pen * short * short
+        spectra_grad = self._reach_gradient(batch, -2.0 * pen * short, ev, 1)
+        paths_grad = mode_path_gradient(self.spec.grid, self.nl, batch, spectra_grad, 1.0, self.cfg)
+        values_grad = self.L.apply_batch_adjoint(paths_grad) + self.tg.dt * values
+        return energy + pen * short * short, (values_grad @ design).reshape(len(cs), -1)
 
     def minimize_rate(self, ev: EventSpec, n_splines: int, budget: int) -> MinimizeResult:
         """Penalty search for a feasible control of small energy.
@@ -454,38 +613,32 @@ class LdpLab:
         the penalty is multiplied by 10 until the skeleton realizes the
         event, then the control is shrunk along its ray to the cheapest
         scaling that stays feasible; a zero control that realizes the event
-        has rate 0, and no search.  Returns an upper bound on the infimum.
+        has rate 0, and no search.  Otherwise each round runs :func:`_lbfgs`
+        on the exact gradient, the first from every coefficient at ``_START``
+        and each later one from where the last stopped.  A call solves one
+        skeleton and sweeps it back, which ``budget`` and ``nfev`` count as 2
+        objective rows, so a round makes at most budget // 2 calls.  Returns
+        an upper bound on the infimum.
         """
-        from scipy.optimize import minimize
-
         n_modes = self.spec.grid.mode_count
         design = self.control_basis(n_splines)  # (n, n_b)
         dim = n_modes * n_splines
         nfev = 0
 
-        def value_and_grad(x: np.ndarray, pen: float) -> tuple[float, np.ndarray]:
+        def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+            # at the penalty of the round in progress
             nonlocal nfev
-            nfev += dim + 1  # objective rows: x and its dim shifted points
-            return _forward_difference(lambda cs: self._penalized_energies(cs, design, ev, pen), x)
+            nfev += 2
+            value, grad = self._penalized_energies(x[None], design, ev, pen)
+            return float(value[0]), grad[0]
 
         pen = 10.0 / max(ev.threshold, 1.0) ** 2
-        c = np.zeros(dim)
-        if self._realizes(c[None], design, ev)[0]:  # u0 or the deterministic flow realizes it
+        if self._realizes(np.zeros((1, dim)), design, ev)[0]:  # u0 or the deterministic flow realizes it
             return MinimizeResult(np.zeros((n_modes, self.tg.n)), 0.0, True, nfev, pen)
+        c = np.full(dim, _START)
         feasible = False
         for _ in range(8):
-            # ``budget`` counts objective rows and scipy counts calls of dim + 1
-            # rows; it stops once its count exceeds maxfun, and k calls exceed
-            # budget // (dim + 1) exactly when k (dim + 1) rows exceed budget
-            res = minimize(
-                value_and_grad,
-                c,
-                args=(pen,),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxfun": budget // (dim + 1), "ftol": 1e-12, "gtol": 1e-10},
-            )
-            c = res.x
+            c = _lbfgs(value_and_grad, c, budget // 2)
             if self._realizes(c[None], design, ev)[0]:
                 feasible = True
                 break

@@ -20,7 +20,9 @@ covariance), and one map computes every response:
     (:meth:`DiscreteLOperator.response`).  The sampler feeds it
     standard normals, a control h feeds it zeta = sqrt(dt) h, and the dense
     per-mode matrices the rate algebra reads are its responses to the unit
-    innovations, built on first read.
+    innovations, built on first read.  Its transpose
+    (:meth:`DiscreteLOperator.response_adjoint`) takes a gradient with
+    respect to the mode paths back to the innovations.
   * Q (direct): midpoint integrand samples sandwiched around the analytic
     increment covariance -- for H > 1/2 via the closed-form weighted double
     integral with the Beta-function constant.  It shares no arithmetic with
@@ -196,6 +198,18 @@ class DiscreteLOperator:
         out[:, 1:] = self.phi * self.phase_t * csum
         return out
 
+    def response_adjoint(self, grad: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`response`: the gradient (R, n, n_modes)
+        with respect to the innovations of a real functional whose gradient
+        with respect to the mode paths is ``grad`` (R, n + 1, n_modes), the
+        derivatives along the real and imaginary parts as one complex array.
+        Each step of :meth:`response` is undone in reverse: the conjugate
+        phases, a reverse cumulative sum and the transposed factor."""
+        g = self.phi * np.conj(self.phase_t) * grad[:, 1:]
+        g = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+        g *= np.conj(self.phase_mid)
+        return self.chol.T @ g.real
+
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Mode paths (n+1, n_modes) of the response to control values h (n_modes, n)."""
         return self.apply_batch(h[None])[0]
@@ -204,6 +218,11 @@ class DiscreteLOperator:
         """Mode paths (R, n+1, n_modes) of the responses to control values (R, n_modes, n)."""
         # contiguous, as the sampler's normals are: BLAS rounds a transposed view differently
         return self.response(np.ascontiguousarray(math.sqrt(self.tg.dt) * values.transpose(0, 2, 1)))
+
+    def apply_batch_adjoint(self, grad: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`apply_batch`: the gradient (R, n_modes, n)
+        with respect to the control values, as :meth:`response_adjoint` reads ``grad``."""
+        return math.sqrt(self.tg.dt) * self.response_adjoint(grad).transpose(0, 2, 1)
 
     @cached_property
     def mats(self) -> np.ndarray:

@@ -28,6 +28,11 @@ of U_0, the free flow being an isometry.
 
 Blow-up is a legal outcome, not an error: a trajectory is absorbed in the
 cemetery state (:func:`_absorb`) and carries no field values afterwards.
+
+:func:`mode_path_gradient` is the transpose of both schemes: it takes the
+gradient of a functional of the states back to the forcing mode paths, in
+closed form for the linear states and by a reverse sweep of the Strang steps
+through the states a solve keeps.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "solve_mild",
     "solve_mild_batch",
     "solve_skeleton",
+    "mode_path_gradient",
 ]
 
 NONLINEARITY_KINDS = ("kerr", "saturated")
@@ -95,6 +101,14 @@ class NonlinearitySpec:
         if self.kind == "kerr":
             return self.lam * p
         return self.lam * p / (1.0 + self.kappa * p)
+
+    def amplitude_rate_slope(self, abs_u_sq: np.ndarray) -> np.ndarray:
+        """The derivative rho'(|u|^2) of :meth:`amplitude_rate` in |u|^2,
+        where |u| > 0 (it is infinite at 0 when sigma < 1)."""
+        slope = self.lam * self.sigma * abs_u_sq ** (self.sigma - 1.0)
+        if self.kind == "kerr":
+            return slope
+        return slope / (1.0 + self.kappa * abs_u_sq**self.sigma) ** 2
 
 
 @dataclass(frozen=True)
@@ -231,9 +245,7 @@ def solve_mild_batch(
         if np.any(mode_paths[:, 0]):
             raise ValueError("forcing mode paths must start at zero")
         if eps != 0.0:
-            # -i sqrt(eps) B: takes mode coefficients to the spectrum of their field
-            basis = grid.mode_parity_phase.reshape(-1) * (grid.mode_count / math.sqrt(grid.volume))
-            coef = -1j * math.sqrt(eps) * basis
+            coef = _forcing_coef(grid, eps)
 
     spectra = np.empty((replicates, n + 1) + grid.shape, dtype=complex)
     h1 = np.full((replicates, n + 1), math.nan)
@@ -247,6 +259,12 @@ def solve_mild_batch(
         else:
             _strang_states(grid, cfg.tg, nl, paths, coef, cap, spectra, h1)
     return TrajectoryBatch(spectra, h1, _absorb(h1, cap), cap)
+
+
+def _forcing_coef(grid: GridSpec, eps: float) -> np.ndarray:
+    """-i sqrt(eps) B, flattened: takes mode coefficients to the spectrum of their field."""
+    basis = grid.mode_parity_phase.reshape(-1) * (grid.mode_count / math.sqrt(grid.volume))
+    return -1j * math.sqrt(eps) * basis
 
 
 def _kept(norms: np.ndarray, cap: float) -> np.ndarray:
@@ -322,6 +340,72 @@ def _strang_states(grid, tg, nl, paths, coef, cap, spectra, h1) -> None:
             if live.size == 0:
                 break
         spectra[live, k + 1] = spec
+
+
+def mode_path_gradient(
+    grid: GridSpec, nl: NonlinearitySpec | None, batch: TrajectoryBatch, grad: np.ndarray, eps: float,
+    cfg: SolverConfig,
+) -> np.ndarray:
+    """The gradient (R, n + 1, n_modes) with respect to the forcing mode
+    paths of a real functional of the states of ``batch``, which
+    :func:`solve_mild_batch` solved from those paths at ``eps`` under ``cfg``,
+    given its gradient ``grad`` (R, n + 1, *grid.shape) with respect to the
+    spectra.  A gradient is a complex array: the derivatives along the real
+    and imaginary parts.  A row of ``grad`` with a nonzero entry must be of
+    a replicate never absorbed.  Linear states are affine in the paths, so
+    their gradient is ``grad`` times conj(coef); Strang states are swept
+    backwards by :func:`_strang_adjoint`."""
+    coef = _forcing_coef(grid, eps)
+    flat = grad.reshape(grad.shape[:2] + (grid.mode_count,))
+    if nl is None:
+        out = np.conj(coef) * flat
+        out[:, 0] = 0.0  # Z_0 = 0 is not a variable
+        return out
+    out = np.zeros(flat.shape, dtype=complex)
+    rows = np.flatnonzero(flat.any(axis=(1, 2)))
+    if rows.size:
+        out[rows] = _strang_adjoint(grid, cfg.tg, nl, batch.spectra[rows], grad[rows], coef)
+    return out
+
+
+def _strang_adjoint(grid, tg, nl, spectra, grad, coef) -> np.ndarray:
+    """The reverse sweep of :func:`_strang_states` through its states
+    ``spectra`` (R, n + 1, *grid.shape), with ``grad`` as in
+    :func:`mode_path_gradient`.  lam_k, the gradient with respect to U_k
+    through every later state, is grad_k plus the transposed Jacobian of step
+    k applied to lam_{k+1}, and the increment D_k receives lam_{k+1}.  The
+    half steps are unitary multipliers, whose transposes are their
+    conjugates; the transposes of the transform pair are the pair reversed,
+    up to scales that cancel; and N(v) = v exp(-i theta), theta = dt
+    rho(|v|^2), has the pointwise transpose
+    g -> g exp(i theta) + 2 dt rho'(|v|^2) Im(conj(g) N(v)) v."""
+    n, dt = tg.n, tg.dt
+    half = group_multiplier(grid, 0.5 * dt)
+    back = np.conj(half)
+    # the input and output of every nonlinear subflow, in one batched transform
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = grid_ifft(grid, spectra[:, :n] * half)
+        q = np.abs(v) ** 2
+        rotation = np.exp(1j * dt * nl.amplitude_rate(q))  # exp(i theta)
+        nv = v * np.conj(rotation)
+        # the slope term carries a factor v, which is 0 where rho' may be infinite
+        pull = np.where(q > 0.0, 2.0 * dt * nl.amplitude_rate_slope(q), 0.0)
+    # increments[:, k] = lam_{k+1}, the gradient with respect to D_k
+    increments = np.empty((len(spectra), n, grid.mode_count), dtype=complex)
+    increments[:, n - 1] = grad[:, n].reshape(len(spectra), -1)
+    for k in range(n - 1, 0, -1):
+        g = grid_ifft(grid, increments[:, k].reshape(grad[:, k].shape) * back)
+        g = g * rotation[:, k] + pull[:, k] * np.imag(np.conj(g) * nv[:, k]) * v[:, k]
+        lam = grid_fft(grid, g)
+        lam *= back
+        lam += grad[:, k]
+        increments[:, k - 1] = lam.reshape(len(spectra), -1)
+    # D_k = coef (Z_{k+1} - phase Z_k): path k >= 1 enters D_{k-1}, and D_k below n
+    phase = np.exp(1j * grid.xi_squared.reshape(-1) * dt)
+    out = np.zeros((len(spectra), n + 1, grid.mode_count), dtype=complex)
+    out[:, 1:] = increments
+    out[:, 1:n] -= np.conj(phase) * increments[:, 1:]
+    return np.conj(coef) * out
 
 
 def solve_skeleton(

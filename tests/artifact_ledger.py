@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.metadata
 import io
 import json
 import os
@@ -52,9 +51,9 @@ _VERSION_LINE = re.compile(rb'\n  "version": "[^"]*",?')
 
 
 def environment() -> dict:
-    """What artifact bits may depend on besides the code.  The BLAS thread
-    count is not part of it: every ledger config gives the same bits at one
-    OpenBLAS thread and at two."""
+    """What artifact bits may depend on besides the code.  scipy is not part
+    of it, since no run loads it, and neither is the BLAS thread count: every
+    ledger config gives the same bits at one OpenBLAS thread and at two."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = ""
     with contextlib.suppress(OSError):
@@ -62,7 +61,6 @@ def environment() -> dict:
             cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), "")
     return {
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
         "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
         "machine": f"{platform.machine()} {cpu}".strip(),
     }

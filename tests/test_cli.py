@@ -1027,23 +1027,24 @@ for i, raw in enumerate(json.loads(sys.argv[1])):
 print(json.dumps(seen))
 """
 
-# The noisy kinds among them draw their increments from H alone, and the
-# oracle suite's references (c_H, the Beta weight and the closed-form kernel)
-# use the stdlib gamma.
+# The noisy kinds among them draw their increments from H alone, the oracle
+# suite's references (c_H, the Beta weight and the closed-form kernel) use the
+# stdlib gamma, and the optimizer builds its spline basis and minimizes on
+# numpy alone.
+LDP_OPTIMIZER = {**README_LDP, "replicates": 200, "optimizer": {"enabled": True, "n_splines": 4, "budget": 100}}
 NUMPY_ONLY_CONFIGS = [
     KIND_CONFIGS["fbm"],
     {"kind": "holder", "H": 0.6, "source": "fbm", "n": 1024, "replicates": 2},
     {"kind": "solve", "T": 0.25, "n": 16, "grid": {"N": 16}, "u0": {"type": "plane", "mode": 2}},
     *(KIND_CONFIGS[kind] for kind in ("convolve", "solve", "skeleton", "support", "holder", "oracle-suite")),
     {**README_LDP, "replicates": 200},
+    LDP_OPTIMIZER,
 ]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats takes ~0.6 s to import, and nothing in fracnls uses it: the
-    # KS oracle computes its exact p-value with numpy.  The rest of scipy loads
-    # only for the kinds that call it, and while their config resolves, so
-    # that no run imports a scipy module
+    # numpy is the one runtime dependency: no kind loads a scipy module at
+    # import, while its config resolves or while it runs
     src = os.path.dirname(os.path.dirname(fracnls.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
@@ -1057,13 +1058,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
     seen = probe("numpy-only", NUMPY_ONLY_CONFIGS)
     assert [scipy_modules(modules) for modules in seen] == [[]] * (1 + 2 * len(NUMPY_ONLY_CONFIGS))
-    ldp_optimizer = {**README_LDP, "replicates": 200,
-                     "optimizer": {"enabled": True, "n_splines": 4, "budget": 100}}
-    for kind, raw in {**KIND_CONFIGS, "ldp": ldp_optimizer}.items():
+    for kind, raw in {**KIND_CONFIGS, "ldp": LDP_OPTIMIZER}.items():
         imported, resolved, ran = probe(kind, [raw])
-        assert scipy_modules(imported) == [], kind
-        assert scipy_modules(ran) == scipy_modules(resolved), kind
-        assert "scipy.stats" not in ran, kind
+        assert (scipy_modules(imported), scipy_modules(resolved), scipy_modules(ran)) == ([], [], []), kind
         if kind == "oracle-suite":
             # the suite's set-up loads the numpy submodules its samplers call
             assert ran == resolved

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 from scipy.optimize import minimize
-from scipy.optimize._numdiff import approx_derivative
 
 from fracnls import fbm, ldp, oracles
 from fracnls.fbm import TimeGrid, replicate_stream, sample_fbm_fast
@@ -231,7 +231,7 @@ class TestMinimizeRate:
         n_modes, n_splines, pen, margin = lab.spec.grid.mode_count, 4, 7.0, ldp._MARGIN
         design = ldp._spline_design(lab.tg.n, lab.tg.T, n_splines)
         cs = scale * np.random.default_rng(4).normal(size=(n_modes * n_splines + 1, n_modes * n_splines))
-        got = lab._penalized_energies(cs, design, ev, pen)
+        got = lab._penalized_energies(cs, design, ev, pen)[0]
         shorts = []
         for r, c in enumerate(cs):
             h = c.reshape(n_modes, n_splines) @ design.T
@@ -308,94 +308,115 @@ def sequential_shrink(lab, ev, c, design):
     return hi
 
 
-def workers_minimize_rate(lab, ev, n_splines, budget):
-    """Reference optimizer: scipy's own forward differences, whose points go
-    to one batch through ``workers``, f(x) as a single-row solve, and the
-    sequential ray shrink.  Returns the control, the objective rows, the
-    final penalty and whether some round stopped on the budget."""
-    design = ldp._spline_design(lab.tg.n, lab.tg.T, n_splines)
-    dim = lab.spec.grid.mode_count * n_splines
-    nfev, stopped_on_budget = 0, False
+# Event kinds whose targets no tested point reaches, so the penalty is smooth there.
+GRADIENT_EVENTS = [
+    EventSpec("terminal-ball-exit", threshold=5.0, sobolev_index=0.0),
+    EventSpec("terminal-ball-exit", threshold=5.0, sobolev_index=1.0),
+    EventSpec("sup-norm-exceed", threshold=5.0, sobolev_index=1.0),
+    EventSpec("sup-norm-exceed", threshold=5.0, sobolev_index=0.5),
+    EventSpec("blow-up-before-T"),
+]
 
-    def objectives(cs, pen):
-        nonlocal nfev
-        nfev += len(cs)
-        return lab._penalized_energies(cs, design, ev, pen)
-
-    pen = 10.0 / max(ev.threshold, 1.0) ** 2
-    c = np.zeros(dim)
-    for _ in range(8):
-        res = minimize(
-            lambda x, pen: float(objectives(x[None], pen)[0]),
-            c,
-            args=(pen,),
-            method="L-BFGS-B",
-            options={
-                "maxfun": budget,
-                "ftol": 1e-12,
-                "gtol": 1e-10,
-                "workers": lambda _fun, points: objectives(np.array(list(points)), pen),
-            },
-        )
-        stopped_on_budget |= res.nfev > budget
-        c = res.x
-        if skeleton_realizes(lab, ev, c, design):
-            break
-        pen *= 10.0
-    else:
-        raise AssertionError("reference optimizer found no feasible control")
-    scale = sequential_shrink(lab, ev, c, design)
-    values = (scale * c).reshape(lab.spec.grid.mode_count, n_splines) @ design.T
-    return values, nfev, pen, stopped_on_budget
+# L-BFGS-B's stopping rules as minimize_rate's L-BFGS takes them.
+LBFGSB_OPTIONS = {"maxfun": 4000, "ftol": ldp._FTOL, "gtol": ldp._GTOL}
 
 
 class TestBatchedOptimizer:
-    """The optimizer's own differences and its batched ray shrink reproduce
-    scipy's 2-point differences and the sequential bisection bit for bit."""
+    """The optimizer's exact gradient, spline basis and L-BFGS against
+    independent references, its budget in rows, and its batched ray shrink
+    against the sequential bisection bit for bit."""
 
-    @pytest.mark.parametrize(
-        "lab_name, ev",
-        [
-            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0)),
-            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5)),
-        ],
-    )
-    def test_forward_difference_equals_scipy(self, request, lab_name, ev):
+    @pytest.mark.parametrize("lab_name", ["linear_lab", "saturated_lab", "focusing_lab"])
+    @pytest.mark.parametrize("ev", GRADIENT_EVENTS, ids=lambda ev: f"{ev.kind}-s{ev.sobolev_index}")
+    def test_adjoint_gradient_equals_central_difference(self, request, lab_name, ev):
         lab = request.getfixturevalue(lab_name)
         design = ldp._spline_design(lab.tg.n, lab.tg.T, 4)
-        x = 0.3 * np.random.default_rng(2).normal(size=lab.spec.grid.mode_count * 4)
-        x[[0, 9]] = 0.0
-        x[3], x[4] = 1e9, -1e9  # 1e-8 vanishes against these: fallback steps of both signs
+        dim = lab.spec.grid.mode_count * 4
+        x = 0.3 * np.random.default_rng(2).normal(size=dim)
+        # the penalty scaled to the target, as minimize_rate's first round has it:
+        # the blow-up cap of 1000 would leave the differences to rounding
+        pen = 7.0 / max(lab._target(deterministic_batch(lab), ev), 1.0) ** 2
+        value, grad = lab._penalized_energies(x[None], design, ev, pen)
+        h = 1e-4
+        cs = np.concatenate([x[None], x + h * np.eye(dim), x - h * np.eye(dim)])
+        values = lab._penalized_energies(cs, design, ev, pen)[0]
+        # away from the kinks: every point is live and short of the event
+        assert np.all(values > half_energy(cs.reshape(len(cs), -1, 4) @ design.T, lab.tg))
+        assert value.tolist() == values[:1].tolist()
+        central = (values[1:dim + 1] - values[dim + 1:]) / (2 * h)
+        assert np.abs(grad[0] - central).max() <= 1e-6 * np.abs(central).max()
 
-        def batched(cs):
-            return lab._penalized_energies(cs, design, ev, 7.0)
+    @pytest.mark.parametrize("n, n_splines", [(1, 4), (3, 9), (16, 4), (16, 8), (17, 6), (64, 8), (64, 64)])
+    def test_spline_design_equals_scipy(self, n, n_splines):
+        T = 1.3
+        internal = np.linspace(0.0, T, n_splines - 2)[1:-1]
+        knots = np.concatenate([[0.0] * 4, internal, [T] * 4])
+        want = BSpline.design_matrix((np.arange(n) + 0.5) * (T / n), knots, 3).toarray()
+        assert np.abs(ldp._spline_design(n, T, n_splines) - want).max() <= 1e-15
 
-        def f(v):
-            return batched(v[None])[0]
+    def test_lbfgs_equals_scipy_on_a_convex_quadratic(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(20, 20))
+        A = A @ A.T + 0.5 * np.eye(20)
+        b = rng.normal(size=20)
 
-        value, grad = ldp._forward_difference(batched, x)
-        want = approx_derivative(f, x, method="2-point", abs_step=1e-8, f0=f(x))
-        assert value == f(x)
-        assert np.array_equal(grad, want)
-        assert (x[3] + 1e-8) - x[3] == 0.0 and grad[3] != 0.0
+        def fun(x):
+            return 0.5 * x @ A @ x - b @ x, A @ x - b
 
-    @pytest.mark.parametrize(
-        "lab_name, ev",
-        [
-            ("linear_lab", EventSpec("terminal-ball-exit", threshold=0.64, sobolev_index=0.0)),
-            ("saturated_lab", EventSpec("sup-norm-exceed", threshold=1.6, sobolev_index=0.5)),
-        ],
-    )
-    def test_binding_budget_equals_workers_path(self, request, lab_name, ev):
-        lab = request.getfixturevalue(lab_name)
-        # dim = 32: 230 rows buy 6 evaluations of 33 rows, where 230 // 32 is 7
-        values, nfev, pen, stopped_on_budget = workers_minimize_rate(lab, ev, n_splines=4, budget=230)
-        res = lab.minimize_rate(ev, n_splines=4, budget=230)
-        assert stopped_on_budget
-        assert res.feasible
-        assert np.array_equal(res.control, values)
-        assert res.nfev == nfev
-        assert res.penalty == pen
+        got = ldp._lbfgs(fun, np.zeros(20), 1000)
+        want = minimize(fun, np.zeros(20), jac=True, method="L-BFGS-B", options=LBFGSB_OPTIONS).x
+        # both stop on the relative decrease, about 2e-6 from the minimizer
+        exact = np.linalg.solve(A, b)
+        assert np.abs(want - exact).max() <= 1e-5
+        assert np.abs(got - want).max() <= 1e-8
+
+    @pytest.mark.parametrize("pen", [10.0, 1000.0])
+    def test_lbfgs_equals_scipy_on_the_readme_objective(self, linear_lab, pen):
+        # the README config, whose penalty rounds reach 1000: the valley of the
+        # optimum is flat, so the points agree less closely than the values
+        design = ldp._spline_design(16, 1.0, 8)
+        ev = EventSpec("terminal-ball-exit", threshold=0.64)
+
+        def fun(x):
+            value, grad = linear_lab._penalized_energies(x[None], design, ev, pen)
+            return value[0], grad[0]
+
+        x0 = np.full(64, ldp._START)
+        got = ldp._lbfgs(fun, x0, 4000)
+        want = minimize(fun, x0, jac=True, method="L-BFGS-B", options=LBFGSB_OPTIONS)
+        assert fun(got)[0] == pytest.approx(want.fun, rel=1e-8)
+        assert np.abs(got - want.x).max() <= 1e-3 * np.abs(want.x).max()
+
+    def test_lbfgs_stops_at_its_call_limit(self):
+        # Rosenbrock's valley takes far more than 7 calls
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, np.array(
+                [-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)])
+
+        ldp._lbfgs(fun, np.array([-1.2, 1.0]), 7)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("budget", [100, 101])
+    def test_budget_counts_two_rows_a_call(self, linear_lab, monkeypatch, budget):
+        # a call is one skeleton row and its reverse sweep: 100 or 101 rows buy
+        # 50 calls a round, and the README event needs more in some round
+        ev = EventSpec("terminal-ball-exit", threshold=0.64)
+        pens = []
+        objective = linear_lab._penalized_energies
+
+        def recording(cs, design, ev, pen):
+            pens.append(pen)
+            return objective(cs, design, ev, pen)
+
+        monkeypatch.setattr(linear_lab, "_penalized_energies", recording)
+        res = linear_lab.minimize_rate(ev, n_splines=8, budget=budget)
+        calls = [pens.count(pen) for pen in dict.fromkeys(pens)]
+        assert res.feasible and res.penalty == pens[-1]
+        assert res.nfev == 2 * len(pens)
+        assert max(calls) == 50
 
     @pytest.mark.parametrize(
         "lab_name, ev, scale",

@@ -183,6 +183,27 @@ class TestResponseOperator:
         values = np.ascontiguousarray(2.0 * zeta.transpose(0, 2, 1))
         assert np.array_equal(L.apply_batch(values), L.sample_mode_path_batch(5, range(rows)))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_adjoints_are_the_transposes(self, d):
+        # <response(zeta), G> = <zeta, response_adjoint(G)> in the real pairing
+        # Re sum conj(G) Z, the adjoint is the transposed dense matrices, and
+        # the same holds for controls and apply_batch_adjoint
+        spec = build_correlation(GridSpec(d, 8, math.pi), 4.0, 0.7, 0.2)
+        tg = TimeGrid(1.0, 16)
+        L = build_L(spec, 0.7, tg)
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(3, 17, L.n_modes)) + 1j * rng.normal(size=(3, 17, L.n_modes))
+        zeta = rng.normal(size=(3, 16, L.n_modes))
+        adjoint = L.response_adjoint(G)
+        pairing = np.sum((np.conj(G) * L.response(zeta)).real, axis=(1, 2))
+        assert np.abs(pairing - np.sum(zeta * adjoint, axis=(1, 2))).max() <= 1e-13 * np.abs(pairing).max()
+        dense = np.einsum("jkm,rkj->rmj", np.conj(L.mats), G[:, 1:]).real
+        assert np.abs(adjoint - dense).max() <= 1e-14 * np.abs(dense).max()
+        values = rng.normal(size=(3, L.n_modes, 16))
+        pairing = np.sum((np.conj(G) * L.apply_batch(values)).real, axis=(1, 2))
+        back = np.sum(values * L.apply_batch_adjoint(G), axis=(1, 2))
+        assert np.abs(pairing - back).max() <= 1e-13 * np.abs(pairing).max()
+
     def test_batch_rows_equal_single_applies(self, grid):
         spec = build_correlation(grid, 4.0, 0.7, 0.2)
         L = build_L(spec, 0.7, TimeGrid(1.0, 16))
