@@ -670,10 +670,7 @@ def _sampler(cfg: dict) -> ConvolutionSampler:
 def _run_convolve(cfg: dict, out_dir: str) -> int:
     tg = cfg["_tg"]
     paths = _sampler(cfg).sample_mode_paths(cfg["seed"], 0)
-    rows = [
-        [float(tg.points[k]), float(np.sqrt((np.abs(paths[k]) ** 2).sum()))]
-        for k in range(tg.n + 1)
-    ]
+    rows = np.column_stack([tg.points, np.sqrt((np.abs(paths) ** 2).sum(axis=1))])
     write_csv(os.path.join(out_dir, "l2_norms.csv"), ["t", "l2_norm"], rows)
     for k in range(0, tg.n + 1, cfg["snapshot_every"]):
         snapshot = field_from_modes(cfg["_grid"], paths[k])

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# The most modes a grid holds: one complex field of them is 256 MiB.
+_MAX_MODES = 2**24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid: d dimensions, N modes per dimension, half-width L."""
@@ -47,8 +51,8 @@ class GridSpec:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not 0 < self.L < math.inf:
             raise ValueError(f"half-width L must be positive and finite, got {self.L}")
-        if self.N**self.d * 16 > np.iinfo(np.intp).max:
-            raise ValueError(f"N^d = {self.N**self.d} modes exceed the largest complex array")
+        if self.N**self.d > _MAX_MODES:
+            raise ValueError(f"N^d = {self.N**self.d} modes exceed the limit {_MAX_MODES}")
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:

@@ -465,40 +465,23 @@ class LdpLab:
             return bool(np.nanmax(traj.h1_norms) > ev.threshold)
         return bool(np.any(sobolev_norms(traj.grid, traj.spectra, s) > ev.threshold))
 
-    def _reach(self, batch: TrajectoryBatch, live: np.ndarray, ev: EventSpec, start: int) -> np.ndarray:
-        """Event functional of each live replicate: the terminal distance to
-        the deterministic flow, or the sup of the H^s norm over the steps
-        k >= ``start`` (of H^1 for the blow-up event), read off the spectra."""
-        s = ev.sobolev_index
+    def _reach(self, batch: TrajectoryBatch, rows: np.ndarray, ev: EventSpec, start: int):
+        """The one reading of the event on the never-absorbed replicates
+        ``rows`` of ``batch``: (norms, states, steps, s), where each state is
+        the spectrum the event reads, ``steps`` the step it is at and
+        ``norms`` its H^s norm.  The state is the terminal difference from the
+        deterministic flow, or the state at the first arg max step k >=
+        ``start`` of the H^s norm (of H^1 for the blow-up event).  The H^1
+        norms are the solver's, which equal those of the states bit for bit
+        except in an unforced linear batch, where each is that of U_0."""
+        grid, s = self.spec.grid, ev.sobolev_index
         if ev.kind == "terminal-ball-exit":
-            return sobolev_norms(self.spec.grid, batch.spectra[live, -1] - self.terminal_centre(), s)
-        if ev.kind == "blow-up-before-T" or s == 1.0:
-            return batch.h1_norms[live, start:].max(axis=1)
-        return sobolev_norms(self.spec.grid, batch.spectra[live, start:], s).max(axis=1)
-
-    def _reach_gradient(self, batch: TrajectoryBatch, weights: np.ndarray, ev: EventSpec, start: int) -> np.ndarray:
-        """Gradient with respect to the spectra of ``batch`` of the sum of
-        :meth:`_reach` over the replicates, each times its entry of
-        ``weights``, as a complex array; a replicate of weight 0 is not read
-        (it may be absorbed).  A replicate's term is the gradient cv^2
-        (1 + |xi|^2)^s U / (volume |U|_s) of the H^s norm (cv the cell
-        volume) at the state U the functional reads, the first arg max step
-        for a sup (a subgradient), and 0 where that norm is 0."""
-        grid = self.spec.grid
-        grad = np.zeros(batch.spectra.shape, dtype=complex)
-        idx = np.flatnonzero(weights)
-        if ev.kind == "terminal-ball-exit":
-            s, steps = ev.sobolev_index, np.full(idx.size, batch.spectra.shape[1] - 1)
-            states = batch.spectra[idx, -1] - self.terminal_centre()
-        else:
-            s = 1.0 if ev.kind == "blow-up-before-T" else ev.sobolev_index
-            norms = batch.h1_norms[idx, start:] if s == 1.0 else sobolev_norms(grid, batch.spectra[idx, start:], s)
-            steps = start + norms.argmax(axis=1)
-            states = batch.spectra[idx, steps]
-        r = sobolev_norms(grid, states, s)
-        scale = np.divide(weights[idx] * (grid.cell_volume**2 / grid.volume), r, out=np.zeros_like(r), where=r > 0.0)
-        grad[idx, steps] = (1.0 + grid.xi_squared) ** s * states * scale.reshape((-1,) + (1,) * grid.d)
-        return grad
+            states = batch.spectra[rows, -1] - self.terminal_centre()
+            return sobolev_norms(grid, states, s), states, np.full(rows.size, batch.spectra.shape[1] - 1), s
+        s = 1.0 if ev.kind == "blow-up-before-T" else s
+        path = batch.h1_norms[rows, start:] if s == 1.0 else sobolev_norms(grid, batch.spectra[rows, start:], s)
+        steps = start + path.argmax(axis=1)
+        return path[np.arange(rows.size), steps - start], batch.spectra[rows, steps], steps, s
 
     def _target(self, batch: TrajectoryBatch, ev: EventSpec) -> float:
         """The threshold, or the blow-up cap of ``batch``, which no live replicate passes."""
@@ -506,11 +489,13 @@ class LdpLab:
 
     def _hits(self, batch: TrajectoryBatch, ev: EventSpec) -> np.ndarray:
         """Whether each replicate of ``batch`` realizes the event, as
-        :meth:`event_occurred` decides it for one trajectory."""
+        :meth:`event_occurred` decides it for one trajectory: an absorbed
+        replicate does, and a live one where the norm :meth:`_reach` reads
+        passes :meth:`_target`."""
         hits = batch.blown_up
-        live = ~hits
-        if live.any():
-            hits[live] = self._reach(batch, live, ev, 0) > self._target(batch, ev)
+        rows = np.flatnonzero(~hits)
+        if rows.size:
+            hits[rows] = self._reach(batch, rows, ev, 0)[0] > self._target(batch, ev)
         return hits
 
     def estimate_event_probability(
@@ -590,19 +575,27 @@ class LdpLab:
         from one batched skeleton solve and one reverse sweep.  The objective
         is half the control energy plus ``pen`` times the squared
         distance-to-event, which is zero once the event is realized, and on
-        an absorbed row.  The energy's gradient is closed-form; the
-        distance's runs from the state it reads back through the skeleton
-        (:func:`~fracnls.solver.mode_path_gradient`) and the response map."""
+        an absorbed row.  The energy's gradient is closed-form.  The
+        distance's is seeded at the state U and step that :meth:`_reach`
+        returns, as -2 ``pen`` times the distance times the gradient cv^2 (1
+        + |xi|^2)^s U / (volume |U|_s) of the norm (cv the cell volume; a
+        subgradient for a sup, and 0 where |U|_s is 0), and runs back through
+        the skeleton (:func:`~fracnls.solver.mode_path_gradient`) and the
+        response map."""
+        grid = self.spec.grid
         values, batch = self._skeletons(cs, design)
         energy = half_energy(values, self.tg)
-        live = ~batch.blown_up
+        rows = np.flatnonzero(~batch.blown_up)
         short = np.zeros(len(cs))
         # steps k >= 1: the state at t = 0 does not depend on the control, so a
         # sup reached there would leave the penalty flat at the zero control
-        target = self._target(batch, ev) * (1.0 + _MARGIN)
-        short[live] = np.maximum(0.0, target - self._reach(batch, live, ev, 1))
-        spectra_grad = self._reach_gradient(batch, -2.0 * pen * short, ev, 1)
-        paths_grad = mode_path_gradient(self.spec.grid, self.nl, batch, spectra_grad, 1.0, self.cfg)
+        norms, states, steps, s = self._reach(batch, rows, ev, 1)
+        short[rows] = np.maximum(0.0, self._target(batch, ev) * (1.0 + _MARGIN) - norms)
+        weights = -2.0 * pen * short[rows] * (grid.cell_volume**2 / grid.volume)
+        scale = np.divide(weights, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        spectra_grad = np.zeros(batch.spectra.shape, dtype=complex)
+        spectra_grad[rows, steps] = (1.0 + grid.xi_squared) ** s * states * scale.reshape((-1,) + (1,) * grid.d)
+        paths_grad = mode_path_gradient(grid, self.nl, batch, spectra_grad, 1.0, self.cfg)
         values_grad = self.L.apply_batch_adjoint(paths_grad) + self.tg.dt * values
         return energy + pen * short * short, (values_grad @ design).reshape(len(cs), -1)
 

@@ -231,12 +231,6 @@ class DiscreteLOperator:
         unit = np.repeat(np.eye(self.tg.n)[:, :, None], self.n_modes, axis=2)
         return self.response(unit)[:, 1:].transpose(2, 1, 0)
 
-    @property
-    def real_factors(self) -> np.ndarray:
-        """Real (n_modes, 2n, n) factors, each stacking the (Re, Im) response
-        rows of its mode."""
-        return _real_stack(self.mats)
-
 
 class ConvolutionSampler(DiscreteLOperator):
     """The response map driven by seeded standard normals: exact draws of
@@ -306,7 +300,7 @@ def build_Q(spec: CorrelationSpec, H: float, tg: TimeGrid) -> np.ndarray:
 def verify_factorization(Q: np.ndarray, L: DiscreteLOperator) -> float:
     """Max elementwise residual between the blocks of Q and F F^T, F the real
     factor of each mode of L."""
-    F = L.real_factors
+    F = _real_stack(L.mats)
     return float(np.abs(Q - F @ F.transpose(0, 2, 1)).max())
 
 
@@ -338,7 +332,7 @@ def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResu
     zeta = np.zeros((L.n_modes, n))
     resid_sq = 0.0
     norm_sq = 0.0
-    for j, F in enumerate(L.real_factors):
+    for j, F in enumerate(_real_stack(L.mats)):
         target = np.concatenate([f_modes[j].real, f_modes[j].imag])
         sol, _, _, _ = np.linalg.lstsq(F, target, rcond=None)
         zeta[j] = sol

@@ -10,11 +10,12 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracnls
@@ -256,6 +257,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind", KIND_CONFIGS)
     @settings(max_examples=60, deadline=None)
     @given(value=JSON_VALUES)
+    @example(8589934592.0)  # N 2^33: a config error, not a 64 GiB wavenumber array
     def test_any_json_value_at_any_key_path(self, kind, value):
         base = _public(parse_config(json.dumps(KIND_CONFIGS[kind])))
         for path in _key_paths(base):
@@ -788,6 +790,22 @@ class TestMainExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"H": 0.5}')
         assert main(["fbm", "--config", str(cfg)]) == 1
+
+    def test_huge_grid_is_a_config_error_that_allocates_nothing(self, tmp_path, capsys):
+        # N 2^33 is a power of two; its wavenumbers alone would take 64 GiB
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"grid": {"N": 2**33}}))
+        tracemalloc.start()
+        try:
+            code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: $.grid: N^d = 8589934592 modes exceed the limit 16777216\n")
+        assert peak < 2**20
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["fbm", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 3

@@ -1,6 +1,7 @@
 """Rare-event machinery tests: intervals, slopes, optimizer, support, Holder."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,52 @@ class TestBatchedMonteCarlo:
         hits = loop_hits(lab, ev, eps, reps, seed=3)
         assert 0 < hits < reps
         assert p == hits / reps
+
+
+READ_EVENTS = [
+    EventSpec("terminal-ball-exit", sobolev_index=0.0),
+    EventSpec("terminal-ball-exit", sobolev_index=0.5),
+    EventSpec("terminal-ball-exit", sobolev_index=1.0),
+    EventSpec("sup-norm-exceed", sobolev_index=0.0),
+    EventSpec("sup-norm-exceed", sobolev_index=0.5),
+    EventSpec("sup-norm-exceed", sobolev_index=1.0),
+    EventSpec("blow-up-before-T", sobolev_index=0.5),
+]
+
+
+class TestReach:
+    """The one reading of an event: which state of each live replicate it
+    reads, against a per-state loop, and the hits it decides against
+    :meth:`LdpLab.event_occurred`."""
+
+    @pytest.mark.parametrize("lab_name", ["linear_lab", "saturated_lab", "focusing_lab"])
+    @pytest.mark.parametrize("ev", READ_EVENTS, ids=lambda ev: f"{ev.kind}-s{ev.sobolev_index}")
+    def test_reach_reads_the_first_arg_max_state(self, request, lab_name, ev):
+        # a cap of 3 at eps 2 absorbs 6 to 15 of the 40 rows in each lab
+        lab = request.getfixturevalue(lab_name)
+        lab = replace(lab, cfg=replace(lab.cfg, blowup_threshold=3.0))
+        batch = sample_batch(lab, seed=5, rows=40, eps=2.0)
+        rows = np.flatnonzero(~batch.blown_up)
+        assert 0 < rows.size < 40
+        grid, n = lab.spec.grid, lab.tg.n
+        want_s = 1.0 if ev.kind == "blow-up-before-T" else ev.sobolev_index
+        for start in (0, 1):
+            norms, states, steps, s = lab._reach(batch, rows, ev, start)
+            assert s == want_s
+            assert norms.tolist() == [float(sobolev_norms(grid, u, s)) for u in states]
+            if ev.kind == "terminal-ball-exit":
+                assert steps.tolist() == [n] * rows.size
+                assert np.array_equal(states, batch.spectra[rows, n] - lab.deterministic.spectra[n])
+                continue
+            for r, k, norm in zip(rows, steps, norms):
+                path = [float(sobolev_norms(grid, u, s)) for u in batch.spectra[r, start:]]
+                assert k == start + path.index(max(path)) and norm == max(path)
+            assert np.array_equal(states, batch.spectra[rows, steps])
+        # a threshold between the live norms, so both outcomes occur
+        norms = lab._reach(batch, rows, ev, 0)[0]
+        ev = replace(ev, threshold=float(np.median(norms)))
+        trajs = [sample_trajectory(lab, 2.0, 5, r) for r in range(40)]
+        assert lab._hits(batch, ev).tolist() == [lab.event_occurred(traj, ev) for traj in trajs]
 
 
 class TestMinimizeRate:
