@@ -60,13 +60,19 @@ def replicate_normals(seed: int, replicates, shape) -> np.ndarray:
     """Standard normals of shape (len(replicates), *shape): row r equals
     ``replicate_stream(seed, replicates[r]).standard_normal(shape)`` bit for
     bit.  One generator is reset to the fresh state under each replicate's
-    key instead of being constructed once per replicate."""
+    key instead of being constructed once per replicate: Philox is
+    counter-based, so the key alone fixes a stream.  The state is held as
+    plain ints, which the state setter reads faster than uint64 arrays, and
+    only the key's index word changes from row to row."""
     bitgen = np.random.Philox(key=_stream_key(seed, 0))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]
     out = np.empty((len(replicates), *np.atleast_1d(shape)))
     for row, index in zip(out, replicates):
-        fresh["state"]["key"] = _stream_key(seed, index)
+        key[1] = index
         bitgen.state = fresh
         gen.standard_normal(out=row)
     return out

@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .field import ComplexField, GridSpec, sobolev_norms
-from .noise import ConvolutionSampler, CorrelationSpec, DiscreteLOperator, half_energy
-from .noise import cheapest_terminal_rate, terminal_covariance_blocks
-from .fbm import TimeGrid, _row_blocks, replicate_stream
+from .noise import ConvolutionSampler, CorrelationSpec, cheapest_terminal_rate, half_energy
+from .fbm import TimeGrid
 from .solver import NonlinearitySpec, SolverConfig, Trajectory, TrajectoryBatch
 from .solver import mode_path_gradient, solve_mild, solve_mild_batch
 
@@ -44,7 +43,6 @@ __all__ = [
     "ldp_slope",
     "holder_exponent",
     "support_distance",
-    "gaussian_terminal_tail",
 ]
 
 EVENT_KINDS = ("terminal-ball-exit", "sup-norm-exceed", "blow-up-before-T")
@@ -224,28 +222,6 @@ def support_distance(
         diff = samples.spectra[i, :k] - family.spectra[match, :k]
         D[i, match] = sobolev_norms(grid, diff, sobolev_index).max(axis=1)
     return D
-
-
-def gaussian_terminal_tail(
-    L: DiscreteLOperator, delta: float, eps: float, nsamples: int = 400_000, seed: int = 0
-) -> tuple[float, float]:
-    """P(||sqrt(eps) Z(T)||_{L2} > delta) from the terminal covariance spectrum.
-
-    Independent oracle for the linear terminal event: diagonalizes the
-    per-mode 2x2 blocks and Monte Carlos the resulting weighted chi-square
-    tail (no PDE stepping involved).  Returns (p, standard error).
-    """
-    lams = np.linalg.eigvalsh(terminal_covariance_blocks(L)).reshape(-1)
-    lams = lams[lams > 1e-300]
-    thr = delta * delta / eps
-    rng = replicate_stream(seed, 0)
-    hits = 0
-    for rows in _row_blocks(nsamples, 8 * lams.size):
-        g = rng.standard_normal((len(rows), lams.size))
-        hits += int(np.count_nonzero((g * g) @ lams > thr))
-    p = hits / nsamples
-    se = math.sqrt(max(p * (1 - p), 1e-300) / nsamples)
-    return p, se
 
 
 def _spline_design(n_cells: int, T: float, n_splines: int) -> np.ndarray:

@@ -193,9 +193,12 @@ class DiscreteLOperator:
         """Mode paths (R, n + 1, n_modes) of the C-contiguous innovations
         (R, n, n_modes); row r depends on row r of ``zeta`` alone."""
         dbh = self.chol @ zeta  # fractional increments, exact joint law
-        csum = np.cumsum(self.phase_mid * dbh, axis=1)
-        out = np.zeros((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
-        out[:, 1:] = self.phi * self.phase_t * csum
+        out = np.empty((len(zeta), self.tg.n + 1, self.n_modes), dtype=complex)
+        out[:, 0] = 0.0
+        paths = out[:, 1:]  # filled in place: phased increments, their sums, the gains
+        np.multiply(self.phase_mid, dbh, out=paths)
+        np.cumsum(paths, axis=1, out=paths)
+        np.multiply(self.phi * self.phase_t, paths, out=paths)
         return out
 
     def response_adjoint(self, grad: np.ndarray) -> np.ndarray:

@@ -97,9 +97,10 @@ def ks_2samp_pvalue(a, b) -> float:
     and h = 1 give 1.0 outright: D >= 1/n holds for any two samples of
     distinct values, so the exact tail is 1, which the sum misses by a few
     ulps on either side (6 ulps over at n = 321, 609 and 1000, 10 at 2486).
-    For h >= 2 a tail rounded at most 4 ulps above 1 is 1.0, and one rounded
-    further outside [0, 1] raises InvariantViolation, where scipy would
-    switch to the asymptotic form.
+    For h >= 2 a tail above 1 by at most :func:`_ks_tail_slack` (n, h), the
+    sum's a-priori rounding bound, is 1.0 (5 ulps over at (n, h) = (741, 3)
+    and (1531, 2), where scipy switches to the asymptotic form and returns
+    1.0 too), and one further outside [0, 1] raises InvariantViolation.
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
@@ -121,11 +122,36 @@ def ks_2samp_pvalue(a, b) -> float:
             term = (n - k * h - j) * term / (n + k * h + j + 1)
         tail = term * (1.0 - tail)
     tail *= 2
-    if 1.0 < tail <= 1.0 + 4 * np.finfo(float).eps:
-        return 1.0  # a tail of at most 1 that the sum rounds a few ulps over
+    if 1.0 < tail <= 1.0 + _ks_tail_slack(n, h):
+        return 1.0  # a tail below 1 that the sum rounds over
     if not 0.0 <= tail <= 1.0:
         raise InvariantViolation(f"KS tail P(D >= {h}/{n}) = {tail!r} lies outside [0, 1]")
     return tail
+
+
+def _ks_tail_slack(n: int, h: int) -> float:
+    """Bound on |computed - exact| of the doubled Horner tail of
+    :func:`ks_2samp_pvalue` at D = h/n, h >= 1.
+
+    Step k of the sum (k = n // h down to 0) rounds 2h + 2 times: h
+    products and h quotients give the ratio t_k = C(2n, n - (k+1)h) /
+    C(2n, n - kh), then 1 - tail and the product by t_k.  The integers are
+    exact in float64.  With u = 2^-53 and gamma_m = m u / (1 - m u), step k
+    returns t_k (1 - tail_{k+1}) (1 + theta_k), |theta_k| <= gamma_{2h+2}
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Lemma 3.1).  Each exact partial sum T_{k+1} is an alternating sum of
+    decreasing products of ratios 0 < t <= 1, so it lies in [0, 1], and
+    the error e_k = |tail_k - T_k| obeys
+    e_k <= t_k e_{k+1} + t_k (1 + e_{k+1}) gamma_{2h+2}, that is
+    1 + e_k <= (1 + gamma_{2h+2}) (1 + e_{k+1}), from e = 0 at the empty
+    sum.  Over the n // h + 1 steps, 1 + e_0 <= 1 + gamma_N with
+    N = (2h + 2)(n // h + 1) roundings (Lemma 3.3), and the doubling is
+    exact: the tail is off by at most 2 gamma_N.  Underflow's absolute
+    errors, at most 2^-1075 a rounding, lie far below that and are left out.
+    """
+    roundings = (2 * h + 2) * (n // h + 1)
+    u = np.finfo(float).eps / 2
+    return 2 * roundings * u / (1 - roundings * u)
 
 
 def ks_pvalue(H: float, tg: fbm.TimeGrid, replicates: int, seed_exact: int, seed_fast: int) -> float:

@@ -235,14 +235,29 @@ class TestReplicateNormals:
             (5, range(7, 40, 3), (4, 3)),
             (-7, range(3), 5),
             (2**63 + 12345, range(2**40, 2**40 + 4), (2, 8)),
+            (2**64 - 1, range(2), (3, 2)),
+            (11, range(2**64 - 3, 2**64), (2, 2)),
         ],
-        ids=["strided-range", "negative-seed", "seed-above-2^63"],
+        ids=["strided-range", "negative-seed", "seed-above-2^63", "seed-2^64-1", "last-indices"],
     )
     def test_rows_equal_per_replicate_streams(self, seed, replicates, shape):
         got = replicate_normals(seed, replicates, shape)
         want = np.stack([replicate_stream(seed, i).standard_normal(shape) for i in replicates])
         assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_range(self):
+        assert replicate_normals(3, range(0), (4, 2)).shape == (0, 4, 2)
+
+    def test_interleaved_seeds_share_no_state(self):
+        # each call starts from its own fresh generator: draws under one seed
+        # between two under another leave the other's rows unchanged
+        first = replicate_normals(5, range(3), 6)
+        other = replicate_normals(6, range(3), 6)
+        again = replicate_normals(5, range(3), 6)
+        assert first.tobytes() == again.tobytes()
+        assert other.tobytes() == np.stack([replicate_stream(6, i).standard_normal(6) for i in range(3)]).tobytes()
+        assert not np.array_equal(first, other)
 
     @pytest.mark.parametrize("sampler", [sample_fbm_exact, sample_fbm_fast])
     def test_samplers_do_not_depend_on_the_draw_blocks(self, sampler):
@@ -326,10 +341,11 @@ class TestKsPvalue:
             return
         if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
             # scipy falls back to the asymptotic form where the exact tail
-            # leaves [0, 1]; here a tail at most 4 ulps above 1 is 1.0, and
-            # any other is an error
-            tail = _compute_prob_outside_square(n, round(res.statistic * n))
-            if 1.0 < tail <= 1.0 + 4 * np.finfo(float).eps:
+            # leaves [0, 1]; here a tail above 1 within the sum's rounding
+            # bound is 1.0, and any other is an error
+            h = round(res.statistic * n)
+            tail = _compute_prob_outside_square(n, h)
+            if 1.0 < tail <= 1.0 + oracles._ks_tail_slack(n, h):
                 assert oracles.ks_2samp_pvalue(a, b) == 1.0
             else:
                 with pytest.raises(InvariantViolation):
@@ -344,12 +360,28 @@ class TestKsPvalue:
         with pytest.raises(ValueError):
             oracles.ks_2samp_pvalue(np.zeros(3), np.zeros(4))
 
-    def test_tail_outside_unit_interval_is_an_invariant_violation(self):
-        # blocks of 2: D = 2/1531, whose Horner sum rounds to 1 + 5 * 2^-52
+    def test_tail_outside_unit_interval_is_an_invariant_violation(self, monkeypatch):
+        # blocks of 2: D = 2/1531, whose Horner sum rounds to 1 + 5 * 2^-52,
+        # past a rounding bound cut to 4 ulps
         a, b = blocked_samples(1531, 2)
         assert _compute_prob_outside_square(1531, 2) > 1.0 + 4 * np.finfo(float).eps
+        monkeypatch.setattr(oracles, "_ks_tail_slack", lambda n, h: 4 * np.finfo(float).eps)
         with pytest.raises(InvariantViolation, match="outside"):
             oracles.ks_2samp_pvalue(a, b)
+
+    @pytest.mark.parametrize("n, h", [(741, 3), (1531, 2)])
+    def test_tail_within_rounding_bound_equals_scipy(self, n, h):
+        # D = h/n, whose Horner sum rounds 5 ulps above 1: inside the bound,
+        # so the p-value is 1.0, where scipy's exact method switches to the
+        # asymptotic form
+        a, b = blocked_samples(n, h)
+        tail = _compute_prob_outside_square(n, h)
+        assert 1.0 + 4 * np.finfo(float).eps < tail <= 1.0 + oracles._ks_tail_slack(n, h)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = stats.ks_2samp(a, b, method="exact").pvalue
+        assert any("Exact calculation unsuccessful" in str(w.message) for w in caught)
+        assert oracles.ks_2samp_pvalue(a, b) == want == 1.0
 
     @pytest.mark.parametrize("n, h", [(5, 1), (7, 1), (13, 1), (14, 1), (15, 1), (30, 1), (36, 1),
                                       (60, 2), (69, 2)])

@@ -9,18 +9,23 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from fracnls import fbm, ldp, oracles
-from fracnls.fbm import TimeGrid, replicate_stream, sample_fbm_fast
+from fracnls.fbm import TimeGrid, _row_blocks, replicate_stream, sample_fbm_fast
 from fracnls.field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from fracnls.ldp import (
     EventSpec,
     LdpLab,
-    gaussian_terminal_tail,
     holder_exponent,
     ldp_slope,
     support_distance,
     wilson_interval,
 )
-from fracnls.noise import CorrelationSpec, build_correlation, half_energy, terminal_covariance_blocks
+from fracnls.noise import (
+    CorrelationSpec,
+    DiscreteLOperator,
+    build_correlation,
+    half_energy,
+    terminal_covariance_blocks,
+)
 from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mild_batch, solve_skeleton
 
 
@@ -93,6 +98,28 @@ def loop_shortfall(lab, traj, ev, margin):
     # blow-up: the cap against the sup after t = 0, where the control acts
     cap = lab.cfg.blowup_cap(traj.h1_norms[0])
     return max(0.0, cap * (1.0 + margin) - max(traj.h1_norms[1:]))
+
+
+def gaussian_terminal_tail(
+    L: DiscreteLOperator, delta: float, eps: float, nsamples: int = 400_000, seed: int = 0
+) -> tuple[float, float]:
+    """P(||sqrt(eps) Z(T)||_{L2} > delta) from the terminal covariance spectrum.
+
+    Independent oracle for the linear terminal event: diagonalizes the
+    per-mode 2x2 blocks and Monte Carlos the resulting weighted chi-square
+    tail (no PDE stepping involved).  Returns (p, standard error).
+    """
+    lams = np.linalg.eigvalsh(terminal_covariance_blocks(L)).reshape(-1)
+    lams = lams[lams > 1e-300]
+    thr = delta * delta / eps
+    rng = replicate_stream(seed, 0)
+    hits = 0
+    for rows in _row_blocks(nsamples, 8 * lams.size):
+        g = rng.standard_normal((len(rows), lams.size))
+        hits += int(np.count_nonzero((g * g) @ lams > thr))
+    p = hits / nsamples
+    se = math.sqrt(max(p * (1 - p), 1e-300) / nsamples)
+    return p, se
 
 
 class TestWilson:

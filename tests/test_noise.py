@@ -183,6 +183,21 @@ class TestResponseOperator:
         values = np.ascontiguousarray(2.0 * zeta.transpose(0, 2, 1))
         assert np.array_equal(L.apply_batch(values), L.sample_mode_path_batch(5, range(rows)))
 
+    @pytest.mark.parametrize("rows", [1, 240, 2000])
+    def test_response_equals_the_out_of_place_formula(self, grid, rows):
+        # the in-place fill gives the bits of a fresh array per step; 240 rows
+        # are one ldp block at N 8, n 16, and at 2000 the temporaries pass
+        # numpy's 256 KiB elision threshold
+        spec = build_correlation(grid, 4.0, 0.7, 0.2)
+        L = build_L(spec, 0.7, TimeGrid(1.0, 16))
+        zeta = replicate_normals(3, range(rows), (16, L.n_modes))
+        csum = np.cumsum(L.phase_mid * (L.chol @ zeta), axis=1)
+        want = np.zeros((rows, 17, L.n_modes), dtype=complex)
+        want[:, 1:] = L.phi * L.phase_t * csum
+        got = L.response(zeta)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:, 0] == 0.0)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_adjoints_are_the_transposes(self, d):
         # <response(zeta), G> = <zeta, response_adjoint(G)> in the real pairing
