@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import TimeGrid, _row_blocks, replicate_normals, replicate_stream, sample_fbm_fast
+from .fbm import TimeGrid, replicate_normals, replicate_stream, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, replicate_blocks
@@ -399,10 +399,14 @@ _SPLIT = 134217729.0
 _EXP = 272
 # The longest text, -d.dddddddddddddddde-ddd
 _WIDTH = 24
-# Bytes per value while it is formatted, which fbm._row_blocks bounds: the
-# kernel's temporaries (about 75 under tracemalloc), or the bytes object and
-# list slot of its text
-_TEXT_BYTES = 80
+# Values per _float_block call: the Re and Im of one N-4096 snapshot.  A call
+# has a fixed cost of 0.1-0.3 ms; past this size the cost per value (140-210
+# ns on a 2-CPU host) stops falling, while the peak memory grows with it.
+_TEXT_VALUES = 8192
+# A call's peak per value under tracemalloc, its text included, which a test
+# checks: about 87 on snapshot values (0.71 MB a call), reached in tolist, with
+# the digits' arithmetic close behind
+_TEXT_BYTES = 88
 
 
 @functools.cache
@@ -433,9 +437,18 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     a1 -= a1 - a
     a2 = a - a1
     h1, h2 = np.take(hi1, k), np.take(hi2, k)
-    rest = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * np.take(lo, k)
+    # ((a1 h1 - p) + a1 h2 + a2 h1) + a2 h2 + a lo, in place, in that order
+    rest = a1 * h1
+    rest -= p
+    rest += a1 * h2
+    rest += a2 * h1
+    rest += a2 * h2
+    rest += a * np.take(lo, k)
     whole = np.floor(rest)
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
+    rest -= whole
+    p = p.astype(np.int64)
+    p += whole.astype(np.int64)
+    return p, rest
 
 
 def _decimal_digits(a: np.ndarray):
@@ -466,31 +479,24 @@ def _digit_groups(d: np.ndarray) -> np.ndarray:
     """The digits of ``d`` < 10**17 as ASCII: 5 uint32 per value, the lead
     digit as "000d", then four groups of four."""
     quads = _decimal_tables()[1]
-    high, low = np.divmod(d, 10**8)
-    lead, high = np.divmod(high, 10**8)
     groups = np.empty((d.size, 5), np.uint32)
-    for col, group in enumerate((lead, *np.divmod(high, 10**4), *np.divmod(low, 10**4))):
+    for col in (4, 3, 2, 1):  # the lowest group first: one quotient alive at a time
+        d, group = np.divmod(d, 10**4)
         groups[:, col] = np.take(quads, group)
+    groups[:, 0] = np.take(quads, d)
     return groups
 
 
-def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The %.17g text of the signs, exponents and digits as NUL-padded bytes
-    of _WIDTH: fixed point for -4 <= e <= 16, the exponent form beyond."""
-    # In order of sign, then exponent, each run of one sign and one layout is
-    # laid out by slices.  np.take, not fancy indexing: several times faster
-    # on these arrays.
-    order = np.argsort((e + _EXP + 1024 * neg).astype(np.int16), kind="stable")
-    neg, e, d = np.take(neg, order), np.take(e, order), np.take(d, order)
-    groups = _digit_groups(d)
-    digits = groups.view(np.uint8)[:, 3:]  # the 17 digits, after the lead's "000"
+def _lay_out_runs(out: np.ndarray, neg: np.ndarray, e: np.ndarray, digits: np.ndarray) -> None:
+    """Writes each row's sign and digits into ``out``, with the point and the
+    exponent suffix, by slices: one run of rows at a time of one sign and one
+    layout, which sorting by sign and then exponent makes contiguous."""
     suffixes = _decimal_tables()[2]
-    out = np.zeros((d.size, _WIDTH), np.uint8)
-    layout = np.where(e < -4, -5, np.where(e > 16, 17, e))
-    first = np.ones(d.size, bool)
+    layout = np.clip(e, -5, 17)
+    first = np.ones(e.size, bool)
     first[1:] = (layout[1:] != layout[:-1]) | (neg[1:] != neg[:-1])
     starts = np.flatnonzero(first).tolist()
-    for s, t in zip(starts, [*starts[1:], d.size]):
+    for s, t in zip(starts, [*starts[1:], e.size]):
         k, sign = int(layout[s]), int(neg[s])
         if sign:
             out[s:t, 0] = ord("-")
@@ -508,11 +514,23 @@ def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
             if k < 16:
                 o[:, k + 1] = ord(".")
                 o[:, k + 2:18] = g[:, k + 1:]
-    rows = out.view(f"S{_WIDTH}")[:, 0]
+
+
+def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The %.17g text of the signs, exponents and digits, sorted by sign and
+    then exponent, as NUL-padded bytes of _WIDTH: fixed point for
+    -4 <= e <= 16, the exponent form beyond."""
+    groups = _digit_groups(d)
+    digits = groups.view(np.uint8)[:, 3:]  # the 17 digits, after the lead's "000"
+    out = np.zeros((d.size, _WIDTH), np.uint8)
+    _lay_out_runs(out, neg, e, digits)
     # The trailing zeros of a fraction are cut, and the point if none is
     # left; an exponent suffix is written again after them.  About 1 row in 10.
     z = np.flatnonzero((digits[:, -1] == ord("0")) & (e != 16))
+    del groups, digits  # before the rows with zeros are copied
+    rows = out.view(f"S{_WIDTH}")[:, 0]
     if z.size:
+        suffixes = _decimal_tables()[2]
         ez = np.take(e, z)
         power = (ez < -4) | (ez > 16)
         places = np.where(power, 16, 16 - ez)  # digits after the point
@@ -533,26 +551,36 @@ def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
         at = _WIDTH * moved + keep[moved]
         block.reshape(-1)[at[:, None] + np.arange(5)] = np.take(suffixes, ez[moved] + _EXP, axis=0)
         rows[z] = block.view(f"S{_WIDTH}")[:, 0]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return np.take(rows, inverse)
+    return rows
 
 
 def _float_block(x: np.ndarray) -> list[bytes]:
     """The _FLOAT_FMT text of each value of the 1-D float array ``x``."""
     a = np.abs(x)
     idx = np.flatnonzero((a > 1e-270) & (a < 1e270))
-    a = a[idx]
+    a = np.take(a, idx)
     d, e, exact = _decimal_digits(a)
-    rows = _lay_out(np.signbit(x[idx]), e, d)
-    text = np.zeros(x.size, f"S{_WIDTH}")
-    text[idx] = rows
-    zero = np.flatnonzero(x == 0)
-    text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
-    text = text.tolist()
     # non-finite values, magnitudes past the table, and near-ties
     slow = x != 0
     slow[idx[exact]] = False
+    del a, exact
+    # the layout's rows in order of sign, then exponent.  np.take, not fancy
+    # indexing: several times faster on these arrays.
+    neg = np.signbit(np.take(x, idx))
+    order = np.argsort((e + _EXP + 1024 * neg).astype(np.int16), kind="stable")
+    neg, e, d = np.take(neg, order), np.take(e, order), np.take(d, order)
+    rows = _lay_out(neg, e, d)
+    del neg, e, d
+    if idx.size == x.size:  # idx is every index: no zero and no gap
+        text = np.empty(x.size, f"S{_WIDTH}")
+        text[order] = rows
+    else:
+        text = np.zeros(x.size, f"S{_WIDTH}")
+        text[np.take(idx, order)] = rows
+        zero = np.flatnonzero(x == 0)
+        text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
+    del idx, order, rows  # the layout's arrays, freed before the text objects are made
+    text = text.tolist()
     for i in np.flatnonzero(slow).tolist():
         text[i] = (_FLOAT_FMT % x[i]).encode()
     return text
@@ -562,8 +590,8 @@ def _float_text(values) -> list[bytes]:
     """``[(_FLOAT_FMT % v).encode() for v in values.flat]``, a block at a time."""
     x = np.ascontiguousarray(values, dtype=float).reshape(-1)
     text = []
-    for rows in _row_blocks(x.size, _TEXT_BYTES):
-        text += _float_block(x[rows.start:rows.stop])
+    for start in range(0, x.size, _TEXT_VALUES):
+        text += _float_block(x[start:start + _TEXT_VALUES])
     return text
 
 
@@ -598,8 +626,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
     float, so an integer below 2**53 reads as its str."""
     rows = np.asarray(rows, dtype=float)
     lines = [",".join(header).encode()]
-    for block in _row_blocks(len(rows), _TEXT_BYTES * rows.shape[1]):
-        lines += _csv_lines(rows[block.start:block.stop])
+    block = max(1, _TEXT_VALUES // rows.shape[1])
+    for start in range(0, len(rows), block):
+        lines += _csv_lines(rows[start:start + block])
     atomic_write(path, b"\n".join(lines) + b"\n")
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "grid_fft",
     "grid_ifft",
     "l2_norm",
-    "apply_group",
     "group_multiplier",
     "group_deviation_norm",
     "mass",
@@ -181,14 +180,6 @@ def grid_ifft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 def group_multiplier(grid: GridSpec, t: float) -> np.ndarray:
     """Spectral multiplier exp(i |xi|^2 t) of the free flow."""
     return np.exp(1j * grid.xi_squared * t)
-
-
-def apply_group(u: ComplexField, t: float) -> ComplexField:
-    """Free Schrodinger flow U(t): an exact isometry of every H^s norm."""
-    if t == 0.0:
-        return ComplexField(u.grid, u.values.copy())
-    spec_phys = grid_fft(u.grid, u.values)
-    return ComplexField(u.grid, grid_ifft(u.grid, group_multiplier(u.grid, t) * spec_phys))
 
 
 def group_deviation_norm(grid: GridSpec, gamma: float, t: float) -> float:

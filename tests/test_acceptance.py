@@ -23,7 +23,6 @@ from fracnls.fbm import (
 from fracnls.field import (
     ComplexField,
     GridSpec,
-    apply_group,
     hamiltonian,
     l2_norm,
     mass,
@@ -40,6 +39,7 @@ from fracnls.noise import (
 )
 from fracnls.solver import NonlinearitySpec, SolverConfig, solve_mild, solve_mild_batch
 from fracnls.fbm import replicate_stream
+from test_field import apply_group
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:

@@ -22,6 +22,7 @@ import fracnls
 from fracnls import __version__, fbm
 from fracnls.cli import (
     _TEXT_BYTES,
+    _TEXT_VALUES,
     _field_csv_template,
     _float_text,
     atomic_write,
@@ -619,14 +620,16 @@ class TestArtifacts:
             flag = int(row.split(",")[-1])
             assert flag == (1 if k >= k_star else 0)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_field_csv_matches_row_loop(self, tmp_path, d):
+    # N 16, and the snapshot size: 4096 modes, whose 8192 floats are one
+    # formatter block
+    @pytest.mark.parametrize("d, N", [(1, 16), (2, 16), (1, 4096), (2, 64)])
+    def test_field_csv_matches_row_loop(self, tmp_path, d, N):
         rng = np.random.default_rng(d)
         # the same N at two L, then both grids again with strided values: two
         # templates, then two cached ones
         writes = [(2.0, False), (0.75, False), (2.0, True), (0.75, True)]
         for k, (L, strided) in enumerate(writes):
-            g = GridSpec(d, 16, L)
+            g = GridSpec(d, N, L)
             f = ComplexField(g, _snapshot_values(g.shape, rng, strided))
             assert f.values.flags.c_contiguous is not strided
             if k == 2:
@@ -745,8 +748,35 @@ class TestFloatText:
 
     def test_blocks_join_in_order(self):
         # three blocks and a part of one
-        values = np.random.default_rng(1).normal(size=3 * (fbm._BLOCK_BYTES // _TEXT_BYTES) + 5)
+        values = np.random.default_rng(1).normal(size=3 * _TEXT_VALUES + 5)
         assert _float_text(values) == _percent_text(values)
+
+    def test_one_block_mixes_every_run_with_gaps(self):
+        # every (sign, layout) run in one block, between zeros and magnitudes
+        # outside the table (1e-270, 1e270), which the layout's rows skip
+        rng = np.random.default_rng(3)
+        exponents = [-269, -20, -6, *range(-5, 18), 40, 269]
+        # 1.5 and 3 end in zeros that are cut; scaled at random, 17 digits stay
+        runs = np.array([float(f"{m}e{e}") for e in exponents for m in (1.5, 3, 1.2345678901234567)])
+        inside = np.concatenate([runs, runs * rng.uniform(0.5, 1.5, runs.size)])
+        gaps = [0.0, -0.0, 1e-280, -1e-300, 5e-324, 1e271, -1e300, math.inf, -math.inf, math.nan]
+        values = rng.permutation(np.concatenate([inside, -inside, gaps * 10]))
+        assert values.size <= _TEXT_VALUES
+        assert _float_text(values) == _percent_text(values)
+
+    def test_one_snapshot_peaks_at_the_stated_bytes_per_value(self):
+        # the peak a block's comment states, text included: a layout array
+        # left alive through tolist adds 8 bytes a value and shows here
+        values = _snapshot_values((_TEXT_VALUES // 2,), np.random.default_rng(4), False).view(float)
+        _float_text(values[:16])  # the decimal tables, built on first use
+        tracemalloc.start()
+        try:
+            text = _float_text(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _percent_text(values)
+        assert peak <= _TEXT_VALUES * _TEXT_BYTES
 
     @pytest.mark.parametrize("kind", ["fbm", "convolve", "solve", "skeleton", "ldp", "support"])
     def test_every_csv_cell_is_its_own_percent_text(self, tmp_path, kind):

@@ -11,16 +11,24 @@ from fracnls import oracles
 from fracnls.field import (
     ComplexField,
     GridSpec,
-    apply_group,
     field_from_modes,
     grid_fft,
+    grid_ifft,
     group_deviation_norm,
+    group_multiplier,
     hamiltonian,
     l2_norm,
     mass,
     sobolev_norm,
     sobolev_norms,
 )
+
+
+def apply_group(u: ComplexField, t: float) -> ComplexField:
+    """Free Schrodinger flow U(t): an exact isometry of every H^s norm."""
+    if t == 0.0:
+        return ComplexField(u.grid, u.values.copy())
+    return ComplexField(u.grid, grid_ifft(u.grid, group_multiplier(u.grid, t) * grid_fft(u.grid, u.values)))
 
 
 def real_pairing(u: ComplexField, v: ComplexField) -> float:

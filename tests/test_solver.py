@@ -10,7 +10,6 @@ from fracnls.fbm import TimeGrid
 from fracnls.field import (
     ComplexField,
     GridSpec,
-    apply_group,
     group_multiplier,
     hamiltonian,
     l2_norm,
@@ -31,6 +30,7 @@ from fracnls.solver import (
     solve_mild_batch,
     solve_skeleton,
 )
+from test_field import apply_group
 
 
 @pytest.fixture
