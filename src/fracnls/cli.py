@@ -401,12 +401,11 @@ _EXP = 272
 _WIDTH = 24
 # Values per _float_block call: the Re and Im of one N-4096 snapshot.  A call
 # has a fixed cost of 0.1-0.3 ms; past this size the cost per value (140-210
-# ns on a 2-CPU host) stops falling, while the peak memory grows with it.
+# ns on a 2-CPU host) stops falling, while the peak memory grows with it.  A
+# call peaks in tolist, at about 87 bytes a value under tracemalloc on snapshot
+# values (0.71 MB a call): the text's own objects and list, and the 24-byte
+# array they are made from.
 _TEXT_VALUES = 8192
-# A call's peak per value under tracemalloc, its text included, which a test
-# checks: about 87 on snapshot values (0.71 MB a call), reached in tolist, with
-# the digits' arithmetic close behind
-_TEXT_BYTES = 88
 
 
 @functools.cache
@@ -436,14 +435,22 @@ def _scaled(a: np.ndarray, e: np.ndarray):
     a1 = _SPLIT * a
     a1 -= a1 - a
     a2 = a - a1
-    h1, h2 = np.take(hi1, k), np.take(hi2, k)
-    # ((a1 h1 - p) + a1 h2 + a2 h1) + a2 h2 + a lo, in place, in that order
+    # ((a1 h1 - p) + a1 h2 + a2 h1) + a2 h2 + a lo, in that order, each
+    # product made in a factor's array after its last other use
+    h1 = np.take(hi1, k)
     rest = a1 * h1
     rest -= p
-    rest += a1 * h2
-    rest += a2 * h1
-    rest += a2 * h2
-    rest += a * np.take(lo, k)
+    h2 = np.take(hi2, k)
+    a1 *= h2
+    rest += a1
+    h1 *= a2
+    rest += h1
+    h2 *= a2
+    rest += h2
+    del a1, a2, h1, h2
+    a_lo = np.take(lo, k)
+    a_lo *= a
+    rest += a_lo
     whole = np.floor(rest)
     rest -= whole
     p = p.astype(np.int64)
@@ -487,15 +494,21 @@ def _digit_groups(d: np.ndarray) -> np.ndarray:
     return groups
 
 
-def _lay_out_runs(out: np.ndarray, neg: np.ndarray, e: np.ndarray, digits: np.ndarray) -> None:
-    """Writes each row's sign and digits into ``out``, with the point and the
-    exponent suffix, by slices: one run of rows at a time of one sign and one
-    layout, which sorting by sign and then exponent makes contiguous."""
+def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The %.17g text of the signs, exponents and digits, sorted by sign and
+    then exponent, as NUL-padded bytes of _WIDTH: fixed point for
+    -4 <= e <= 16, the exponent form beyond."""
+    groups = _digit_groups(d)
+    digits = groups.view(np.uint8)[:, 3:]  # the 17 digits, after the lead's "000"
     suffixes = _decimal_tables()[2]
+    out = np.zeros((d.size, _WIDTH), np.uint8)
+    # Each run of one sign and one layout, contiguous in this order, is laid
+    # out by slices
     layout = np.clip(e, -5, 17)
     first = np.ones(e.size, bool)
     first[1:] = (layout[1:] != layout[:-1]) | (neg[1:] != neg[:-1])
     starts = np.flatnonzero(first).tolist()
+    o = g = None  # a block of only zeros and gaps has no run
     for s, t in zip(starts, [*starts[1:], e.size]):
         k, sign = int(layout[s]), int(neg[s])
         if sign:
@@ -514,23 +527,12 @@ def _lay_out_runs(out: np.ndarray, neg: np.ndarray, e: np.ndarray, digits: np.nd
             if k < 16:
                 o[:, k + 1] = ord(".")
                 o[:, k + 2:18] = g[:, k + 1:]
-
-
-def _lay_out(neg: np.ndarray, e: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The %.17g text of the signs, exponents and digits, sorted by sign and
-    then exponent, as NUL-padded bytes of _WIDTH: fixed point for
-    -4 <= e <= 16, the exponent form beyond."""
-    groups = _digit_groups(d)
-    digits = groups.view(np.uint8)[:, 3:]  # the 17 digits, after the lead's "000"
-    out = np.zeros((d.size, _WIDTH), np.uint8)
-    _lay_out_runs(out, neg, e, digits)
     # The trailing zeros of a fraction are cut, and the point if none is
     # left; an exponent suffix is written again after them.  About 1 row in 10.
     z = np.flatnonzero((digits[:, -1] == ord("0")) & (e != 16))
-    del groups, digits  # before the rows with zeros are copied
+    del groups, digits, o, g, layout, first  # before the rows with zeros are copied
     rows = out.view(f"S{_WIDTH}")[:, 0]
     if z.size:
-        suffixes = _decimal_tables()[2]
         ez = np.take(e, z)
         power = (ez < -4) | (ez > 16)
         places = np.where(power, 16, 16 - ez)  # digits after the point
@@ -569,17 +571,15 @@ def _float_block(x: np.ndarray) -> list[bytes]:
     neg = np.signbit(np.take(x, idx))
     order = np.argsort((e + _EXP + 1024 * neg).astype(np.int16), kind="stable")
     neg, e, d = np.take(neg, order), np.take(e, order), np.take(d, order)
+    where = np.take(idx, order)  # each row's place in the text
+    del idx, order
     rows = _lay_out(neg, e, d)
     del neg, e, d
-    if idx.size == x.size:  # idx is every index: no zero and no gap
-        text = np.empty(x.size, f"S{_WIDTH}")
-        text[order] = rows
-    else:
-        text = np.zeros(x.size, f"S{_WIDTH}")
-        text[np.take(idx, order)] = rows
-        zero = np.flatnonzero(x == 0)
-        text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
-    del idx, order, rows  # the layout's arrays, freed before the text objects are made
+    text = np.zeros(x.size, f"S{_WIDTH}")
+    text[where] = rows
+    zero = np.flatnonzero(x == 0)
+    text[zero] = np.where(np.signbit(x[zero]), b"-0", b"0")
+    del where, rows  # freed before the text objects are made
     text = text.tolist()
     for i in np.flatnonzero(slow).tolist():
         text[i] = (_FLOAT_FMT % x[i]).encode()
