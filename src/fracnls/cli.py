@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, oracles
 from .errors import ConfigError, InvariantViolation
-from .fbm import TimeGrid, replicate_normals, replicate_stream, sample_fbm_fast
+from .fbm import TimeGrid, replicate_normals, sample_fbm_fast
 from .field import ComplexField, GridSpec, field_from_modes, hamiltonian, mass, sobolev_norm
 from .noise import _DENSE_LIMIT, ConvolutionSampler, CorrelationSpec
 from .noise import build_correlation, replicate_blocks
@@ -162,8 +162,8 @@ def _walk(raw: dict, table: dict, path: str, scope: ChainMap) -> dict:
     return out
 
 
-# Kinds that run on one LdpLab, as their n message names them.  They keep the
-# dense limit on n: the pseudo-inverse rate reads the dense response matrices.
+# Kinds that run on one LdpLab, as their n message names them.  None assembles the
+# dense response matrices: the dense limit on n is their memory bound for now.
 _LAB_KINDS = {"skeleton": "skeleton runs", "ldp": "rate computations", "support": "support runs"}
 
 
@@ -349,7 +349,7 @@ def _resolve(raw: dict) -> dict:
             _construct("$.event.kind", lab.terminal_centre)
             if cfg["nl"] is None:  # the run's pinv rate, which a noise with no reachable direction lacks
                 with np.errstate(over="ignore", invalid="ignore"):  # a rate past float range is refused
-                    cfg["_pinv_rate"] = _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])[0]
+                    cfg["_pinv_rate"] = _construct("$.noise", lab.pinv_terminal_rate, cfg["event"]["threshold"])
         if cfg["optimizer"]["enabled"]:
             _construct("$.optimizer.n_splines", lab.control_basis, cfg["optimizer"]["n_splines"])
     if kind == "oracle-suite":
@@ -720,7 +720,7 @@ def _run_skeleton(cfg: dict, out_dir: str) -> int:
     if cfg["control"]["type"] == "zero":
         h = np.zeros((n_modes, tg.n))
     else:
-        h = cfg["control"]["scale"] * replicate_stream(cfg["seed"], 0).standard_normal((n_modes, tg.n))
+        h = cfg["control"]["scale"] * replicate_normals(cfg["seed"], range(1), (n_modes, tg.n))[0]
     traj = solve_skeleton(lab.u0, h, lab.nl, lab.cfg, lab.L)
     _trajectory_outputs(traj, cfg["_nl"], out_dir, cfg["snapshot_every"])
     write_csv(os.path.join(out_dir, "control.csv"), ["s"] + [f"mode_{j}" for j in range(n_modes)],

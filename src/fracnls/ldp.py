@@ -6,9 +6,9 @@ The three legs of the verification triangle for an avoidance event:
 
   * direct Monte Carlo estimates p(eps) on a ladder of noise intensities,
     and the stabilized value of -eps log p(eps) estimates the decay rate;
-  * the minimum-norm least-squares (pseudo-inverse) rate through the
-    response operator gives the exact quadratic rate of the sampled
-    Gaussian model (linear dynamics);
+  * the pseudo-inverse rate delta^2 / (2 lambda_max), lambda_max the top
+    eigenvalue of the terminal covariance, gives the exact quadratic rate
+    of the sampled Gaussian model (linear dynamics);
   * a penalty optimizer over spline-parametrized controls drives the
     skeleton into the event and returns half the control energy, an upper
     bound on the infimum: L-BFGS on the exact gradient of the discrete
@@ -375,8 +375,8 @@ class LdpLab:
     """The noisy mild solution and the skeleton of one model, forced through
     one response operator ``L``: seeded normals drive the noisy solutions
     and control values drive the skeletons.  ``L`` and the deterministic
-    flow are built on first use, and ``L`` assembles its dense matrices only
-    for the pseudo-inverse rate, so a lab builds only what its run reads."""
+    flow are built on first use, and no run assembles ``L``'s dense
+    matrices, so a lab builds only what its run reads."""
 
     u0: ComplexField
     nl: NonlinearitySpec | None
@@ -506,7 +506,7 @@ class LdpLab:
 
     # -- variational bound ---------------------------------------------------
 
-    def pinv_terminal_rate(self, delta: float) -> tuple[float, np.ndarray]:
+    def pinv_terminal_rate(self, delta: float) -> float:
         """Pseudo-inverse rate of the cheapest terminal target on the sphere."""
         return cheapest_terminal_rate(self.L, delta)
 

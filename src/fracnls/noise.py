@@ -19,8 +19,9 @@ covariance), and one map computes every response:
     the midpoint integrand, applied as phased cumulative sums
     (:meth:`DiscreteLOperator.response`).  The sampler feeds it
     standard normals, a control h feeds it zeta = sqrt(dt) h, and the dense
-    per-mode matrices the rate algebra reads are its responses to the unit
-    innovations, built on first read.  Its transpose
+    per-mode matrices the oracles' rate algebra reads are its responses to
+    the unit innovations, built on first read; the terminal covariance reads
+    their last row alone, from B and the phases.  Its transpose
     (:meth:`DiscreteLOperator.response_adjoint`) takes a gradient with
     respect to the mode paths back to the innovations.
   * Q (direct): midpoint integrand samples sandwiched around the analytic
@@ -350,26 +351,22 @@ def gaussian_rate(L: DiscreteLOperator, f_modes: np.ndarray) -> GaussianRateResu
 
 
 def terminal_covariance_blocks(L: DiscreteLOperator) -> np.ndarray:
-    """Per-mode 2x2 covariance of (Re Z_j(T), Im Z_j(T)), as a (modes, 2, 2) stack."""
-    V = _real_stack(L.mats[:, -1:, :])  # (modes, 2, n)
+    """Per-mode 2x2 covariance of (Re Z_j(T), Im Z_j(T)), as a (modes, 2, 2) stack:
+    the Gram blocks of the terminal row ``mats[:, -1]``, read off B and the phases."""
+    row = (L.chol.T @ L.phase_mid).T * (L.phi * L.phase_t[-1])[:, None]  # (modes, n)
+    V = _real_stack(row[:, None, :])  # (modes, 2, n)
     return V @ V.transpose(0, 2, 1)
 
 
-def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> tuple[float, np.ndarray]:
+def cheapest_terminal_rate(L: DiscreteLOperator, delta: float) -> float:
     """Minimal energy to push the terminal response onto the sphere of
     radius delta in L2: delta^2 / (2 lambda_max) with lambda_max the top
     eigenvalue of the terminal covariance, realized along its eigenvector.
-    A rate past float range raises ValueError."""
-    w, V = np.linalg.eigh(terminal_covariance_blocks(L))
-    j_star = int(np.argmax(w[:, -1]))  # the first mode of the top eigenvalue
-    lam, direction = float(w[j_star, -1]), V[j_star, :, -1]
+    A degenerate covariance, or a rate past float range, raises ValueError."""
+    lam = float(np.linalg.eigvalsh(terminal_covariance_blocks(L))[:, -1].max())
     if lam <= 0.0:
         raise ValueError("degenerate terminal covariance: no reachable direction")
-    F = _real_stack(L.mats[j_star, -1:, :])  # (2, n)
-    zeta_j, _, _, _ = np.linalg.lstsq(F, delta * direction, rcond=None)
-    zeta = np.zeros((L.n_modes, L.tg.n))
-    zeta[j_star] = zeta_j
-    rate = 0.5 * float(np.sum(zeta**2))
+    rate = 0.5 * (delta * delta / lam)
     if not math.isfinite(rate):
         raise ValueError(f"terminal rate {rate} is past float range: delta or the covariance overflows")
-    return rate, zeta / math.sqrt(L.tg.dt)
+    return rate

@@ -174,7 +174,7 @@ def test_criterion_07_linear_ldp_triangle():
     delta = math.sqrt(2 * 0.22 * lmax)
     ev = EventSpec("terminal-ball-exit", threshold=delta, sobolev_index=0.0)
 
-    pinv_rate, _ = lab.pinv_terminal_rate(delta)
+    pinv_rate = lab.pinv_terminal_rate(delta)
     report = lab.rate_ladder(ev, [0.25, 0.16, 0.09, 0.04], replicates=20000, seed=1000)
     mc_slope = report.slope_value
     opt = lab.minimize_rate(ev, n_splines=8, budget=4000)

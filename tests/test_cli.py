@@ -455,7 +455,22 @@ class TestRunDeterminism:
         assert main(["ldp", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
         report = json.loads((tmp_path / "o" / "rate_report.json").read_text())
-        assert report["pinv_rate"] == original(*calls[0])[0]
+        assert report["pinv_rate"] == original(*calls[0])
+
+    def test_linear_terminal_ball_resolves_within_a_few_mib(self):
+        # the pinv rate reads one terminal row per mode, (1024 modes, 64) complex
+        # arrays of 1 MiB each; a dense (modes, n, n) response stack is 64 MiB
+        raw = {"kind": "ldp", "H": 0.7, "n": 64, "grid": {"N": 1024}, "nl": None, "u0": {"type": "zero"},
+               "event": {"kind": "terminal-ball-exit", "threshold": 0.1}}
+        parse_config(json.dumps({**raw, "grid": {"N": 8}}))  # the modules a resolve loads
+        tracemalloc.start()
+        try:
+            cfg = parse_config(json.dumps(raw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < cfg["_pinv_rate"] < math.inf
+        assert peak < 16 * 2**20
 
     def test_blowup_bound_is_finite_when_u0_holds_the_sup(self, tmp_path):
         # the focusing flow's H^1 norm is largest at t = 0, which no control
@@ -697,9 +712,10 @@ class TestArtifacts:
         header = (out / "control.csv").read_text().splitlines()[0]
         assert header.startswith("s,mode_0")
 
-    @pytest.mark.parametrize("kind", ["skeleton", "support"])
+    @pytest.mark.parametrize("kind", ["skeleton", "support", "ldp"])
     def test_control_runs_never_assemble_the_dense_operator(self, tmp_path, kind):
-        # their controls go through the response map, as the sampler's normals do
+        # their controls go through the response map, as the sampler's normals
+        # do, and a linear terminal ball's pinv rate reads one terminal row
         cfg = parse_config(json.dumps(KIND_CONFIGS[kind]))
         assert run(cfg, str(tmp_path)) == 0
         assert "mats" not in vars(cfg["_lab"].L)

@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from fracnls import fbm, ldp, oracles
+from fracnls import fbm, ldp, noise, oracles
 from fracnls.fbm import TimeGrid, _row_blocks, replicate_stream, sample_fbm_fast
 from fracnls.field import ComplexField, GridSpec, sobolev_norm, sobolev_norms
 from fracnls.ldp import (
@@ -144,6 +144,16 @@ class TestSlope:
         assert fit.value == pytest.approx(c, abs=1e-12)
         assert abs(fit.drift) < 1e-9
 
+    def test_value_is_the_mean_over_the_ladder(self):
+        # p = C exp(-c/eps) makes -eps log p = c - eps ln C linear in eps: its
+        # mean, not its median, is c - mean(eps) ln C, and its drift is -ln C
+        C, c = 0.3, 0.8
+        eps = [0.25, 0.16, 0.09, 0.04]
+        fit = ldp_slope(eps, [C * math.exp(-c / e) for e in eps])
+        assert fit.ok
+        assert fit.value == pytest.approx(c - np.mean(eps) * math.log(C), abs=1e-12)
+        assert fit.drift == pytest.approx(-math.log(C), abs=1e-9)
+
     def test_insufficient_data_flag(self):
         fit = ldp_slope([0.2, 0.1, 0.05, 0.02], [0.5, 0.1, 0.0, 0.0])
         assert not fit.ok and fit.n_used == 2
@@ -198,6 +208,24 @@ class TestEvents:
         report = linear_lab.rate_ladder(ev, [0.25, 0.09], replicates=800, seed=5)
         # smaller eps gives smaller probability, allowing CI overlap
         assert report.p_hats[1] <= report.ci_hi[0]
+
+    def test_rungs_share_no_normals(self, linear_lab, monkeypatch):
+        # each rung draws its own normals: no two rungs' first blocks, the
+        # draws that start at replicate 0, are equal
+        firsts = []
+        draw = noise.replicate_normals
+
+        def spy(seed, replicates, shape):
+            z = draw(seed, replicates, shape)
+            if replicates.start == 0:
+                firsts.append(z)
+            return z
+
+        monkeypatch.setattr(noise, "replicate_normals", spy)
+        ev = EventSpec("terminal-ball-exit", threshold=0.64)
+        linear_lab.rate_ladder(ev, [0.25, 0.16, 0.09, 0.04], replicates=100, seed=7)
+        assert len(firsts) == 4
+        assert not any(np.array_equal(firsts[i], firsts[k]) for i in range(4) for k in range(i))
 
     def test_linear_tail_matches_spectral_oracle(self, linear_lab):
         delta, eps = 0.64, 0.16
@@ -348,7 +376,7 @@ class TestMinimizeRate:
         blocks = terminal_covariance_blocks(linear_lab.L)
         lmax = max(np.linalg.eigvalsh(b)[-1] for b in blocks)
         delta = math.sqrt(2 * 0.22 * lmax)
-        pinv_rate, _ = linear_lab.pinv_terminal_rate(delta)
+        pinv_rate = linear_lab.pinv_terminal_rate(delta)
         ev = EventSpec("terminal-ball-exit", threshold=delta, sobolev_index=0.0)
         res = linear_lab.minimize_rate(ev, n_splines=8, budget=4000)
         assert res.feasible

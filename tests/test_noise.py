@@ -320,6 +320,11 @@ class TestFactorization:
         assert np.all(np.abs(C - Q) <= 5 * se + 1e-12)
 
 
+# (d, H, n) of the terminal-row checks: both dimensions, rough to smooth
+# noise, one step to the dense limit
+TERMINAL_CASES = [(d, H, n) for d in (1, 2) for H in (0.3, 0.5, 0.7) for n in (1, 2, 16, 64)]
+
+
 class TestGaussianRate:
     @pytest.fixture
     def model(self, grid):
@@ -356,24 +361,34 @@ class TestGaussianRate:
         res = gaussian_rate(L, target)
         assert math.isinf(res.rate) and not res.feasible
 
-    def test_cheapest_terminal_rate_matches_top_eigenvalue(self, model):
-        L, _ = model
-        blocks = terminal_covariance_blocks(L)
-        lmax = max(np.linalg.eigvalsh(b)[-1] for b in blocks)
+    @staticmethod
+    def _dense_terminal_blocks(L):
+        """Reference: the Gram blocks of the (Re, Im) last rows of the dense matrices."""
+        V = noise._real_stack(L.mats[:, -1:, :])  # (modes, 2, n)
+        return V @ V.transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("d, H, n", TERMINAL_CASES)
+    def test_terminal_blocks_are_the_dense_last_rows_gram_blocks(self, d, H, n):
+        L = build_L(build_correlation(GridSpec(d, 8, math.pi), 4.0, H, 0.3), H, TimeGrid(1.0, n))
+        want = self._dense_terminal_blocks(L)
+        got = terminal_covariance_blocks(L)
+        assert got.shape == want.shape == (L.n_modes, 2, 2)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d, H, n", TERMINAL_CASES)
+    def test_cheapest_terminal_rate_is_the_top_eigenvalue_rate_and_is_attained(self, d, H, n):
+        L = build_L(build_correlation(GridSpec(d, 8, math.pi), 4.0, H, 0.3), H, TimeGrid(1.0, n))
+        w, V = np.linalg.eigh(self._dense_terminal_blocks(L))
         delta = 0.4
-        rate, h = cheapest_terminal_rate(L, delta)
-        assert rate == pytest.approx(delta**2 / (2 * lmax), rel=1e-10)
-        # the control actually reaches the sphere
+        rate = cheapest_terminal_rate(L, delta)
+        assert type(rate) is float
+        assert rate == pytest.approx(delta**2 / (2 * w[:, -1].max()), rel=1e-12)
+        # the least-squares route: the minimum-norm control onto the top
+        # eigenvector of the top mode reaches the sphere at half energy = rate
+        j = int(np.argmax(w[:, -1]))
+        zeta, _, _, _ = np.linalg.lstsq(noise._real_stack(L.mats[j, -1:, :]), delta * V[j, :, -1], rcond=None)
+        h = np.zeros((L.n_modes, n))
+        h[j] = zeta / math.sqrt(L.tg.dt)
         reach = L.apply(h)[-1]
         assert np.sqrt((np.abs(reach) ** 2).sum()) == pytest.approx(delta, rel=1e-8)
-
-    def test_cheapest_terminal_rate_takes_the_first_of_tied_modes(self, grid):
-        # the benchmark noise gives modes 1 and 7 the same gain, so their
-        # terminal blocks tie at the top eigenvalue exactly; mode 1 comes first
-        spec = CorrelationSpec(grid=grid, eigenvalues=np.array([0.2, 1, 0.05, 0.01, 0.005, 0.01, 0.05, 1]))
-        L = build_L(spec, 0.7, TimeGrid(1.0, 16))
-        top = np.linalg.eigvalsh(terminal_covariance_blocks(L))[:, -1]
-        assert top[1] == top[7] == top.max()
-        _, h = cheapest_terminal_rate(L, 0.64)
-        assert np.any(h[1] != 0.0)
-        assert not np.any(np.delete(h, 1, axis=0))
+        assert half_energy(h, L.tg) == pytest.approx(rate, rel=1e-10)
