@@ -12,6 +12,6 @@ Subpackages:
 
 from .errors import ConfigError, InvariantViolation
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = ["ConfigError", "InvariantViolation", "__version__"]

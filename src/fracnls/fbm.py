@@ -382,29 +382,63 @@ def increment_covariance_beta(H: float, points: np.ndarray) -> np.ndarray:
 
 def sample_fbm_exact(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
     """Exact sampler: paths (replicates, n + 1) on ``grid``, each starting at
-    zero, from the lower Cholesky factor of the analytic path covariance: the
-    row-wise cumulative sum of :func:`_increment_factor`, times dt^H.
+    zero, from the lower Cholesky factor of the analytic path covariance
+    (:func:`_path_factor`), applied by :func:`_exact_paths`.
 
     This is the distributional oracle the fast sampler is tested against.
     Replicate i draws from the counter-based stream keyed (seed, i).  The
     factor multiplies blocks of replicates, the last one zero-padded to the
-    same row count, so replicate i always sits at row i mod block of a product
-    of one shape: its bits depend on (H, n, seed, i), not on ``replicates``.
+    same row count, so replicate i always sits at row i mod block of products
+    of fixed shapes: its bits depend on (H, n, seed, i), not on
+    ``replicates``.  They may depend on the BLAS thread count, which can
+    change how a product is split: at n 1024 the bits agree at one thread
+    and two, at n 1000 they do not.  No artifact reads this sampler.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     n = grid.n
-    C = _increment_factor(H, n)
-    np.cumsum(C, axis=0, out=C)  # a path value is the running sum of its increments
-    C *= grid.dt**H  # unit-spacing increments rescaled by self-similarity
+    C = _path_factor(H, grid)
     block = _block_rows(8 * n)
     values = np.zeros((replicates, n + 1))
     for rows in _row_blocks(replicates, 8 * n):
         Z = np.zeros((block, n))  # a short last block stays zero-padded to the full shape
         Z[: len(rows)] = replicate_normals(seed, rows, n)
-        # C.T is a view: BLAS reads it transposed, with no n x n copy
-        values[rows.start : rows.stop, 1:] = (Z @ C.T)[: len(rows)]
+        values[rows.start : rows.stop, 1:] = _exact_paths(C, Z)[: len(rows)]
     return values
+
+
+def _path_factor(H: float, grid: TimeGrid) -> np.ndarray:
+    """Lower Cholesky factor of the path covariance on t_1..t_n: the row-wise
+    cumulative sum of :func:`_increment_factor`, times dt^H."""
+    C = _increment_factor(H, grid.n)
+    np.cumsum(C, axis=0, out=C)  # a path value is the running sum of its increments
+    C *= grid.dt**H  # unit-spacing increments rescaled by self-similarity
+    return C
+
+
+# Column panels of the exact sampler's product.  Its factor is lower
+# triangular, so the columns of a panel ending at column b read only the first
+# b normals of a row, and P equal panels do (P + 1) / 2P of the dense
+# product's flops, at the cost of P products.  The products of 1000
+# replicates at n 1024 (16 blocks of 64 rows), one BLAS thread (OpenBLAS
+# 0.3.31, Haswell kernels, 2-CPU host), median of 9 in two runs: dense
+# 55-57 ms, 2 panels 45-55, 3 42-47, 4 39-40, 6 and 8 41-43, 16 44-45, 32 55-57.
+_EXACT_PANELS = 4
+
+
+def _exact_paths(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``Z @ C.T`` for a lower triangular C (n, n) and normals Z (rows, n),
+    one product per column panel, each reading only the part of C on or below
+    its diagonal.  The zeros it skips add nothing, so the result equals the
+    dense product to rounding."""
+    n = C.shape[0]
+    out = np.empty((len(Z), n))
+    edges = [n * p // _EXACT_PANELS for p in range(_EXACT_PANELS + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo < hi:  # n below the panel count leaves some panels empty
+            # the transposed slice is a view: BLAS reads it transposed, with no copy
+            np.matmul(Z[:, :hi], C[lo:hi, :hi].T, out=out[:, lo:hi])
+    return out
 
 
 def _fgn_autocovariance(H: float, n: int) -> np.ndarray:
@@ -465,32 +499,58 @@ def sample_fbm_fast(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.
     """Circulant-embedding sampler for the stationary increment sequence.
 
     Paths (replicates, n + 1) on ``grid``, equal in law to :func:`sample_fbm_exact`'s;
-    O(n log n) per path, for large n.
+    O(n log n) per path, for large n.  Replicate i reads 2n normals from the
+    stream keyed (seed, i), which :func:`_fast_paths` maps to its path.  The
+    map makes no BLAS call, so the bits do not depend on the BLAS thread count.
     It never falls back: an eigenvalue below -1e-8 x the largest raises :class:`InvariantViolation`.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     _check_hurst(H)
     n = grid.n
-    eigs = _circulant_eigenvalues(H, n)
-    if eigs.min() < -1e-8 * eigs.max():
-        raise InvariantViolation(f"circulant embedding of H={H}, n={n} has eigenvalue {eigs.min():.3e}")
-    scale = grid.dt**H  # unit-spacing increments rescaled by self-similarity
-    coeff = np.sqrt(np.clip(eigs, 0.0, None))
+    weights = _spectral_weights(H, grid)
     values = np.zeros((replicates, n + 1))
     # one transform per block of rows; each row is computed exactly as alone
     for rows in _row_blocks(replicates, 16 * n):
-        Z = replicate_normals(seed, rows, 2 * n)
-        xi = np.empty(Z.shape, dtype=complex)
-        xi[:, 0] = Z[:, 0]
-        xi[:, n] = Z[:, 1]
-        re = Z[:, 2 : n + 1]
-        im = Z[:, n + 1 : 2 * n]
-        xi[:, 1:n] = (re + 1j * im) / math.sqrt(2.0)
-        xi[:, n + 1 :] = np.conj(xi[:, n - 1 : 0 : -1])
-        fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi, axis=-1).real[:, :n]
-        values[rows.start : rows.stop, 1:] = scale * np.cumsum(fgn, axis=1)
+        values[rows.start : rows.stop, 1:] = _fast_paths(weights, replicate_normals(seed, rows, 2 * n))
     return values
+
+
+def _spectral_weights(H: float, grid: TimeGrid) -> np.ndarray:
+    """Weights of the n + 1 non-negative frequency bins of the circulant
+    embedding on ``grid``: the square roots of its eigenvalues 0..n, times
+    dt^H / sqrt(2n), and times a further 1/sqrt 2 at the complex bins 1..n-1.
+    An eigenvalue below -1e-8 x the largest raises :class:`InvariantViolation`;
+    one above it is rounding, and counts as zero."""
+    n = grid.n
+    eigs = _circulant_eigenvalues(H, n)
+    if eigs.min() < -1e-8 * eigs.max():
+        raise InvariantViolation(f"circulant embedding of H={H}, n={n} has eigenvalue {eigs.min():.3e}")
+    weights = np.sqrt(np.clip(eigs[: n + 1], 0.0, None))
+    weights *= grid.dt**H / math.sqrt(2.0 * n)  # unit-spacing increments rescaled by self-similarity
+    weights[1:n] /= math.sqrt(2.0)
+    return weights
+
+
+def _fast_paths(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Paths t_1..t_n (rows, n) of the circulant embedding from normals Z (rows, 2n).
+
+    A row's spectrum is Hermitian: Z[0] and Z[1] weigh the real bins 0 and n,
+    and Z[2 + k] + i Z[n + 1 + k] the complex bin 1 + k, whose conjugate
+    mirror at 2n - 1 - k the real inverse transform of length 2n implies.  So
+    only the n + 1 non-negative frequency bins are built and transformed.  The
+    first n values of that transform are the increments, and a path is their
+    running sum.  The transform is unnormalized, as ``weights`` carry the
+    scale."""
+    n = Z.shape[1] // 2
+    spectrum = np.zeros((len(Z), n + 1), dtype=complex)
+    spectrum.real[:, 0] = Z[:, 0]
+    spectrum.real[:, 1:n] = Z[:, 2 : n + 1]
+    spectrum.imag[:, 1:n] = Z[:, n + 1 :]
+    spectrum.real[:, n] = Z[:, 1]
+    spectrum *= weights
+    increments = np.fft.irfft(spectrum, 2 * n, axis=-1, norm="forward")[:, :n]
+    return np.cumsum(increments, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -271,27 +271,44 @@ class TestReplicateNormals:
 
 
 def _fast_paths_one_row_at_a_time(H: float, grid: TimeGrid, replicates: int, seed: int) -> np.ndarray:
-    """Reference for the fast sampler: each path on its own, from its own stream."""
+    """Reference for the fast sampler: each path on its own, from its own
+    stream, by a one-row real inverse transform of its n + 1 weighted bins."""
     n = grid.n
-    coeff = np.sqrt(np.clip(fbm._circulant_eigenvalues(H, n), 0.0, None))
+    w = fbm._spectral_weights(H, grid)
     values = np.zeros((replicates, n + 1))
     for i in range(replicates):
         z = replicate_stream(seed, i).standard_normal(2 * n)
-        xi = np.empty(2 * n, dtype=complex)
-        xi[0] = z[0]
-        xi[n] = z[1]
-        xi[1:n] = (z[2 : n + 1] + 1j * z[n + 1 : 2 * n]) / math.sqrt(2.0)
-        xi[n + 1 :] = np.conj(xi[1:n][::-1])
-        fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi).real[:n]
-        values[i, 1:] = grid.dt**H * np.cumsum(fgn)
+        bins = np.zeros(n + 1, dtype=complex)
+        bins[0] = z[0]
+        bins[1:n] = z[2 : n + 1] + 1j * z[n + 1 :]
+        bins[n] = z[1]
+        values[i, 1:] = np.cumsum(np.fft.irfft(w * bins, 2 * n, norm="forward")[:n])
     return values
 
 
+def _full_spectrum_paths(H: float, grid: TimeGrid, Z: np.ndarray) -> np.ndarray:
+    """The circulant sampler's map of normals Z (rows, 2n) to paths t_1..t_n
+    before 0.16.0: the whole Hermitian spectrum of 2n bins, its conjugate
+    mirror written out, and the real part of its complex inverse transform."""
+    n = grid.n
+    coeff = np.sqrt(np.clip(fbm._circulant_eigenvalues(H, n), 0.0, None))
+    xi = np.empty(Z.shape, dtype=complex)
+    xi[:, 0] = Z[:, 0]
+    xi[:, n] = Z[:, 1]
+    xi[:, 1:n] = (Z[:, 2 : n + 1] + 1j * Z[:, n + 1 :]) / math.sqrt(2.0)
+    xi[:, n + 1 :] = np.conj(xi[:, n - 1 : 0 : -1])
+    fgn = math.sqrt(2.0 * n) * np.fft.ifft(coeff * xi, axis=-1).real[:, :n]
+    return grid.dt**H * np.cumsum(fgn, axis=1)
+
+
+# (n, rows): the replicates, or at n >= 256 the replicates past one full
+# block of normals (128 rows at n = 256, 32 at n = 1024, 2 at n = 16384), so
+# those path sets span more than one block whatever the budget
+FAST_BLOCK_CASES = [(1, 7), (2, 7), (3, 7), (256, 33), (1024, 17), (16384, 3)]
+
+
 class TestFastSamplerBlocks:
-    # (n, rows): the replicates, or at n >= 256 the replicates past one full
-    # block of normals (128 rows at n = 256, 32 at n = 1024, 2 at n = 16384),
-    # so those path sets span more than one block whatever the budget
-    @pytest.mark.parametrize("n, rows", [(1, 7), (2, 7), (3, 7), (256, 33), (1024, 17), (16384, 3)])
+    @pytest.mark.parametrize("n, rows", FAST_BLOCK_CASES)
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
     def test_block_transform_equals_per_row_reference(self, H, n, rows):
         replicates = rows
@@ -301,6 +318,21 @@ class TestFastSamplerBlocks:
         g = TimeGrid(1.0, n)
         got = sample_fbm_fast(H, g, replicates, seed=9)
         assert np.array_equal(got, _fast_paths_one_row_at_a_time(H, g, replicates, 9))
+
+    # The half spectrum and the full one differ by rounding only: the
+    # transforms' of about eps log n relative, then the running sum's, which
+    # grows like sqrt(n) on these random increments.  The worst reading over
+    # these cases is 1.24 eps sqrt(n) max|path| (n 1, H 0.7; at most 0.35 for
+    # n >= 256), against a bound of 16.
+    @pytest.mark.parametrize("n, rows", FAST_BLOCK_CASES)
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_half_spectrum_equals_the_full_hermitian_transform(self, H, n, rows):
+        g = TimeGrid(1.0, n)
+        Z = replicate_normals(4, range(rows), 2 * n)
+        got = fbm._fast_paths(fbm._spectral_weights(H, g), Z)
+        reference = _full_spectrum_paths(H, g, Z)
+        assert got.shape == reference.shape == (rows, n)
+        assert np.abs(got - reference).max() <= 16 * EPS * math.sqrt(n) * np.abs(reference).max()
 
 
 KS_SAMPLES = st.tuples(
@@ -425,6 +457,22 @@ class TestExactSampler:
         full = sample_fbm_exact(0.7, g, replicates, seed=5)
         for r in runs:
             assert np.array_equal(sample_fbm_exact(0.7, g, r, seed=5), full[:r]), r
+
+    # n below the panel count, and n that is not a multiple of it
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 1023, 1024])
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_panel_product_equals_the_dense_product(self, H, n):
+        # the zeros above the factor's diagonal that the panels skip add
+        # nothing: the dense product is the reference, on the same normals.
+        # Only the order of the sums moves: the worst reading is 1.2e-15
+        # relative (n 1023), and 0 at n 1 and 64
+        C = fbm._path_factor(H, TimeGrid(1.0, n))
+        assert np.array_equal(C, np.tril(C))
+        Z = replicate_normals(6, range(fbm._block_rows(8 * n)), n)
+        reference = Z @ C.T
+        got = fbm._exact_paths(C, Z)
+        assert got.shape == reference.shape
+        assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_matches_row_at_a_time_reference(self, H):
