@@ -150,11 +150,9 @@ class TimeGrid:
 
 # The fixed quadrature of the kernel-based checks: Gauss-Legendre nodes per
 # interior cell and in the square-root mapped first cell of the covariance
-# reconstruction, kernel rows evaluated per block, and the order of the
-# duality pairing's cell rule.
+# reconstruction, and the order of the duality pairing's cell rule.
 _CELL_NODES = 8
 _FIRST_CELL_NODES = 32
-_KERNEL_CHUNK = 32
 _DUALITY_ORDER = 24
 
 
@@ -233,6 +231,13 @@ def kernel_eval_grid(H: float, t, s, order: int = 48) -> np.ndarray:
     kernel evaluation (covariance quadrature, transform telescoping); the
     scalar :func:`kernel_eval`, in closed form, is the reference it is
     checked against.
+
+    The entries with s < t, in C order, are evaluated in consecutive blocks
+    of ``_block_rows(8 * order)`` entries (1365 at order 48), the block rule
+    of every batched path: a block's ``order`` nodes per entry, integrand and
+    weighted sum are formed and written before the next block starts.  The
+    weighted sum is one BLAS product per block, so an entry's last bit can
+    depend on its place in its block and on the BLAS thread count.
     """
     cH = normalization_constant(H)
     t = np.asarray(t, dtype=float)
@@ -249,12 +254,16 @@ def kernel_eval_grid(H: float, t, s, order: int = 48) -> np.ndarray:
         return out
     tm = t[mask]
     sm = s[mask]
-    V = np.sqrt(tm - sm)
     xg, wg = _unit_rule(order)
-    v = V[..., None] * xg
-    integrand = 2.0 * v ** (2.0 * H - 2.0) * _bracket(H, v * v / sm[..., None])
-    integral = V * (integrand @ wg)
-    out[mask] = cH * (tm - sm) ** (H - 0.5) + cH * (0.5 - H) * integral
+    for rows in _row_blocks(tm.size, 8 * order):
+        tb, sb = tm[rows.start : rows.stop], sm[rows.start : rows.stop]
+        V = np.sqrt(tb - sb)
+        v = V[..., None] * xg
+        integrand = 2.0 * v ** (2.0 * H - 2.0) * _bracket(H, v * v / sb[..., None])
+        integral = V * (integrand @ wg)
+        # a block's kernel values replace its t's, which no later block reads
+        tm[rows.start : rows.stop] = cH * (tb - sb) ** (H - 0.5) + cH * (0.5 - H) * integral
+    out[mask] = tm
     return out
 
 
@@ -318,11 +327,7 @@ def covariance_from_kernel(H: float, grid: TimeGrid) -> np.ndarray:
         wq = np.concatenate([w_first, w_rest])
     else:
         r, wq = r_first, w_first
-    t = pts[1:]
-    Kmat = np.empty((t.size, r.size))
-    for lo in range(0, t.size, _KERNEL_CHUNK):
-        hi = min(lo + _KERNEL_CHUNK, t.size)
-        Kmat[lo:hi] = kernel_eval_grid(H, t[lo:hi, None], r[None, :])
+    Kmat = kernel_eval_grid(H, pts[1:, None], r[None, :])
     return (Kmat * wq) @ Kmat.T
 
 

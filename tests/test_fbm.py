@@ -7,6 +7,7 @@ statistics) rather than copied from the implementation.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,6 +142,68 @@ class TestUnitRule:
         for array in fbm._unit_rule(8):
             with pytest.raises(ValueError):
                 array[0] = 0.5
+
+
+def _kernel_eval_grid_one_call(H, t, s, order=48):
+    """:func:`kernel_eval_grid`'s rule over every entry with s < t in one
+    product, with no blocks: the reference a blocked call is checked against."""
+    cH = normalization_constant(H)
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(t.shape)
+    mask = s < t
+    if H == 0.5:
+        out[mask] = 1.0
+        return out
+    tm, sm = t[mask], s[mask]
+    V = np.sqrt(tm - sm)
+    xg, wg = fbm._unit_rule(order)
+    v = V[..., None] * xg
+    integrand = 2.0 * v ** (2.0 * H - 2.0) * fbm._bracket(H, v * v / sm[..., None])
+    integral = V * (integrand @ wg)
+    out[mask] = cH * (tm - sm) ** (H - 0.5) + cH * (0.5 - H) * integral
+    return out
+
+
+def _covariance_pairs(n):
+    """The (t, r) pairs :func:`fbm.covariance_from_kernel` evaluates on n
+    cells of [0, 1]: t_1..t_n as a column against its quadrature nodes r."""
+    pts = TimeGrid(1.0, n).points
+    y, _ = fbm._unit_rule(fbm._FIRST_CELL_NODES)
+    xm, _ = fbm._unit_rule(fbm._CELL_NODES)
+    r = np.concatenate([pts[1] * y * y, (pts[1:-1, None] + np.diff(pts)[1:, None] * xm).ravel()])
+    return pts[1:, None], r[None, :]
+
+
+def _kernel_blocks(t, s, order=48):
+    """The blocks of :func:`kernel_eval_grid`'s entries with s < t."""
+    return list(fbm._row_blocks(int(np.count_nonzero(np.less(s, t))), 8 * order))
+
+
+class TestKernelEvalGridBlocks:
+    BLOCK = fbm._block_rows(8 * 48)  # entries in one block of the order-48 rule
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    def test_one_block_equals_the_one_call_body(self, H):
+        tg = TimeGrid(1.0, 16)
+        cases = [(1.0, 0.5, 48), (1.0, 0.5, 96),  # kernel-two-rule-agreement's point
+                 (tg.points[1:, None], tg.midpoints[:10], 48),  # restriction-identity's transform
+                 (1.0, np.linspace(1e-3, 0.999, self.BLOCK), 48)]  # one full block
+        for t, s, order in cases:
+            assert len(_kernel_blocks(t, s, order)) == 1
+            got = kernel_eval_grid(H, t, s, order=order)
+            assert got.tobytes() == _kernel_eval_grid_one_call(H, t, s, order).tobytes()
+
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_several_blocks_agree_with_the_one_call_body(self, H):
+        # the weighted sums are BLAS products over other row counts, so the
+        # bound is rounding's, as in TestKtStar
+        t64, r64 = _covariance_pairs(64)
+        assert r64.size == 536 and len(_kernel_blocks(t64, r64)) == 14
+        last_alone = np.linspace(1e-3, 0.999, 2 * self.BLOCK + 1)
+        assert [len(rows) for rows in _kernel_blocks(1.0, last_alone)] == [self.BLOCK, self.BLOCK, 1]
+        for t, s in [(t64, r64), (1.0, last_alone)]:
+            got = kernel_eval_grid(H, t, s)
+            np.testing.assert_allclose(got, _kernel_eval_grid_one_call(H, t, s), rtol=1e-14, atol=0.0)
 
 
 class TestKernelTimeDerivative:
@@ -673,6 +736,19 @@ class TestKtStar:
         for idx in np.ndindex(s.shape):
             alone = apply_kt_star(H, vals, tg.points, s[idx])
             assert out[idx] == pytest.approx(float(alone), rel=1e-14, abs=0.0)
+        # points over several blocks of the kernel rule.  Where the telescoped
+        # sum cancels, its value is small against its terms, and summing them
+        # along another axis (a 0-d point's sum is numpy's 1-D one) moves it
+        # by rounding of the terms' size max|phi| max_m K(t_m, s): 3.2e-16 of
+        # it at most at these points, where the value moves by up to 1.7e-13
+        # of itself
+        s = np.linspace(1e-3, 0.999, 397)
+        K = kernel_eval_grid(H, tg.points[1:, None], s)
+        assert len(_kernel_blocks(tg.points[1:, None], s)) > 1
+        out = apply_kt_star(H, vals, tg.points, s)
+        for i, terms_size in enumerate(np.abs(vals).max() * K.max(axis=0)):
+            alone = apply_kt_star(H, vals, tg.points, s[i])
+            assert out[i] == pytest.approx(float(alone), rel=0.0, abs=1e-14 * terms_size)
 
     def test_points_outside_the_horizon_are_refused(self):
         tg = TimeGrid(1.0, 4)
@@ -762,6 +838,43 @@ class TestDuality:
         phi = 1.0 + 0.5 * mid - 2.0 * mid**2 + mid**3
         h = 0.3 - mid + 0.2 * mid**2
         assert oracles.duality_gap(H, phi, h, tg) < 1e-5
+
+
+def _traced_peak(f, *args) -> float:
+    """tracemalloc's peak over one call of ``f``, in MiB."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelQuadratureMemory:
+    # The kernel rule holds at most six arrays of one block at a time, 3 MiB
+    # under the 512 KiB budget; each bound adds the arrays the call holds.
+    # The covariance on n cells evaluates E = n (32 + 8 (n - 1)) pairs and
+    # holds four arrays of at most E floats: the kernel matrix, its weighted
+    # copy and the t and s of the pairs with s < t, and their E-byte mask.
+    def test_covariance_at_n_64_within_8_mib(self):
+        # E = 34304: four 268 KiB arrays and the rule's 3 MiB, 4.1 MiB
+        oracles.covariance_quadrature_error(0.7, TimeGrid(1.0, 4))  # the cached unit rules
+        assert _traced_peak(oracles.covariance_quadrature_error, 0.7, TimeGrid(1.0, 64)) <= 8.0
+
+    def test_covariance_at_n_256_within_24_mib(self):
+        # E = 530432: four 4.05 MiB arrays, a 0.5 MiB mask and the rule's
+        # 3 MiB, plus four 0.5 MiB (n, n) arrays of the analytic covariance
+        # and the gap, 21.7 MiB
+        oracles.covariance_quadrature_error(0.7, TimeGrid(1.0, 4))
+        assert _traced_peak(oracles.covariance_quadrature_error, 0.7, TimeGrid(1.0, 256)) <= 24.0
+
+    def test_duality_at_n_16_within_8_mib(self):
+        # the largest kernel table is Kh's, 16 x 16 x 62 floats (124 KiB);
+        # ten arrays of that size and the rule's 3 MiB are 4.2 MiB
+        tg = TimeGrid(1.0, 16)
+        phi = np.where(tg.midpoints < 0.5, 1.0, 0.0)
+        oracles.duality_gap(0.7, phi, np.ones(16), tg)
+        assert _traced_peak(oracles.duality_gap, 0.7, phi, np.ones(16), tg) <= 8.0
 
 
 class TestRkhsInnerProduct:
