@@ -7,6 +7,10 @@ statistics) rather than copied from the implementation.
 """
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -397,6 +401,116 @@ class TestFastSamplerBlocks:
         assert got.shape == reference.shape == (rows, n)
         assert np.abs(got - reference).max() <= 16 * EPS * math.sqrt(n) * np.abs(reference).max()
 
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(self):
+        starts.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def _on_threads(monkeypatch, threads, f, *args):
+    monkeypatch.setattr(fbm, "_THREADS", threads)
+    return f(*args)
+
+
+class TestBlockThreads:
+    def test_thread_count_is_the_usable_cpus_capped_at_two(self):
+        assert fbm._THREADS == min(2, len(os.sched_getaffinity(0)))
+
+    # (sampler, n, replicates, blocks): the exact sampler's 1001 rows at n
+    # 1024 end in a 41-row block, zero-padded to 64 rows
+    @pytest.mark.parametrize("sampler, n, replicates, blocks", [
+        (sample_fbm_exact, 1024, 1001, 16),
+        (sample_fbm_fast, 512, 300, 5),
+        (sample_fbm_fast, 1024, 100, 4),
+    ], ids=["exact-1024", "fast-512", "fast-1024"])
+    def test_samplers_equal_on_one_thread_and_two(self, monkeypatch, thread_starts, sampler, n, replicates, blocks):
+        row_bytes = 8 * n if sampler is sample_fbm_exact else 16 * n
+        assert len(list(fbm._row_blocks(replicates, row_bytes))) == blocks
+        g = TimeGrid(1.0, n)
+        one = _on_threads(monkeypatch, 1, sampler, 0.7, g, replicates, 13)
+        assert thread_starts == []
+        two = _on_threads(monkeypatch, 2, sampler, 0.7, g, replicates, 13)
+        assert thread_starts == ["fbm-blocks"]
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_kernel_table_equal_on_one_thread_and_two(self, monkeypatch, thread_starts, H):
+        t64, r64 = _covariance_pairs(64)
+        assert r64.size == 536 and len(_kernel_blocks(t64, r64)) == 14
+        one = _on_threads(monkeypatch, 1, kernel_eval_grid, H, t64, r64)
+        assert thread_starts == []
+        two = _on_threads(monkeypatch, 2, kernel_eval_grid, H, t64, r64)
+        assert thread_starts == ["fbm-blocks"]
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("sampler, replicates, blocks", [
+        (sample_fbm_exact, 3000, 3),  # the exact-sampler-variance oracle's draw
+        (sample_fbm_fast, 1100, 3),
+    ], ids=["exact", "fast"])
+    def test_short_rows_start_no_thread(self, monkeypatch, thread_starts, sampler, replicates, blocks):
+        # at n 64 a row draws 64 (exact) or 128 (fast) normals, fewer than
+        # _GIL_FREE_NORMALS: its blocks stay on the calling thread
+        row_bytes = 8 * 64 if sampler is sample_fbm_exact else 16 * 64
+        assert len(list(fbm._row_blocks(replicates, row_bytes))) == blocks
+        _on_threads(monkeypatch, 2, sampler, 0.7, TimeGrid(1.0, 64), replicates, 13)
+        assert thread_starts == []
+
+    def test_block_error_reaches_the_caller_and_stops_the_blocks(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(fbm, "_THREADS", 2)
+        ran = []
+
+        def block(rows):
+            if rows.start == 0:
+                raise InvariantViolation("block 0")
+            time.sleep(0.002)
+            ran.append(rows.start)
+
+        before = threading.active_count()
+        with pytest.raises(InvariantViolation, match="block 0"):
+            fbm._each_block(block, 100, fbm._BLOCK_BYTES)  # 100 one-row blocks
+        assert thread_starts == ["fbm-blocks"]
+        assert threading.active_count() == before
+        # the helper finishes the block it holds when block 0 raises, and
+        # starts no other
+        assert len(ran) < 10
+
+    def test_every_block_runs_once_under_a_short_switch_interval(self, monkeypatch):
+        # four callers at once, each with its helper: eight threads on at
+        # most two CPUs, switching every microsecond.  A block lost or taken
+        # twice would show in its rows' counts
+        monkeypatch.setattr(fbm, "_THREADS", 2)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        counts = np.zeros((4, 500), dtype=int)
+
+        def caller(c):
+            def block(rows):
+                counts[c, rows.start : rows.stop] += 1
+
+            fbm._each_block(block, 500, fbm._BLOCK_BYTES // 3)  # 167 blocks of 3 rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert unhandled == []
+        assert (counts == 1).all()
 
 KS_SAMPLES = st.tuples(
     st.integers(1, 3000),
@@ -852,25 +966,32 @@ def _traced_peak(f, *args) -> float:
 
 class TestKernelQuadratureMemory:
     # The kernel rule holds at most six arrays of one block at a time, 3 MiB
-    # under the 512 KiB budget; each bound adds the arrays the call holds.
-    # The covariance on n cells evaluates E = n (32 + 8 (n - 1)) pairs and
-    # holds four arrays of at most E floats: the kernel matrix, its weighted
-    # copy and the t and s of the pairs with s < t, and their E-byte mask.
+    # under the 512 KiB budget, and up to two blocks run at once, one on each
+    # of two threads (fbm._each_block): 6 MiB.  Each bound adds the arrays
+    # the call holds beside them.  The covariance on n cells evaluates
+    # E = n (32 + 8 (n - 1)) pairs.  While the blocks run it holds three
+    # arrays of at most E floats (the output table and the t and s of the
+    # pairs with s < t) and their E-byte mask.  After them it holds the
+    # kernel matrix, its weighted copy and the (n, n) product, and then the
+    # (n, n) arrays of the analytic covariance and the gap, less either way.
     def test_covariance_at_n_64_within_8_mib(self):
-        # E = 34304: four 268 KiB arrays and the rule's 3 MiB, 4.1 MiB
+        # E = 34304: three 268 KiB arrays, a 34 KiB mask and two blocks'
+        # 6 MiB, 6.8 MiB (5.6 MiB measured, 3.6 with one block at a time)
         oracles.covariance_quadrature_error(0.7, TimeGrid(1.0, 4))  # the cached unit rules
         assert _traced_peak(oracles.covariance_quadrature_error, 0.7, TimeGrid(1.0, 64)) <= 8.0
 
     def test_covariance_at_n_256_within_24_mib(self):
-        # E = 530432: four 4.05 MiB arrays, a 0.5 MiB mask and the rule's
-        # 3 MiB, plus four 0.5 MiB (n, n) arrays of the analytic covariance
-        # and the gap, 21.7 MiB
+        # E = 530432: three 4.05 MiB arrays, a 0.5 MiB mask and two blocks'
+        # 6 MiB, 18.7 MiB; after the blocks, two 4.05 MiB arrays and five
+        # 0.5 MiB (n, n) ones at most (13.8 MiB measured, 11.8 with one
+        # block at a time)
         oracles.covariance_quadrature_error(0.7, TimeGrid(1.0, 4))
         assert _traced_peak(oracles.covariance_quadrature_error, 0.7, TimeGrid(1.0, 256)) <= 24.0
 
     def test_duality_at_n_16_within_8_mib(self):
         # the largest kernel table is Kh's, 16 x 16 x 62 floats (124 KiB);
-        # ten arrays of that size and the rule's 3 MiB are 4.2 MiB
+        # ten arrays of that size and two blocks' 6 MiB are 7.2 MiB (5.3 MiB
+        # measured, 3.3 with one block at a time)
         tg = TimeGrid(1.0, 16)
         phi = np.where(tg.midpoints < 0.5, 1.0, 0.0)
         oracles.duality_gap(0.7, phi, np.ones(16), tg)
